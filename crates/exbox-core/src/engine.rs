@@ -1,0 +1,989 @@
+//! The flow state machine behind both drivers (paper Fig. 5): early
+//! classify → admit → meter → poll/revoke, written once.
+//!
+//! A [`FlowEngine`] owns one partition's serving state — admitted
+//! flows with their QoS meters, the bounded rejected set, the poll
+//! timer wheel, the early classifier, the decision audit ring and the
+//! `middlebox.*` / `recovery.*` metric handles — and the steps over
+//! it. What it does *not* own is the learnt model and the cell-wide
+//! occupancy: those live behind a [`ModelSource`], and the engine is
+//! generic (static dispatch) over the two places they can be:
+//!
+//! * **inline** — an owned [`AdmittanceClassifier`](crate::admittance::AdmittanceClassifier)
+//!   and [`TrafficMatrix`]: [`Middlebox`](crate::middlebox::Middlebox),
+//!   one partition whose trainer runs in the poll;
+//! * **pinned** — a published [`ModelSnapshot`](crate::gateway::ModelSnapshot)
+//!   and the [`SharedMatrix`](crate::gateway::SharedMatrix), with
+//!   observations shipped to the background trainer:
+//!   [`GatewayShard`](crate::gateway::GatewayShard).
+//!
+//! ## The probe order
+//!
+//! Every packet takes [`FlowEngine::probe`]: (1) the run-length
+//! disposition of the previous packet when it is the same flow in a
+//! terminal state, (2) the rejected set — rejected flows drop before
+//! anything else sees them, (3) the admitted-flow map, (4) the early
+//! classifier. Only a packet that completes a flow's classification
+//! window reaches [`FlowEngine::decide`], the single place an arrival
+//! is admitted or rejected. Admission and rejection are terminal until
+//! a poll revokes or the flow departs, neither of which can run inside
+//! a batch, so (1) can never serve a stale verdict.
+//!
+//! ## Revocation forgets the classification
+//!
+//! A flow leaves the admitted set by departing or by being revoked;
+//! both paths — like arrival rejection — drop its early-classifier
+//! record. Otherwise a revoked flow whose rejection record is later
+//! evicted from the bounded ring would be forwarded forever: still
+//! "classified", so never re-decided, yet neither admitted (metered,
+//! in the matrix) nor rejected.
+
+use std::fmt;
+use std::sync::Arc;
+
+use exbox_ml::Label;
+use exbox_net::{AppClass, Duration, EarlyClassifier, FlowKey, Instant, Packet, QosMeter};
+use exbox_obs::{buckets, Counter, EventRing, Gauge, Histogram, MetricsRegistry};
+
+use crate::admittance::Phase;
+use crate::flowtable::{FlowMap, FlowSlot, RejectedRing, TimerWheel};
+use crate::matrix::{FlowKind, SnrLevel, TrafficMatrix};
+use crate::qoe::QoeEstimator;
+use crate::recovery::{FaultKind, FaultPlan};
+
+/// What the datapath should do with a packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Action {
+    /// Forward normally.
+    Forward,
+    /// Drop: the flow was rejected by admission control.
+    Drop,
+}
+
+/// Outcome of a periodic poll for one flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PollVerdict {
+    /// Flow keeps its admission.
+    Keep,
+    /// Flow should be discontinued or offloaded (§4.3).
+    Revoke,
+}
+
+/// What happened to a flow in a [`DecisionEvent`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecisionKind {
+    /// Flow admitted at arrival.
+    Admit,
+    /// Flow rejected at arrival.
+    Reject,
+    /// Admission revoked by a later poll (§4.3).
+    Revoke,
+}
+
+/// Why the middlebox decided the way it did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecisionReason {
+    /// Classifier still bootstrapping: every arrival is admitted.
+    Bootstrap,
+    /// The resulting matrix scored inside the learnt ExCR.
+    InsideRegion,
+    /// The resulting matrix scored outside the learnt ExCR.
+    OutsideRegion,
+    /// A poll re-evaluated the standing matrix against a re-learnt
+    /// region and found it inadmissible.
+    RegionReevaluation,
+    /// No model was servable (failed restore or repeated retrain
+    /// failures): the occupancy baseline decided instead.
+    DegradedFallback,
+}
+
+/// One structured admission-control decision, kept in the middlebox's
+/// bounded audit ring so rejections and revocations are explainable
+/// after the fact.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DecisionEvent {
+    /// When the decision was taken (packet timestamp or poll time).
+    pub at: Instant,
+    /// The flow decided on.
+    pub flow: FlowKey,
+    /// Its classified application class.
+    pub class: AppClass,
+    /// Its SNR level at decision time.
+    pub snr: SnrLevel,
+    /// Admit / reject / revoke.
+    pub verdict: DecisionKind,
+    /// Signed classifier score of the matrix the decision was about
+    /// (positive ⇒ inside the region); `None` before the first model.
+    pub margin: Option<f64>,
+    /// The rule that produced the verdict.
+    pub reason: DecisionReason,
+}
+
+impl fmt::Display for DecisionEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:?} {} ({}, {:?} SNR) at {:?}: {:?}",
+            self.verdict, self.flow, self.class, self.snr, self.at, self.reason
+        )?;
+        match self.margin {
+            Some(m) => write!(f, " margin={m:.4}"),
+            None => write!(f, " margin=n/a"),
+        }
+    }
+}
+
+/// Configuration for the middlebox shell.
+#[derive(Debug, Clone)]
+pub struct MiddleboxConfig {
+    /// Packets buffered before early classification fires.
+    pub classify_window: usize,
+    /// Poll cadence for QoE estimation and re-evaluation.
+    pub poll_interval: Duration,
+    /// Most recent [`DecisionEvent`]s retained in the audit ring.
+    pub decision_log_capacity: usize,
+    /// Most rejected flows remembered for packet dropping (minimum 1).
+    /// Oldest rejection records are evicted FIFO beyond this, counted
+    /// by `middlebox.rejected_evictions`; an evicted flow that keeps
+    /// sending re-enters early classification.
+    pub rejected_capacity: usize,
+    /// Flow cap of the degraded-mode occupancy fallback (the paper's
+    /// `MaxClient` baseline) used when no classifier model is servable
+    /// (minimum 1).
+    pub fallback_max_flows: u32,
+    /// Incremental polling: flows carry a next-evaluation deadline in
+    /// a hierarchical timer wheel and a poll evaluates only the flows
+    /// whose meters saw traffic since their last window — O(due), not
+    /// O(all flows). `false` selects the full scan, the reference the
+    /// wheel is property-tested against (`tests/flowtable_props.rs`).
+    pub poll_wheel: bool,
+}
+
+impl Default for MiddleboxConfig {
+    fn default() -> Self {
+        MiddleboxConfig {
+            classify_window: 8,
+            poll_interval: Duration::from_secs(2),
+            decision_log_capacity: 1024,
+            rejected_capacity: 4096,
+            fallback_max_flows: 10,
+            poll_wheel: true,
+        }
+    }
+}
+
+/// True while admission decisions are served by the occupancy fallback
+/// instead of the learnt region: no model is servable and either the
+/// classifier already left bootstrap (it lost or never regained its
+/// model) or the gateway is recovering from a failed restore.
+pub(crate) fn is_degraded(model_available: bool, phase: Phase, recovering: bool) -> bool {
+    !model_available && (recovering || phase == Phase::Online)
+}
+
+/// Where the learnt model and the cell-wide occupancy live. The
+/// engine drives exactly two implementations: the middlebox's inline
+/// classifier and the shard's pinned snapshot.
+pub(crate) trait ModelSource {
+    /// The cell-wide traffic matrix right now.
+    fn matrix(&self) -> TrafficMatrix;
+    /// Record an admission in the matrix.
+    fn add(&mut self, kind: FlowKind);
+    /// Record a departure or revocation in the matrix.
+    fn remove(&mut self, kind: FlowKind);
+    /// The classifier's learning phase.
+    fn phase(&self) -> Phase;
+    /// Whether a model is servable at all.
+    fn model_available(&self) -> bool;
+    /// Whether a failed restore is still waiting for its first model.
+    fn recovering(&self) -> bool;
+    /// Label and margin for the matrix an arrival would produce.
+    fn decide(&mut self, resulting: &TrafficMatrix) -> (Label, Option<f64>);
+    /// Label and margin for the standing matrix during a poll.
+    fn reevaluate(&mut self, standing: &TrafficMatrix) -> (Label, Option<f64>) {
+        self.decide(standing)
+    }
+    /// Feed a poll's verdict on the standing matrix to the trainer.
+    fn observe(&mut self, label: Label);
+}
+
+/// Instrumentation handles for the engine's hot paths. Counter pairs
+/// are exact: `admits`/`rejects` tally arrival decisions one-to-one
+/// with the returned [`Action`]s; `revokes` tallies the
+/// [`PollVerdict::Revoke`]s a poll returns, and `keeps` counts every
+/// flow a poll left admitted (kept flows are counted in bulk, not
+/// returned). A shard binds its own registry, so the increments land
+/// on shard-private cache lines.
+#[derive(Debug)]
+struct EngineMetrics {
+    /// `middlebox.packets` — packets probed.
+    packets: Arc<Counter>,
+    /// `middlebox.admits` — arrival decisions that admitted the flow.
+    admits: Arc<Counter>,
+    /// `middlebox.rejects` — arrival decisions that rejected the flow.
+    rejects: Arc<Counter>,
+    /// `middlebox.drops_rejected` — packets dropped because their flow
+    /// was already rejected.
+    drops_rejected: Arc<Counter>,
+    /// `middlebox.keeps` — poll verdicts keeping a flow.
+    keeps: Arc<Counter>,
+    /// `middlebox.revokes` — poll verdicts revoking a flow.
+    revokes: Arc<Counter>,
+    /// `middlebox.departures` — admitted flows that ended.
+    departures: Arc<Counter>,
+    /// `middlebox.polls` — polls that actually ran (interval elapsed).
+    polls: Arc<Counter>,
+    /// `middlebox.rejected_evictions` — rejected-flow records evicted
+    /// because the bounded rejected set hit its capacity.
+    rejected_evictions: Arc<Counter>,
+    /// `middlebox.rejected_occupancy` — live records in the bounded
+    /// rejected set (capacity pressure made visible).
+    rejected_occupancy: Arc<Gauge>,
+    /// `recovery.fallback_decisions` — arrival decisions served by the
+    /// occupancy baseline because no model was available.
+    fallback_decisions: Arc<Counter>,
+    /// `recovery.poll_errors` — polls whose QoE-estimation pass failed
+    /// (injected or real); the observation feed is skipped.
+    poll_errors: Arc<Counter>,
+    /// `middlebox.decision_latency_ns` — time to decide one arrival.
+    decision_latency_ns: Arc<Histogram>,
+    /// `middlebox.poll_latency_ns` — time per executed poll.
+    poll_latency_ns: Arc<Histogram>,
+}
+
+impl EngineMetrics {
+    fn bind(reg: &MetricsRegistry) -> Self {
+        EngineMetrics {
+            packets: reg.counter("middlebox.packets"),
+            admits: reg.counter("middlebox.admits"),
+            rejects: reg.counter("middlebox.rejects"),
+            drops_rejected: reg.counter("middlebox.drops_rejected"),
+            keeps: reg.counter("middlebox.keeps"),
+            revokes: reg.counter("middlebox.revokes"),
+            departures: reg.counter("middlebox.departures"),
+            polls: reg.counter("middlebox.polls"),
+            rejected_evictions: reg.counter("middlebox.rejected_evictions"),
+            rejected_occupancy: reg.gauge("middlebox.rejected_occupancy"),
+            fallback_decisions: reg.counter("recovery.fallback_decisions"),
+            poll_errors: reg.counter("recovery.poll_errors"),
+            decision_latency_ns: reg
+                .histogram("middlebox.decision_latency_ns", &buckets::latency_ns()),
+            poll_latency_ns: reg.histogram("middlebox.poll_latency_ns", &buckets::latency_ns()),
+        }
+    }
+}
+
+/// Per-flow serving state held in the slab arena. `next_eval` is the
+/// flow's timer-wheel deadline in poll ticks (`u64::MAX` while
+/// unscheduled): set when the first QoS report of a window arrives,
+/// cleared when a poll evaluates the flow.
+#[derive(Debug)]
+struct FlowState {
+    kind: FlowKind,
+    meter: QosMeter,
+    next_eval: u64,
+}
+
+/// Per-batch probe state: the run-length disposition cache (the last
+/// flow seen and its terminal verdict, if any — `None` also covers
+/// still-unclassified flows, whose every packet must feed the early
+/// classifier) and the counter deltas flushed once per batch by
+/// [`FlowEngine::flush`].
+#[derive(Debug, Default)]
+pub(crate) struct Run {
+    last: Option<(FlowKey, Action)>,
+    packets: u64,
+    drops: u64,
+}
+
+/// What [`FlowEngine::probe`] found for a packet.
+#[derive(Debug)]
+pub(crate) enum Probe {
+    /// The verdict is known without a decision: the flow is rejected,
+    /// admitted, or still being classified (forwarded, §4.2).
+    Done(Action),
+    /// This packet completed the flow's classification window: an
+    /// admission decision is owed ([`FlowEngine::decide`]).
+    Classified(AppClass),
+}
+
+/// One partition's flow state machine; see the module docs.
+#[derive(Debug)]
+pub(crate) struct FlowEngine {
+    cfg: MiddleboxConfig,
+    early: EarlyClassifier,
+    estimator: QoeEstimator,
+    flows: FlowMap<FlowState>,
+    rejected: RejectedRing,
+    /// Next-evaluation deadlines for admitted flows, in poll ticks.
+    wheel: TimerWheel,
+    /// Polls executed so far == the wheel's current tick.
+    poll_seq: u64,
+    /// Reusable per-poll slot buffer (due flows on the wheel path, the
+    /// whole arena on the scan path) — no per-poll allocation.
+    poll_scratch: Vec<FlowSlot>,
+    last_poll: Instant,
+    metrics: EngineMetrics,
+    decisions: EventRing<DecisionEvent>,
+    faults: FaultPlan,
+}
+
+impl FlowEngine {
+    pub(crate) fn new(
+        cfg: MiddleboxConfig,
+        estimator: QoeEstimator,
+        faults: FaultPlan,
+        registry: &MetricsRegistry,
+    ) -> Self {
+        FlowEngine {
+            early: EarlyClassifier::with_default_profiles(cfg.classify_window),
+            estimator,
+            flows: FlowMap::new(),
+            rejected: RejectedRing::new(cfg.rejected_capacity),
+            wheel: TimerWheel::new(),
+            poll_seq: 0,
+            poll_scratch: Vec::new(),
+            last_poll: Instant::ZERO,
+            metrics: EngineMetrics::bind(registry),
+            decisions: EventRing::new(cfg.decision_log_capacity.max(1)),
+            faults,
+            cfg,
+        }
+    }
+
+    pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.faults = plan;
+    }
+
+    pub(crate) fn learn_server_hint(&mut self, server: std::net::Ipv4Addr, class: AppClass) {
+        self.early.learn_server_hint(server, class);
+    }
+
+    pub(crate) fn estimator(&self) -> &QoeEstimator {
+        &self.estimator
+    }
+
+    pub(crate) fn admitted_flows(&self) -> usize {
+        self.flows.len()
+    }
+
+    pub(crate) fn decision_log(&self) -> &EventRing<DecisionEvent> {
+        &self.decisions
+    }
+
+    /// The pre-decision path of one packet, in the probe order of the
+    /// module docs.
+    pub(crate) fn probe(&mut self, run: &mut Run, pkt: &Packet) -> Probe {
+        run.packets += 1;
+        if !matches!(run.last, Some((key, _)) if key == pkt.flow) {
+            run.last = if self.rejected.contains(&pkt.flow) {
+                Some((pkt.flow, Action::Drop))
+            } else if self.flows.contains_key(&pkt.flow) {
+                Some((pkt.flow, Action::Forward))
+            } else {
+                None
+            };
+        }
+        match run.last {
+            Some((_, verdict)) => {
+                run.drops += u64::from(verdict == Action::Drop);
+                Probe::Done(verdict)
+            }
+            // Unclassified flow: keep feeding the early classifier. The
+            // buffered packets are forwarded (brief pre-admission, §4.2).
+            None => match self.early.observe(pkt) {
+                None => Probe::Done(Action::Forward),
+                Some(class) => Probe::Classified(class),
+            },
+        }
+    }
+
+    /// Decide the arrival of `pkt`'s flow, just classified as `class`,
+    /// and apply the verdict: the matrix the admission would produce is
+    /// scored by the model source — or, in degraded mode, the current
+    /// occupancy is held against the fallback cap and the margin is
+    /// unknowable.
+    pub(crate) fn decide<S: ModelSource>(
+        &mut self,
+        run: &mut Run,
+        src: &mut S,
+        pkt: &Packet,
+        snr: SnrLevel,
+        class: AppClass,
+    ) -> Action {
+        let kind = FlowKind::new(class, snr);
+        let matrix = src.matrix();
+        let resulting = matrix.with_arrival(kind);
+        let phase = src.phase();
+        let degraded = is_degraded(src.model_available(), phase, src.recovering());
+        let ((label, margin), decide_ns) = exbox_obs::time_ns(|| {
+            if degraded {
+                let below_cap = matrix.total() < self.cfg.fallback_max_flows.max(1);
+                (if below_cap { Label::Pos } else { Label::Neg }, None)
+            } else {
+                src.decide(&resulting)
+            }
+        });
+        self.metrics.decision_latency_ns.record(decide_ns);
+        let reason = if degraded {
+            self.metrics.fallback_decisions.inc();
+            DecisionReason::DegradedFallback
+        } else {
+            match (phase, label) {
+                (Phase::Bootstrap, _) => DecisionReason::Bootstrap,
+                (Phase::Online, Label::Pos) => DecisionReason::InsideRegion,
+                (Phase::Online, Label::Neg) => DecisionReason::OutsideRegion,
+            }
+        };
+        let (verdict, action) = match label {
+            Label::Pos => {
+                src.add(kind);
+                let state = FlowState {
+                    kind,
+                    meter: QosMeter::new(),
+                    next_eval: u64::MAX,
+                };
+                self.flows.insert(pkt.flow, state);
+                self.metrics.admits.inc();
+                (DecisionKind::Admit, Action::Forward)
+            }
+            Label::Neg => {
+                self.note_rejection(pkt.flow);
+                self.metrics.rejects.inc();
+                (DecisionKind::Reject, Action::Drop)
+            }
+        };
+        self.decisions.push(DecisionEvent {
+            at: pkt.timestamp,
+            flow: pkt.flow,
+            class,
+            snr,
+            verdict,
+            margin,
+            reason,
+        });
+        run.last = Some((pkt.flow, action));
+        action
+    }
+
+    /// [`probe`](Self::probe), then [`decide`](Self::decide) when a
+    /// decision is owed — for drivers whose model source needs no
+    /// preparation between the two.
+    pub(crate) fn step<S: ModelSource>(
+        &mut self,
+        run: &mut Run,
+        src: &mut S,
+        pkt: &Packet,
+        snr: SnrLevel,
+    ) -> Action {
+        match self.probe(run, pkt) {
+            Probe::Done(action) => action,
+            Probe::Classified(class) => self.decide(run, src, pkt, snr, class),
+        }
+    }
+
+    /// Fold a finished batch's counter deltas into the registry.
+    pub(crate) fn flush(&self, run: Run) {
+        self.metrics.packets.add(run.packets);
+        if run.drops > 0 {
+            self.metrics.drops_rejected.add(run.drops);
+        }
+    }
+
+    /// A flow stops being served (arrival rejection or revocation):
+    /// remember it in the bounded ring so its packets drop, and forget
+    /// its classification so that, once the record is evicted, it is
+    /// classified and decided afresh. Maintains the eviction counter,
+    /// the occupancy gauge and the warn-once capacity-pressure log.
+    fn note_rejection(&mut self, key: FlowKey) {
+        let ins = self.rejected.insert(key);
+        self.early.forget(&key);
+        self.metrics.rejected_evictions.add(ins.evicted);
+        self.metrics
+            .rejected_occupancy
+            .set(self.rejected.len() as f64);
+        if ins.pressure {
+            eprintln!(
+                "exbox: rejected-set eviction rate caught up with insertions \
+                 ({} live / {} evicted) — raise rejected_capacity or expect \
+                 re-classification churn",
+                self.rejected.len(),
+                self.rejected.evictions(),
+            );
+        }
+    }
+
+    /// A QoS report arrived for `key`: apply it to the flow's meter
+    /// and, on the first report of the flow's window, put the flow on
+    /// the wheel for the next poll tick — so an incremental poll visits
+    /// exactly the flows with fresh meter data.
+    fn meter_report(&mut self, key: &FlowKey, report: impl FnOnce(&mut QosMeter)) {
+        let Some(slot) = self.flows.slot_of(key) else {
+            return;
+        };
+        let Some((_, fs)) = self.flows.get_slot_mut(slot) else {
+            return;
+        };
+        report(&mut fs.meter);
+        if self.cfg.poll_wheel && fs.next_eval == u64::MAX {
+            fs.next_eval = self.wheel.now() + 1;
+            self.wheel.schedule(slot, fs.next_eval);
+        }
+    }
+
+    /// Record a delivery report for an admitted flow (from the AP's
+    /// transmission-status feed in a real deployment, or from the
+    /// simulator here).
+    pub(crate) fn record_delivery(
+        &mut self,
+        key: &FlowKey,
+        sent: Instant,
+        received: Instant,
+        size: u32,
+    ) {
+        self.meter_report(key, |meter| meter.deliver(sent, received, size));
+    }
+
+    /// Record a drop report for an admitted flow. Drop-only flows are
+    /// scheduled too: they evaluate to "no estimate" exactly like the
+    /// scan path, but their meters must be reset at the window edge.
+    pub(crate) fn record_drop(&mut self, key: &FlowKey) {
+        self.meter_report(key, QosMeter::drop_packet);
+    }
+
+    /// A flow ended (FIN/idle-eviction): release its slot and return
+    /// its kind, if it was admitted, for the caller to take out of the
+    /// matrix. Any pending timer-wheel entry goes stale and is skipped
+    /// at its tick (the slot's generation no longer resolves).
+    pub(crate) fn flow_departed(&mut self, key: &FlowKey) -> Option<FlowKind> {
+        let kind = self.flows.remove(key).map(|fs| fs.kind);
+        if kind.is_some() {
+            self.metrics.departures.inc();
+        }
+        self.rejected.remove(key);
+        self.metrics
+            .rejected_occupancy
+            .set(self.rejected.len() as f64);
+        self.early.forget(key);
+        kind
+    }
+
+    /// Whether `poll_interval` has elapsed since the last executed
+    /// poll.
+    pub(crate) fn poll_due(&self, now: Instant) -> bool {
+        now.saturating_since(self.last_poll) >= self.cfg.poll_interval
+    }
+
+    /// Periodic poll (paper §4.3): estimate admitted flows' QoE from
+    /// their metered QoS, feed the aggregate observation to the
+    /// trainer, and re-evaluate the admitted set against the (possibly
+    /// re-learnt) region. **Only the revoked flows** are appended to
+    /// `out` (kept flows are tallied in `middlebox.keeps` instead of
+    /// materialised), in deterministic admission order, oldest first.
+    /// A no-op until [`poll_due`](Self::poll_due).
+    pub(crate) fn poll_into<S: ModelSource>(
+        &mut self,
+        src: &mut S,
+        now: Instant,
+        out: &mut Vec<(FlowKey, PollVerdict)>,
+    ) {
+        if !self.poll_due(now) {
+            return;
+        }
+        self.last_poll = now;
+        self.metrics.polls.inc();
+        let ((), poll_ns) = exbox_obs::time_ns(|| self.run_poll(src, now, out));
+        self.metrics.poll_latency_ns.record(poll_ns);
+    }
+
+    /// The body of an executed poll (separated so
+    /// [`poll_into`](Self::poll_into) can time it).
+    fn run_poll<S: ModelSource>(
+        &mut self,
+        src: &mut S,
+        now: Instant,
+        out: &mut Vec<(FlowKey, PollVerdict)>,
+    ) {
+        // One executed poll == one wheel tick. The wheel advances even
+        // through empty polls so deadlines stay aligned with poll_seq.
+        self.poll_seq += 1;
+        let mut scratch = std::mem::take(&mut self.poll_scratch);
+        scratch.clear();
+        if self.cfg.poll_wheel {
+            // Incremental path: only flows whose meters saw traffic
+            // since their last window are due. Departed flows leave
+            // stale slots behind (generation mismatch) — drop them.
+            self.wheel.advance(self.poll_seq, &mut scratch);
+            scratch.retain(|&slot| self.flows.get_slot(slot).is_some());
+        } else {
+            // Reference scan: the whole arena in insertion order.
+            self.flows.collect_slots(&mut scratch);
+        }
+        if self.flows.is_empty() {
+            self.poll_scratch = scratch;
+            return;
+        }
+
+        // Estimate acceptability per flow; the matrix label is the
+        // conjunction (a matrix is achievable iff ALL flows are OK),
+        // maintained as a count of measured / unacceptable flows. Idle
+        // flows (no traffic this window) yield no evidence on either
+        // path: the scan visits and skips them, the wheel never
+        // schedules them. Serial on purpose: a due flow costs tens of
+        // nanoseconds, far below a thread hand-off, and under the
+        // gateway the shards already are the parallelism.
+        let (measured, unacceptable) = scratch
+            .iter()
+            .filter_map(|&slot| {
+                let (_, fs) = self.flows.get_slot(slot)?;
+                let sample = fs.meter.sample();
+                (sample.throughput_bps > 0.0)
+                    .then(|| self.estimator.acceptable(fs.kind.class, &sample))
+            })
+            .fold((0u64, 0u64), |(m, u), ok| (m + 1, u + u64::from(!ok)));
+        // A failed estimation pass (injected here; a wedged AP stats
+        // feed in a real deployment) yields no trustworthy labels, so
+        // the observation is skipped — re-evaluation against the
+        // already-learnt region below still runs.
+        if self.faults.should_inject(FaultKind::PollError) {
+            self.metrics.poll_errors.inc();
+        } else if measured > 0 {
+            src.observe(if unacceptable == 0 {
+                Label::Pos
+            } else {
+                Label::Neg
+            });
+        }
+
+        // Re-evaluate the admitted set against the current region; an
+        // inadmissible matrix sheds flows (offload/discontinue is
+        // policy, the middlebox just reports). X_m for an ongoing flow
+        // is the current matrix (it already contains the flow), so the
+        // matrix only changes when a flow is revoked — one decision
+        // per matrix state, tracked in a working copy. Revocations shed
+        // this partition's oldest admission first (deterministic arena
+        // insertion order); kept flows are counted in bulk.
+        if src.phase() == Phase::Online {
+            let mut matrix = src.matrix();
+            let (mut label, mut margin) = src.reevaluate(&matrix);
+            if label == Label::Pos {
+                self.metrics.keeps.add(self.flows.len() as u64);
+            }
+            while label == Label::Neg {
+                let Some((key, kind)) = self.flows.front().map(|(k, fs)| (*k, fs.kind)) else {
+                    break;
+                };
+                src.remove(kind);
+                matrix.remove(kind);
+                self.flows.remove(&key);
+                self.note_rejection(key);
+                out.push((key, PollVerdict::Revoke));
+                self.metrics.revokes.inc();
+                self.decisions.push(DecisionEvent {
+                    at: now,
+                    flow: key,
+                    class: kind.class,
+                    snr: kind.snr,
+                    verdict: DecisionKind::Revoke,
+                    margin,
+                    reason: DecisionReason::RegionReevaluation,
+                });
+                // Removing one flow may already fix the matrix;
+                // re-check before revoking more.
+                (label, margin) = src.reevaluate(&matrix);
+            }
+        }
+        // Fresh measurement windows for the next poll. The wheel path
+        // touches only the flows it evaluated (everything else has an
+        // empty meter by construction); revoked flows fail the
+        // generation check and are skipped.
+        if self.cfg.poll_wheel {
+            for &slot in &scratch {
+                if let Some((_, fs)) = self.flows.get_slot_mut(slot) {
+                    fs.meter.reset();
+                    fs.next_eval = u64::MAX;
+                }
+            }
+        } else {
+            self.flows.for_each_value_mut(|fs| fs.meter.reset());
+        }
+        scratch.clear();
+        self.poll_scratch = scratch;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The engine driven through a scripted model source: `decide`
+    //! answers from a closure, so every path — admit, reject, revoke,
+    //! eviction, re-classification, degraded fallback, poll errors —
+    //! is reachable without training an SVM per case.
+
+    use super::*;
+    use crate::middlebox::tests::{estimator, streaming_pkts};
+    use exbox_net::Protocol;
+
+    struct Scripted {
+        matrix: TrafficMatrix,
+        phase: Phase,
+        model: bool,
+        recovering: bool,
+        /// Whether a matrix lies inside the scripted region.
+        admissible: Box<dyn Fn(&TrafficMatrix) -> bool>,
+        observed: Vec<(TrafficMatrix, Label)>,
+    }
+
+    impl Scripted {
+        /// Online, with a model admitting at most `cap` flows.
+        fn online(cap: u32) -> Self {
+            Scripted {
+                matrix: TrafficMatrix::empty(),
+                phase: Phase::Online,
+                model: true,
+                recovering: false,
+                admissible: Box::new(move |m| m.total() <= cap),
+                observed: Vec::new(),
+            }
+        }
+    }
+
+    impl ModelSource for Scripted {
+        fn matrix(&self) -> TrafficMatrix {
+            self.matrix
+        }
+
+        fn add(&mut self, kind: FlowKind) {
+            self.matrix.add(kind);
+        }
+
+        fn remove(&mut self, kind: FlowKind) {
+            self.matrix.remove(kind);
+        }
+
+        fn phase(&self) -> Phase {
+            self.phase
+        }
+
+        fn model_available(&self) -> bool {
+            self.model
+        }
+
+        fn recovering(&self) -> bool {
+            self.recovering
+        }
+
+        fn decide(&mut self, resulting: &TrafficMatrix) -> (Label, Option<f64>) {
+            match (self.phase, self.model) {
+                (Phase::Bootstrap, _) | (Phase::Online, false) => (Label::Pos, None),
+                (Phase::Online, true) if (self.admissible)(resulting) => (Label::Pos, Some(1.0)),
+                (Phase::Online, true) => (Label::Neg, Some(-1.0)),
+            }
+        }
+
+        fn observe(&mut self, label: Label) {
+            self.observed.push((self.matrix, label));
+        }
+    }
+
+    fn engine(cfg: MiddleboxConfig, faults: FaultPlan, reg: &MetricsRegistry) -> FlowEngine {
+        FlowEngine::new(cfg, estimator(), faults, reg)
+    }
+
+    fn key(id: u32) -> FlowKey {
+        FlowKey::synthetic(id, id, 1, Protocol::Tcp)
+    }
+
+    /// Feed `n` packets of flow `id` as one batch.
+    fn send(e: &mut FlowEngine, src: &mut Scripted, id: u32, n: usize) -> Vec<Action> {
+        let mut run = Run::default();
+        let out = streaming_pkts(key(id), n)
+            .iter()
+            .map(|p| e.step(&mut run, src, p, SnrLevel::High))
+            .collect();
+        e.flush(run);
+        out
+    }
+
+    fn poll(e: &mut FlowEngine, src: &mut Scripted, secs: u64) -> Vec<(FlowKey, PollVerdict)> {
+        let mut out = Vec::new();
+        e.poll_into(src, Instant::from_secs(secs), &mut out);
+        out
+    }
+
+    /// `n` forwards (the pre-admission window) then drops.
+    fn window_then_drops(actions: &[Action], window: usize) -> bool {
+        let (head, tail) = actions.split_at(window - 1);
+        head.iter().all(|a| *a == Action::Forward) && tail.iter().all(|a| *a == Action::Drop)
+    }
+
+    #[test]
+    fn admit_reject_revoke_evict_reclassify() {
+        let reg = MetricsRegistry::new();
+        let cfg = MiddleboxConfig {
+            rejected_capacity: 1,
+            ..MiddleboxConfig::default()
+        };
+        let window = cfg.classify_window;
+        let mut e = engine(cfg, FaultPlan::disabled(), &reg);
+        let mut src = Scripted::online(2);
+
+        // Two arrivals fit, the third does not: its deciding packet and
+        // everything after it drops.
+        for id in [1, 2] {
+            assert!(send(&mut e, &mut src, id, 12)
+                .iter()
+                .all(|a| *a == Action::Forward));
+        }
+        assert!(window_then_drops(&send(&mut e, &mut src, 3, 12), window));
+        assert_eq!((e.admitted_flows(), src.matrix.total()), (2, 2));
+
+        // The region shrinks to one flow: the poll sheds the oldest
+        // admission, whose rejection record evicts flow 3's from the
+        // one-slot ring.
+        src.admissible = Box::new(|m| m.total() <= 1);
+        assert_eq!(
+            poll(&mut e, &mut src, 5),
+            vec![(key(1), PollVerdict::Revoke)]
+        );
+        assert_eq!((e.admitted_flows(), src.matrix.total()), (1, 1));
+        assert_eq!(send(&mut e, &mut src, 1, 3), vec![Action::Drop; 3]);
+
+        // Flow 3 is no longer remembered: it is classified and decided
+        // afresh (rejected again — the cell is full), which in turn
+        // evicts the revoked flow 1's record ...
+        assert!(window_then_drops(&send(&mut e, &mut src, 3, 12), window));
+        // ... and a revoked-then-evicted flow is re-decided too, not
+        // forwarded forever on a stale classification.
+        assert!(window_then_drops(&send(&mut e, &mut src, 1, 40), window));
+        assert_eq!((e.admitted_flows(), src.matrix.total()), (1, 1));
+
+        let log: Vec<(FlowKey, DecisionKind, DecisionReason)> = e
+            .decision_log()
+            .snapshot()
+            .iter()
+            .map(|ev| (ev.flow, ev.verdict, ev.reason))
+            .collect();
+        use DecisionKind::{Admit, Reject, Revoke};
+        use DecisionReason::{InsideRegion, OutsideRegion, RegionReevaluation};
+        assert_eq!(
+            log,
+            vec![
+                (key(1), Admit, InsideRegion),
+                (key(2), Admit, InsideRegion),
+                (key(3), Reject, OutsideRegion),
+                (key(1), Revoke, RegionReevaluation),
+                (key(3), Reject, OutsideRegion),
+                (key(1), Reject, OutsideRegion),
+            ]
+        );
+        let snap = reg.snapshot();
+        let count = |name: &str| snap.counter(name).unwrap();
+        assert_eq!(count("middlebox.packets"), 12 * 4 + 3 + 40);
+        assert_eq!(count("middlebox.admits"), 2);
+        assert_eq!(count("middlebox.rejects"), 3);
+        assert_eq!(count("middlebox.revokes"), 1);
+        assert_eq!(count("middlebox.rejected_evictions"), 3);
+        // Packets after a flow's rejection; the deciding packet itself
+        // is the reject. Flow 3 twice, flow 1 revoked, flow 1 re-decided.
+        let after = |sent: u64| sent - window as u64;
+        assert_eq!(
+            count("middlebox.drops_rejected"),
+            after(12) + 3 + after(12) + after(40)
+        );
+    }
+
+    #[test]
+    fn degraded_mode_gates_on_occupancy_until_a_model_exists() {
+        let reg = MetricsRegistry::new();
+        let cfg = MiddleboxConfig {
+            fallback_max_flows: 1,
+            ..MiddleboxConfig::default()
+        };
+        let mut e = engine(cfg, FaultPlan::disabled(), &reg);
+        let last = |e: &FlowEngine| *e.decision_log().snapshot().last().unwrap();
+
+        // Bootstrap without a failed restore is not degraded: admit.
+        let mut src = Scripted::online(0);
+        (src.phase, src.model) = (Phase::Bootstrap, false);
+        send(&mut e, &mut src, 1, 12);
+        assert_eq!(last(&e).reason, DecisionReason::Bootstrap);
+        assert_eq!(e.admitted_flows(), 1);
+
+        // Recovering (or online) with no model: the cap of one flow is
+        // already reached, whatever the source would have said.
+        src.recovering = true;
+        assert_eq!(send(&mut e, &mut src, 2, 12).last(), Some(&Action::Drop));
+        assert_eq!(
+            (last(&e).reason, last(&e).margin),
+            (DecisionReason::DegradedFallback, None)
+        );
+        (src.phase, src.recovering) = (Phase::Online, false);
+        src.remove(e.flow_departed(&key(1)).expect("flow 1 was admitted"));
+        assert_eq!(send(&mut e, &mut src, 3, 12).last(), Some(&Action::Forward));
+        assert_eq!(last(&e).reason, DecisionReason::DegradedFallback);
+        assert_eq!(
+            reg.snapshot().counter("recovery.fallback_decisions"),
+            Some(2)
+        );
+
+        // A model arrives: the region decides again (here: nothing fits).
+        src.model = true;
+        assert_eq!(send(&mut e, &mut src, 4, 12).last(), Some(&Action::Drop));
+        assert_eq!(
+            (last(&e).reason, last(&e).margin),
+            (DecisionReason::OutsideRegion, Some(-1.0))
+        );
+        assert_eq!(
+            reg.snapshot().counter("recovery.fallback_decisions"),
+            Some(2)
+        );
+    }
+
+    #[test]
+    fn poll_error_skips_the_observation_but_not_the_reevaluation() {
+        let healthy_window = |e: &mut FlowEngine, from_ms: u64| {
+            for i in 0..50u64 {
+                let sent = Instant::from_millis(from_ms + i * 10);
+                e.record_delivery(&key(1), sent, sent + Duration::from_millis(5), 1400);
+            }
+        };
+        let reg = MetricsRegistry::new();
+        let always = FaultPlan::with_registry(&[(FaultKind::PollError, 1.0)], 9, &reg);
+        let mut e = engine(MiddleboxConfig::default(), always, &reg);
+        let mut src = Scripted::online(2);
+        for id in [1, 2] {
+            send(&mut e, &mut src, id, 12);
+        }
+
+        healthy_window(&mut e, 0);
+        src.admissible = Box::new(|m| m.total() <= 1);
+        assert_eq!(
+            poll(&mut e, &mut src, 5),
+            vec![(key(1), PollVerdict::Revoke)]
+        );
+        assert!(src.observed.is_empty(), "a failed pass feeds no label");
+        assert_eq!(reg.snapshot().counter("recovery.poll_errors"), Some(1));
+
+        // Same engine, estimation pass healthy again: the window's
+        // verdict on the standing matrix reaches the trainer.
+        e.set_fault_plan(FaultPlan::disabled());
+        send(&mut e, &mut src, 1, 1);
+        e.record_delivery(
+            &key(2),
+            Instant::from_secs(6),
+            Instant::from_secs(6) + Duration::from_millis(5),
+            1400,
+        );
+        e.record_delivery(
+            &key(2),
+            Instant::from_secs(6) + Duration::from_millis(10),
+            Instant::from_secs(6) + Duration::from_millis(15),
+            1400,
+        );
+        assert!(poll(&mut e, &mut src, 6).is_empty(), "inside the interval");
+        assert!(poll(&mut e, &mut src, 8).is_empty());
+        assert_eq!(src.observed.len(), 1);
+        assert_eq!(src.observed[0].0, src.matrix);
+        assert_eq!(reg.snapshot().counter("recovery.poll_errors"), Some(1));
+        assert_eq!(reg.snapshot().counter("middlebox.polls"), Some(2));
+    }
+}

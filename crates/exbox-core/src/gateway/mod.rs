@@ -21,9 +21,11 @@
 //!
 //! - **Sharding.** [`ConcurrentGateway`] partitions flow state across
 //!   `N` [`GatewayShard`]s by flow hash ([`ConcurrentGateway::shard_for`]).
-//!   Each shard owns its flow table, early classifier, QoS meters,
-//!   rejected set, decision cache and metrics registry — the packet
-//!   path takes no cross-shard lock and bounces no shared cache line.
+//!   Each shard owns a flow engine — the same state machine the
+//!   single-threaded middlebox runs (see [`crate::middlebox`]): flow
+//!   table, early classifier, QoS meters, rejected set — plus its
+//!   decision cache and metrics registry, so the packet path takes no
+//!   cross-shard lock and bounces no shared cache line.
 //! - **Snapshots.** Learnt state (scaler + compacted model + phase)
 //!   is published as an immutable epoch-stamped
 //!   [`ModelSnapshot`] behind a [`SnapshotCell`]: readers pin
@@ -44,8 +46,9 @@
 //!
 //! Shard count comes from [`GatewayConfig::shards`] or the
 //! `EXBOX_SHARDS` environment knob ([`GatewayConfig::from_env`]). A
-//! 1-shard gateway makes the same per-flow verdicts as the
-//! single-threaded middlebox on the same trace (asserted in
+//! 1-shard gateway *is* the single-threaded middlebox with the model
+//! pinned instead of owned: same verdicts, poll outputs, decision log
+//! and counters on the same trace (asserted in
 //! `tests/gateway_concurrent.rs`).
 
 pub(crate) mod channel;
@@ -69,6 +72,7 @@ use exbox_net::{FlowKey, Instant, Packet};
 use exbox_obs::{MetricsRegistry, MetricsSnapshot};
 
 use crate::admittance::{AdmittanceClassifier, AdmittanceConfig};
+use crate::engine::{is_degraded, FlowEngine};
 use crate::matrix::{SnrLevel, TrafficMatrix};
 use crate::middlebox::{Action, MiddleboxConfig, PollVerdict};
 use crate::persist;
@@ -76,6 +80,7 @@ use crate::qoe::QoeEstimator;
 use crate::recovery::FaultPlan;
 
 pub use pipeline::PipelineHandle;
+use shard::ShardLink;
 pub use shard::{GatewayShard, SharedMatrix};
 pub use snapshot::{ModelSnapshot, SnapshotCell, SnapshotGuard, SnapshotReader};
 
@@ -100,9 +105,10 @@ pub(crate) fn route(key: &FlowKey, shards: usize) -> usize {
 /// Environment knob selecting the shard count (positive integer).
 pub const SHARDS_ENV: &str = "EXBOX_SHARDS";
 
-/// Environment knob selecting the ingress batch size (positive
-/// integer): how many packets each shard's ingress ring holds before
-/// a flush, and the chunk size of the batched drivers.
+/// Environment knob selecting the pipeline's ingress batch size
+/// (positive integer): how many packets a worker drains per pass and
+/// the dispatcher's ring-publish stride; ingress rings hold four
+/// batches.
 pub const BATCH_ENV: &str = "EXBOX_BATCH";
 
 /// Gateway assembly knobs.
@@ -120,9 +126,9 @@ pub struct GatewayConfig {
     /// Capacity of each shard's epoch-keyed decision cache; 0 disables
     /// caching.
     pub decision_cache_size: usize,
-    /// Ingress batch size (≥ 1): capacity of each shard's ingress ring
-    /// and the chunk size used by the batched packet path
-    /// ([`GatewayShard::process_packets`]).
+    /// Pipeline ingress batch size (≥ 1): packets a worker drains per
+    /// pass through [`GatewayShard`]'s batch path, and the dispatcher's
+    /// ring-publish stride ([`pipeline`]).
     pub batch: usize,
 }
 
@@ -141,22 +147,24 @@ impl Default for GatewayConfig {
 impl GatewayConfig {
     /// Defaults, with the shard count overridden by `EXBOX_SHARDS` and
     /// the ingress batch size by `EXBOX_BATCH`, each when set to a
-    /// positive integer (anything else is ignored).
+    /// positive integer (anything else warns on stderr and is ignored,
+    /// like every other `EXBOX_*` knob).
     pub fn from_env() -> Self {
+        let var = |name| std::env::var(name).ok();
+        Self::from_knobs(var(SHARDS_ENV).as_deref(), var(BATCH_ENV).as_deref())
+    }
+
+    /// [`from_env`](Self::from_env) on the knobs' raw values (`None`
+    /// when unset).
+    fn from_knobs(shards: Option<&str>, batch: Option<&str>) -> Self {
+        let positive =
+            |name, raw: Option<&str>| exbox_par::parse_env_knob::<usize>(name, raw?, |n| *n >= 1);
         let mut cfg = Self::default();
-        if let Ok(raw) = std::env::var(SHARDS_ENV) {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if n >= 1 {
-                    cfg.shards = n;
-                }
-            }
+        if let Some(n) = positive(SHARDS_ENV, shards) {
+            cfg.shards = n;
         }
-        if let Ok(raw) = std::env::var(BATCH_ENV) {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if n >= 1 {
-                    cfg.batch = n;
-                }
-            }
+        if let Some(n) = positive(BATCH_ENV, batch) {
+            cfg.batch = n;
         }
         cfg
     }
@@ -337,19 +345,15 @@ impl ConcurrentGateway {
         for id in 0..cfg.shards {
             let reg = MetricsRegistry::new();
             let plan = faults.clone().unwrap_or_else(|| FaultPlan::from_env(&reg));
-            shards.push(GatewayShard::new(
-                id,
-                cfg.middlebox.clone(),
-                estimator.clone(),
+            let engine = FlowEngine::new(cfg.middlebox.clone(), estimator.clone(), plan, &reg);
+            let link = ShardLink::new(
                 Arc::clone(&shared),
-                cell.reader(),
                 obs_tx.clone(),
                 Arc::clone(&recovering),
-                plan,
                 cfg.decision_cache_size,
-                cfg.batch,
                 &reg,
-            ));
+            );
+            shards.push(GatewayShard::new(id, engine, cell.reader(), link));
             shard_registries.push(reg);
         }
 
@@ -569,8 +573,7 @@ impl ConcurrentGateway {
     pub fn is_degraded(&mut self) -> bool {
         let recovering = self.recovering.load(Ordering::SeqCst);
         let guard = self.control.pin();
-        !guard.model_available()
-            && (recovering || guard.phase() == crate::admittance::Phase::Online)
+        is_degraded(guard.model_available(), guard.phase(), recovering)
     }
 
     /// True while the gateway is recovering from a failed restore and
@@ -662,5 +665,32 @@ impl ConcurrentGateway {
     /// snapshot after shutdown.
     pub fn shutdown(&mut self) -> Option<AdmittanceClassifier> {
         self.trainer.take().map(TrainerHandle::shutdown)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn malformed_env_knobs_are_ignored_not_fatal() {
+        let defaults = GatewayConfig::default();
+        let read = |shards, batch| {
+            let cfg = GatewayConfig::from_knobs(shards, batch);
+            (cfg.shards, cfg.batch)
+        };
+        assert_eq!(read(None, None), (defaults.shards, defaults.batch));
+        assert_eq!(read(Some(" 4 "), Some("128\n")), (4, 128));
+        // Zero, signs, units, overflow, blanks: each knob falls back to
+        // its default on its own, the other one still applies.
+        for bad in ["0", "-2", "+", "4 shards", "four", "", "  ", "1e3"] {
+            assert_eq!(read(Some(bad), Some("32")), (defaults.shards, 32));
+            assert_eq!(read(Some("2"), Some(bad)), (2, defaults.batch));
+        }
+        let huge = "99999999999999999999999999";
+        assert_eq!(
+            read(Some(huge), Some(huge)),
+            (defaults.shards, defaults.batch)
+        );
     }
 }

@@ -1,12 +1,14 @@
 //! Per-shard serving state and the shared atomic occupancy cell.
 //!
 //! A [`GatewayShard`] is one flow-hash partition of the middlebox
-//! pipeline: its own flow table, early classifier, QoS meters,
-//! rejected set, decision cache and `exbox-obs` sub-registry — so the
-//! packet path touches no cross-shard locks and increments no shared
-//! counters. The only cross-shard state a decision reads is the
-//! [`SharedMatrix`] (the cell-wide traffic matrix, six atomic
-//! counters) and the published [`ModelSnapshot`] (pinned lock-free).
+//! pipeline: its own flow engine (flow table, early classifier, QoS
+//! meters, rejected set, decision log — see [`crate::middlebox`]),
+//! decision cache and `exbox-obs` sub-registry — so the packet path
+//! touches no cross-shard locks and increments no shared counters. The
+//! only cross-shard state a decision reads is the [`SharedMatrix`]
+//! (the cell-wide traffic matrix, six atomic counters) and the
+//! published [`ModelSnapshot`] (pinned lock-free): together they are
+//! the engine's *pinned* model source.
 
 use std::collections::HashMap;
 use std::sync::mpsc::TrySendError;
@@ -17,17 +19,13 @@ use crate::sync::{AtomicBool, AtomicU32, Ordering};
 use super::channel::BoundedSender;
 
 use exbox_ml::Label;
-use exbox_net::{AppClass, EarlyClassifier, FlowKey, FlowTable, Instant, Packet, QosMeter};
-use exbox_obs::{buckets, Counter, EventRing, Gauge, Histogram, MetricsRegistry};
+use exbox_net::{AppClass, FlowKey, Instant, Packet};
+use exbox_obs::{Counter, EventRing, MetricsRegistry};
 
 use crate::admittance::Phase;
-use crate::flowtable::{FlowMap, FlowSlot, RejectedRing, TimerWheel};
+use crate::engine::{is_degraded, FlowEngine, ModelSource, Probe, Run};
 use crate::matrix::{FlowKind, SnrLevel, TrafficMatrix};
-use crate::middlebox::{
-    Action, DecisionEvent, DecisionKind, DecisionReason, MiddleboxConfig, PollVerdict,
-};
-use crate::qoe::QoeEstimator;
-use crate::recovery::{FaultKind, FaultPlan};
+use crate::middlebox::{Action, DecisionEvent, PollVerdict};
 
 use super::pipeline::OrderGate;
 use super::snapshot::{ModelSnapshot, SnapshotReader};
@@ -121,68 +119,6 @@ impl SharedMatrix {
     }
 }
 
-/// Per-shard instrumentation. Counter names match the single-threaded
-/// middlebox (`middlebox.*`, `recovery.*`) so the merged export reads
-/// identically; each shard binds its **own** registry, so the hot-path
-/// increments land on shard-private cache lines — contention-free —
-/// and only [`exbox_obs::MetricsSnapshot::merged`] ever sums them.
-#[derive(Debug)]
-struct ShardMetrics {
-    packets: Arc<Counter>,
-    admits: Arc<Counter>,
-    rejects: Arc<Counter>,
-    drops_rejected: Arc<Counter>,
-    keeps: Arc<Counter>,
-    revokes: Arc<Counter>,
-    departures: Arc<Counter>,
-    polls: Arc<Counter>,
-    rejected_evictions: Arc<Counter>,
-    /// `middlebox.rejected_occupancy` — live records in this shard's
-    /// bounded rejected set.
-    rejected_occupancy: Arc<Gauge>,
-    fallback_decisions: Arc<Counter>,
-    poll_errors: Arc<Counter>,
-    /// `gateway.obs_dropped` — observations dropped because the
-    /// bounded trainer queue was full (backpressure made visible).
-    obs_dropped: Arc<Counter>,
-    /// `gateway.cache_hits` / `gateway.cache_misses` — the shard's
-    /// epoch-keyed decision cache.
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    /// `gateway.poll_buf_grows` — times a poll had to grow the
-    /// caller's verdict buffer; stays 0 in steady state when callers
-    /// reuse a buffer via [`GatewayShard::poll_into`].
-    poll_buf_grows: Arc<Counter>,
-    decision_latency_ns: Arc<Histogram>,
-    poll_latency_ns: Arc<Histogram>,
-}
-
-impl ShardMetrics {
-    fn bind(reg: &MetricsRegistry) -> Self {
-        ShardMetrics {
-            packets: reg.counter("middlebox.packets"),
-            admits: reg.counter("middlebox.admits"),
-            rejects: reg.counter("middlebox.rejects"),
-            drops_rejected: reg.counter("middlebox.drops_rejected"),
-            keeps: reg.counter("middlebox.keeps"),
-            revokes: reg.counter("middlebox.revokes"),
-            departures: reg.counter("middlebox.departures"),
-            polls: reg.counter("middlebox.polls"),
-            rejected_evictions: reg.counter("middlebox.rejected_evictions"),
-            rejected_occupancy: reg.gauge("middlebox.rejected_occupancy"),
-            fallback_decisions: reg.counter("recovery.fallback_decisions"),
-            poll_errors: reg.counter("recovery.poll_errors"),
-            obs_dropped: reg.counter("gateway.obs_dropped"),
-            cache_hits: reg.counter("gateway.cache_hits"),
-            cache_misses: reg.counter("gateway.cache_misses"),
-            poll_buf_grows: reg.counter("gateway.poll_buf_grows"),
-            decision_latency_ns: reg
-                .histogram("middlebox.decision_latency_ns", &buckets::latency_ns()),
-            poll_latency_ns: reg.histogram("middlebox.poll_latency_ns", &buckets::latency_ns()),
-        }
-    }
-}
-
 /// Bounded decision memo keyed by `(snapshot epoch, resulting
 /// matrix)`. A new epoch clears the map lazily on first insert, so a
 /// snapshot publish costs the shard nothing until it actually decides
@@ -225,91 +161,148 @@ impl ShardDecisionCache {
     }
 }
 
+/// A shard's side of the pinned model source: its links to the rest
+/// of the gateway (shared matrix, trainer queue, recovery flag), its
+/// epoch-keyed decision cache and the `gateway.*` counters. Each shard
+/// binds its **own** registry, so the hot-path increments land on
+/// shard-private cache lines and only
+/// [`exbox_obs::MetricsSnapshot::merged`] ever sums them.
 #[derive(Debug)]
-struct ShardFlow {
-    kind: FlowKind,
-    meter: QosMeter,
-    /// Timer-wheel deadline in poll ticks (`u64::MAX` while
-    /// unscheduled); see [`crate::middlebox`] for the protocol.
-    next_eval: u64,
+pub(super) struct ShardLink {
+    shared: Arc<SharedMatrix>,
+    obs_tx: BoundedSender<TrainerMsg>,
+    recovering: Arc<AtomicBool>,
+    cache: ShardDecisionCache,
+    /// `gateway.obs_dropped` — observations dropped because the
+    /// bounded trainer queue was full (backpressure made visible).
+    obs_dropped: Arc<Counter>,
+    /// `gateway.cache_hits` / `gateway.cache_misses` — the shard's
+    /// epoch-keyed decision cache.
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
+    /// `gateway.poll_buf_grows` — times a poll had to grow the
+    /// caller's verdict buffer; stays 0 in steady state when callers
+    /// reuse a buffer via [`GatewayShard::poll_into`].
+    poll_buf_grows: Arc<Counter>,
 }
 
-/// One flow-hash partition of the serving pipeline. Owned by exactly
-/// one worker thread at a time (`GatewayShard` is `Send`, methods take
+impl ShardLink {
+    pub(super) fn new(
+        shared: Arc<SharedMatrix>,
+        obs_tx: BoundedSender<TrainerMsg>,
+        recovering: Arc<AtomicBool>,
+        decision_cache_size: usize,
+        registry: &MetricsRegistry,
+    ) -> Self {
+        ShardLink {
+            shared,
+            obs_tx,
+            recovering,
+            cache: ShardDecisionCache::new(decision_cache_size),
+            obs_dropped: registry.counter("gateway.obs_dropped"),
+            cache_hits: registry.counter("gateway.cache_hits"),
+            cache_misses: registry.counter("gateway.cache_misses"),
+            poll_buf_grows: registry.counter("gateway.poll_buf_grows"),
+        }
+    }
+}
+
+/// The pinned model source: one pinned [`ModelSnapshot`] over the
+/// shard's [`ShardLink`]. Lives as long as the pin — one decision, one
+/// poll, or a batch's stretch between publications.
+struct Pinned<'a> {
+    snapshot: &'a ModelSnapshot,
+    link: &'a mut ShardLink,
+}
+
+impl ModelSource for Pinned<'_> {
+    fn matrix(&self) -> TrafficMatrix {
+        self.link.shared.snapshot()
+    }
+
+    fn add(&mut self, kind: FlowKind) {
+        self.link.shared.add(kind);
+    }
+
+    fn remove(&mut self, kind: FlowKind) {
+        self.link.shared.remove(kind);
+    }
+
+    fn phase(&self) -> Phase {
+        self.snapshot.phase()
+    }
+
+    fn model_available(&self) -> bool {
+        self.snapshot.model_available()
+    }
+
+    fn recovering(&self) -> bool {
+        self.link.recovering.load(Ordering::SeqCst)
+    }
+
+    fn decide(&mut self, resulting: &TrafficMatrix) -> (Label, Option<f64>) {
+        let epoch = self.snapshot.epoch();
+        if let Some((label, margin)) = self.link.cache.get(epoch, resulting) {
+            self.link.cache_hits.inc();
+            return (label, Some(margin));
+        }
+        let (label, margin) = self.snapshot.decide(resulting);
+        if let Some(m) = margin {
+            self.link.cache_misses.inc();
+            self.link.cache.insert(epoch, *resulting, label, m);
+        }
+        (label, margin)
+    }
+
+    /// Poll re-evaluations bypass the arrival cache (and its counters):
+    /// a standing matrix is scored once per poll, not once per packet.
+    fn reevaluate(&mut self, standing: &TrafficMatrix) -> (Label, Option<f64>) {
+        self.snapshot.decide(standing)
+    }
+
+    /// Non-blocking: a full trainer queue drops the observation and
+    /// counts `gateway.obs_dropped` rather than stalling the shard.
+    fn observe(&mut self, label: Label) {
+        let matrix = self.link.shared.snapshot();
+        match self
+            .link
+            .obs_tx
+            .try_send(TrainerMsg::Observe { matrix, label })
+        {
+            Ok(()) => {}
+            Err(TrySendError::Full(_)) => self.link.obs_dropped.inc(),
+            // Training disabled or trainer shut down: the observation
+            // has nowhere to go by design.
+            Err(TrySendError::Disconnected(_)) => {}
+        }
+    }
+}
+
+/// One flow-hash partition of the serving pipeline: a flow engine
+/// driven over the pinned model source. Owned by exactly one worker
+/// thread at a time (`GatewayShard` is `Send`, methods take
 /// `&mut self`); all cross-shard coupling goes through the shared
 /// matrix, the snapshot cell and the trainer queue.
 #[derive(Debug)]
 pub struct GatewayShard {
     id: usize,
-    cfg: MiddleboxConfig,
-    table: FlowTable,
-    early: EarlyClassifier,
-    flows: FlowMap<ShardFlow>,
-    rejected: RejectedRing,
-    /// Next-evaluation deadlines for this shard's flows, in poll ticks.
-    wheel: TimerWheel,
-    /// Polls executed by this shard == its wheel's current tick.
-    poll_seq: u64,
-    /// Reusable per-poll slot buffer — no per-poll allocation.
-    poll_scratch: Vec<FlowSlot>,
-    cache: ShardDecisionCache,
-    estimator: QoeEstimator,
-    shared: Arc<SharedMatrix>,
+    engine: FlowEngine,
     reader: SnapshotReader<ModelSnapshot>,
-    obs_tx: BoundedSender<TrainerMsg>,
-    recovering: Arc<AtomicBool>,
-    metrics: ShardMetrics,
-    decisions: EventRing<DecisionEvent>,
-    faults: FaultPlan,
-    last_poll: Instant,
-    /// Deferred packets awaiting a batched flush (see
-    /// [`GatewayShard::enqueue`]).
-    ingress: Vec<(Packet, SnrLevel)>,
-    /// Batch size for ingress flushes (the `EXBOX_BATCH` knob).
-    batch: usize,
+    link: ShardLink,
 }
 
 impl GatewayShard {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
+    pub(super) fn new(
         id: usize,
-        cfg: MiddleboxConfig,
-        estimator: QoeEstimator,
-        shared: Arc<SharedMatrix>,
+        engine: FlowEngine,
         reader: SnapshotReader<ModelSnapshot>,
-        obs_tx: BoundedSender<TrainerMsg>,
-        recovering: Arc<AtomicBool>,
-        faults: FaultPlan,
-        decision_cache_size: usize,
-        batch: usize,
-        registry: &MetricsRegistry,
+        link: ShardLink,
     ) -> Self {
-        let window = cfg.classify_window;
-        let log_capacity = cfg.decision_log_capacity.max(1);
-        let rejected = RejectedRing::new(cfg.rejected_capacity);
-        let batch = batch.max(1);
         GatewayShard {
             id,
-            cfg,
-            table: FlowTable::new(),
-            early: EarlyClassifier::with_default_profiles(window),
-            flows: FlowMap::new(),
-            rejected,
-            wheel: TimerWheel::new(),
-            poll_seq: 0,
-            poll_scratch: Vec::new(),
-            cache: ShardDecisionCache::new(decision_cache_size),
-            estimator,
-            shared,
+            engine,
             reader,
-            obs_tx,
-            recovering,
-            metrics: ShardMetrics::bind(registry),
-            decisions: EventRing::new(log_capacity),
-            faults,
-            last_poll: Instant::ZERO,
-            ingress: Vec::with_capacity(batch),
-            batch,
+            link,
         }
     }
 
@@ -320,17 +313,17 @@ impl GatewayShard {
 
     /// Flows currently admitted *by this shard*.
     pub fn admitted_flows(&self) -> usize {
-        self.flows.len()
+        self.engine.admitted_flows()
     }
 
     /// This shard's bounded admit/reject/revoke audit ring.
     pub fn decision_log(&self) -> &EventRing<DecisionEvent> {
-        &self.decisions
+        self.engine.decision_log()
     }
 
     /// The cell-wide traffic matrix as this shard reads it.
     pub fn matrix(&self) -> TrafficMatrix {
-        self.shared.snapshot()
+        self.link.shared.snapshot()
     }
 
     /// True while this shard serves admissions through the occupancy
@@ -339,176 +332,29 @@ impl GatewayShard {
     /// from a failed restore. Same rule as
     /// [`crate::middlebox::Middlebox::is_degraded`].
     pub fn is_degraded(&mut self) -> bool {
-        let recovering = self.recovering.load(Ordering::SeqCst);
+        let recovering = self.link.recovering.load(Ordering::SeqCst);
         let guard = self.reader.pin();
-        !guard.model_available() && (recovering || guard.phase() == Phase::Online)
+        is_degraded(guard.model_available(), guard.phase(), recovering)
     }
 
-    /// Process one packet of this shard's partition. Mirrors
-    /// [`crate::middlebox::Middlebox::process_packet`] step for step;
-    /// the decision evaluates the pinned [`ModelSnapshot`] against the
-    /// shared matrix instead of an in-line classifier.
+    /// Process one packet of this shard's partition: the engine's
+    /// probe, then — only when an admission decision is owed — a pin
+    /// of the published [`ModelSnapshot`] to decide against.
     pub fn process_packet(&mut self, pkt: &Packet, snr: SnrLevel) -> Action {
-        self.metrics.packets.inc();
-        if self.rejected.contains(&pkt.flow) {
-            self.metrics.drops_rejected.inc();
-            return Action::Drop;
-        }
-        self.table.observe(pkt);
-        if self.flows.contains_key(&pkt.flow) {
-            return Action::Forward;
-        }
-        let class = match self.early.observe(pkt) {
-            None => return Action::Forward,
-            Some(class) => class,
-        };
-        let recovering = self.recovering.load(Ordering::SeqCst);
-        let fallback_cap = self.cfg.fallback_max_flows.max(1);
-        let guard = self.reader.pin();
-        Self::decide_apply(
-            &guard,
-            &mut self.cache,
-            &self.metrics,
-            &mut self.decisions,
-            &self.shared,
-            &mut self.flows,
-            &mut self.rejected,
-            &mut self.early,
-            fallback_cap,
-            recovering,
-            pkt,
-            snr,
-            class,
-        )
-    }
-
-    /// Classify-and-apply shared by the per-packet and batched paths.
-    ///
-    /// Takes disjoint field borrows instead of `&mut self` because the
-    /// batch path holds a snapshot guard (which borrows the reader
-    /// slot) across iterations. The decision sequence is
-    /// identical to the historical inline body of
-    /// [`GatewayShard::process_packet`], so both paths produce the
-    /// same verdicts, metrics, and decision-log events.
-    #[allow(clippy::too_many_arguments)]
-    fn decide_apply(
-        snapshot: &ModelSnapshot,
-        cache: &mut ShardDecisionCache,
-        metrics: &ShardMetrics,
-        decisions: &mut EventRing<DecisionEvent>,
-        shared: &SharedMatrix,
-        flows: &mut FlowMap<ShardFlow>,
-        rejected: &mut RejectedRing,
-        early: &mut EarlyClassifier,
-        fallback_cap: u32,
-        recovering: bool,
-        pkt: &Packet,
-        snr: SnrLevel,
-        class: AppClass,
-    ) -> Action {
-        let kind = FlowKind::new(class, snr);
-        let matrix = shared.snapshot();
-        let resulting = matrix.with_arrival(kind);
-        let degraded =
-            !snapshot.model_available() && (recovering || snapshot.phase() == Phase::Online);
-        let ((label, margin), decide_ns) = if degraded {
-            // Inline MaxClient semantics (`sync_load` + `decide`):
-            // admit while the current occupancy is below the cap.
-            exbox_obs::time_ns(|| {
-                let label = if matrix.total() < fallback_cap {
-                    Label::Pos
-                } else {
-                    Label::Neg
+        let mut run = Run::default();
+        let action = match self.engine.probe(&mut run, pkt) {
+            Probe::Done(action) => action,
+            Probe::Classified(class) => {
+                let guard = self.reader.pin();
+                let mut src = Pinned {
+                    snapshot: &guard,
+                    link: &mut self.link,
                 };
-                (label, None)
-            })
-        } else {
-            let epoch = snapshot.epoch();
-            exbox_obs::time_ns(|| {
-                if let Some((label, margin)) = cache.get(epoch, &resulting) {
-                    metrics.cache_hits.inc();
-                    return (label, Some(margin));
-                }
-                let (label, margin) = snapshot.decide(&resulting);
-                if let Some(m) = margin {
-                    metrics.cache_misses.inc();
-                    cache.insert(epoch, resulting, label, m);
-                }
-                (label, margin)
-            })
-        };
-        metrics.decision_latency_ns.record(decide_ns);
-        let reason = if degraded {
-            metrics.fallback_decisions.inc();
-            DecisionReason::DegradedFallback
-        } else {
-            match (snapshot.phase(), label) {
-                (Phase::Bootstrap, _) => DecisionReason::Bootstrap,
-                (Phase::Online, Label::Pos) => DecisionReason::InsideRegion,
-                (Phase::Online, Label::Neg) => DecisionReason::OutsideRegion,
+                self.engine.decide(&mut run, &mut src, pkt, snr, class)
             }
         };
-        let mut event = DecisionEvent {
-            at: pkt.timestamp,
-            flow: pkt.flow,
-            class,
-            snr,
-            verdict: DecisionKind::Admit,
-            margin,
-            reason,
-        };
-        match label {
-            Label::Pos => {
-                shared.add(kind);
-                flows.insert(
-                    pkt.flow,
-                    ShardFlow {
-                        kind,
-                        meter: QosMeter::new(),
-                        next_eval: u64::MAX,
-                    },
-                );
-                metrics.admits.inc();
-                decisions.push(event);
-                Action::Forward
-            }
-            Label::Neg => {
-                Self::note_rejection(rejected, metrics, pkt.flow);
-                early.forget(&pkt.flow);
-                metrics.rejects.inc();
-                event.verdict = DecisionKind::Reject;
-                decisions.push(event);
-                Action::Drop
-            }
-        }
-    }
-
-    /// Bounded-ring rejection bookkeeping (eviction counter, occupancy
-    /// gauge, warn-once pressure log); the shard twin of
-    /// [`crate::middlebox::Middlebox`]'s helper.
-    fn note_rejection(rejected: &mut RejectedRing, metrics: &ShardMetrics, key: FlowKey) {
-        let ins = rejected.insert(key);
-        metrics.rejected_evictions.add(ins.evicted);
-        metrics.rejected_occupancy.set(rejected.len() as f64);
-        if ins.pressure {
-            eprintln!(
-                "exbox: shard rejected-set eviction rate caught up with \
-                 insertions ({} live / {} evicted) — raise rejected_capacity \
-                 or expect re-classification churn",
-                rejected.len(),
-                rejected.evictions(),
-            );
-        }
-    }
-
-    /// Put `slot` on the wheel for the next poll tick unless already
-    /// scheduled (first QoS report of the flow's window).
-    fn schedule_eval(wheel: &mut TimerWheel, fs: &mut ShardFlow, slot: FlowSlot) {
-        if fs.next_eval == u64::MAX {
-            let deadline = wheel.now() + 1;
-            fs.next_eval = deadline;
-            wheel.schedule(slot, deadline);
-        }
+        self.engine.flush(run);
+        action
     }
 
     /// Process a slice of packets in one pass, pinning the model
@@ -522,15 +368,13 @@ impl GatewayShard {
     ///   moves, so a publication landing mid-batch takes effect at
     ///   exactly the packet where per-packet pinning would have
     ///   observed it.
-    /// - A run-length disposition cache skips the rejected-set and
-    ///   flow-table probes for consecutive packets of the same flow.
-    ///   Admission and rejection are terminal within a batch
-    ///   (revocation happens only in `poll`, departure only in
+    /// - The engine's run-length disposition cache skips the
+    ///   rejected-set and flow-table probes for consecutive packets of
+    ///   the same flow. Admission and rejection are terminal within a
+    ///   batch (revocation happens only in `poll`, departure only in
     ///   `flow_departed`), so the cached verdict cannot go stale.
-    ///   Cached drops skip `table.observe` — matching the per-packet
-    ///   path, where rejected flows drop before the table sees them.
-    /// - `shard.packets` and `shard.drops_rejected` are flushed once
-    ///   per batch instead of per packet.
+    /// - `middlebox.packets` and `middlebox.drops_rejected` are flushed
+    ///   once per batch instead of per packet.
     pub fn process_packets(&mut self, pkts: &[(Packet, SnrLevel)]) -> Vec<Action> {
         let mut out = Vec::with_capacity(pkts.len());
         self.process_batch_inner(pkts, None, |_seq, act| out.push(act));
@@ -563,11 +407,9 @@ impl GatewayShard {
         mut emit: impl FnMut(u64, Action),
     ) {
         let cell = Arc::clone(self.reader.cell());
-        let fallback_cap = self.cfg.fallback_max_flows.max(1);
-        let mut cached_drops = 0u64;
-        let mut last: Option<(FlowKey, Action)> = None;
+        let mut run = Run::default();
         // Set when a publication landed between a packet's
-        // classification and its decision: the pre-path side effects
+        // classification and its decision: the probe's side effects
         // for `pkts[idx]` already ran, only the decision is owed (under
         // a fresh pin, exactly as per-packet pinning would take it).
         let mut pending: Option<AppClass> = None;
@@ -583,193 +425,71 @@ impl GatewayShard {
                 }
                 drop(guard);
             };
-            if let Some(class) = pending.take() {
-                let (pkt, snr) = pkts.item(idx);
-                let seq = pkts.seq(idx);
-                idx += 1;
-                let recovering = self.recovering.load(Ordering::SeqCst);
-                // `begin(seq)` already ran when this packet's pre-path
-                // did, so the lane's cursor still holds its sequence.
-                if let Some((gate, lane)) = gate {
-                    gate.wait_turn(lane, seq);
-                }
-                let act = Self::decide_apply(
-                    &guard,
-                    &mut self.cache,
-                    &self.metrics,
-                    &mut self.decisions,
-                    &self.shared,
-                    &mut self.flows,
-                    &mut self.rejected,
-                    &mut self.early,
-                    fallback_cap,
-                    recovering,
-                    pkt,
-                    snr,
-                    class,
-                );
-                last = Some((pkt.flow, act));
-                emit(seq, act);
-            }
+            let mut src = Pinned {
+                snapshot: &guard,
+                link: &mut self.link,
+            };
             // Serve packets under this pin until a publication lands.
             // Only decisions consult the snapshot, so staleness is
-            // checked at decision points — the pre-path stays free of
+            // checked at decision points — the probe stays free of
             // atomic loads.
             while idx < pkts.len() {
                 let (pkt, snr) = pkts.item(idx);
                 let seq = pkts.seq(idx);
-                // Publish per-packet progress: everything this lane
-                // owns below `seq` is complete. Cached/pre-path
-                // packets never wait — only decisions do.
-                if let Some((gate, lane)) = gate {
-                    gate.begin(lane, seq);
-                }
-                match last {
-                    Some((key, Action::Drop)) if key == pkt.flow => {
-                        idx += 1;
-                        cached_drops += 1;
-                        emit(seq, Action::Drop);
-                        continue;
-                    }
-                    Some((key, Action::Forward)) if key == pkt.flow => {
-                        idx += 1;
-                        self.table.observe(pkt);
-                        emit(seq, Action::Forward);
-                        continue;
-                    }
-                    _ => {}
-                }
-                if self.rejected.contains(&pkt.flow) {
-                    idx += 1;
-                    self.metrics.drops_rejected.inc();
-                    last = Some((pkt.flow, Action::Drop));
-                    emit(seq, Action::Drop);
-                    continue;
-                }
-                self.table.observe(pkt);
-                if self.flows.contains_key(&pkt.flow) {
-                    idx += 1;
-                    last = Some((pkt.flow, Action::Forward));
-                    emit(seq, Action::Forward);
-                    continue;
-                }
-                let class = match self.early.observe(pkt) {
-                    None => {
-                        // Still classifying: not terminal, later
-                        // packets of this flow must re-probe.
-                        idx += 1;
-                        last = None;
-                        emit(seq, Action::Forward);
-                        continue;
-                    }
+                let class = match pending.take() {
+                    // `begin(seq)` already ran when this packet was
+                    // probed, so the lane's cursor still holds its
+                    // sequence.
                     Some(class) => class,
+                    None => {
+                        // Publish per-packet progress: everything this
+                        // lane owns below `seq` is complete. Probed
+                        // packets never wait — only decisions do.
+                        if let Some((gate, lane)) = gate {
+                            gate.begin(lane, seq);
+                        }
+                        match self.engine.probe(&mut run, pkt) {
+                            Probe::Done(action) => {
+                                idx += 1;
+                                emit(seq, action);
+                                continue;
+                            }
+                            Probe::Classified(class) if cell.publish_count() != at => {
+                                // A publication landed since the pin:
+                                // re-pin and decide this packet under
+                                // the fresh snapshot.
+                                pending = Some(class);
+                                break;
+                            }
+                            Probe::Classified(class) => class,
+                        }
+                    }
                 };
-                if cell.publish_count() != at {
-                    // A publication landed since the pin: re-pin and
-                    // decide this packet (whose pre-path already ran)
-                    // under the fresh snapshot, as per-packet pinning
-                    // would.
-                    pending = Some(class);
-                    break;
-                }
                 idx += 1;
-                let recovering = self.recovering.load(Ordering::SeqCst);
                 if let Some((gate, lane)) = gate {
                     gate.wait_turn(lane, seq);
                 }
-                let act = Self::decide_apply(
-                    &guard,
-                    &mut self.cache,
-                    &self.metrics,
-                    &mut self.decisions,
-                    &self.shared,
-                    &mut self.flows,
-                    &mut self.rejected,
-                    &mut self.early,
-                    fallback_cap,
-                    recovering,
-                    pkt,
-                    snr,
-                    class,
-                );
-                last = Some((pkt.flow, act));
-                emit(seq, act);
+                emit(seq, self.engine.decide(&mut run, &mut src, pkt, snr, class));
             }
         }
-        self.metrics.packets.add(pkts.len() as u64);
-        self.metrics.drops_rejected.add(cached_drops);
-    }
-
-    /// Queue a packet on the shard's ingress ring for a later
-    /// [`GatewayShard::flush_ingress`]. Returns `false` when the ring
-    /// is full (the caller should flush and retry).
-    pub fn enqueue(&mut self, pkt: Packet, snr: SnrLevel) -> bool {
-        if self.ingress.len() >= self.batch {
-            return false;
-        }
-        self.ingress.push((pkt, snr));
-        true
-    }
-
-    /// Number of packets waiting on the ingress ring.
-    pub fn pending_ingress(&self) -> usize {
-        self.ingress.len()
-    }
-
-    /// Drain the ingress ring through [`GatewayShard::process_packets`]
-    /// and return the verdicts in arrival order.
-    pub fn flush_ingress(&mut self) -> Vec<Action> {
-        if self.ingress.is_empty() {
-            return Vec::new();
-        }
-        let pending = std::mem::take(&mut self.ingress);
-        let out = self.process_packets(&pending);
-        // Keep the ring's allocation across flushes.
-        self.ingress = pending;
-        self.ingress.clear();
-        out
+        self.engine.flush(run);
     }
 
     /// Record a delivery report for a flow admitted by this shard.
     pub fn record_delivery(&mut self, key: &FlowKey, sent: Instant, received: Instant, size: u32) {
-        if let Some(slot) = self.flows.slot_of(key) {
-            if let Some((_, fs)) = self.flows.get_slot_mut(slot) {
-                fs.meter.deliver(sent, received, size);
-                if self.cfg.poll_wheel {
-                    Self::schedule_eval(&mut self.wheel, fs, slot);
-                }
-            }
-        }
+        self.engine.record_delivery(key, sent, received, size);
     }
 
     /// Record a drop report for a flow admitted by this shard.
-    /// Drop-only flows are scheduled too so their meters reset at the
-    /// window edge, matching the scan path.
     pub fn record_drop(&mut self, key: &FlowKey) {
-        if let Some(slot) = self.flows.slot_of(key) {
-            if let Some((_, fs)) = self.flows.get_slot_mut(slot) {
-                fs.meter.drop_packet();
-                if self.cfg.poll_wheel {
-                    Self::schedule_eval(&mut self.wheel, fs, slot);
-                }
-            }
-        }
+        self.engine.record_drop(key);
     }
 
-    /// A flow of this shard's partition ended: release its slot. A
-    /// pending wheel entry goes stale (generation mismatch) and is
-    /// skipped at its tick.
+    /// A flow of this shard's partition ended: release its admission.
     pub fn flow_departed(&mut self, key: &FlowKey) {
-        if let Some(fs) = self.flows.remove(key) {
-            self.shared.remove(fs.kind);
-            self.metrics.departures.inc();
+        if let Some(kind) = self.engine.flow_departed(key) {
+            self.link.shared.remove(kind);
         }
-        self.rejected.remove(key);
-        self.metrics
-            .rejected_occupancy
-            .set(self.rejected.len() as f64);
-        self.early.forget(key);
-        self.table.remove(key);
     }
 
     /// Periodic poll over this shard's flows: QoE estimation, one
@@ -794,126 +514,23 @@ impl GatewayShard {
 
     /// Allocation-free twin of [`GatewayShard::poll`]: verdicts are
     /// *appended* to the caller's buffer, so a reused buffer makes
-    /// steady-state polling allocation-free (the internal slot scratch
+    /// steady-state polling allocation-free (the engine's slot scratch
     /// already persists across polls). `gateway.poll_buf_grows` counts
     /// the polls that had to grow `out` — 0 once the buffer warmed up.
     pub fn poll_into(&mut self, now: Instant, out: &mut Vec<(FlowKey, PollVerdict)>) {
-        if now.saturating_since(self.last_poll) < self.cfg.poll_interval {
+        // Most calls land inside the interval: skip the pin for those.
+        if !self.engine.poll_due(now) {
             return;
         }
-        self.last_poll = now;
-        self.metrics.polls.inc();
         let cap_before = out.capacity();
-        let ((), poll_ns) = exbox_obs::time_ns(|| self.run_poll(now, out));
-        self.metrics.poll_latency_ns.record(poll_ns);
-        if out.capacity() != cap_before {
-            self.metrics.poll_buf_grows.inc();
-        }
-    }
-
-    fn run_poll(&mut self, now: Instant, verdicts: &mut Vec<(FlowKey, PollVerdict)>) {
-        // One executed poll == one wheel tick, advanced even through
-        // empty polls so deadlines stay aligned with poll_seq.
-        self.poll_seq += 1;
-        let mut scratch = std::mem::take(&mut self.poll_scratch);
-        scratch.clear();
-        if self.cfg.poll_wheel {
-            self.wheel.advance(self.poll_seq, &mut scratch);
-            scratch.retain(|&slot| self.flows.get_slot(slot).is_some());
-        } else {
-            self.flows.collect_slots(&mut scratch);
-        }
-        if self.flows.is_empty() {
-            self.poll_scratch = scratch;
-            return;
-        }
-
-        // Per-flow acceptability folded into a (measured, unacceptable)
-        // count; idle flows contribute no evidence (the scan visits and
-        // skips them, the wheel never schedules them). Shards *are* the
-        // parallelism here, so the estimation stays serial within one
-        // shard.
-        let (measured, unacceptable) = scratch
-            .iter()
-            .filter_map(|&slot| {
-                let (_, fs) = self.flows.get_slot(slot)?;
-                let sample = fs.meter.sample();
-                if sample.throughput_bps <= 0.0 {
-                    None
-                } else {
-                    Some(self.estimator.acceptable(fs.kind.class, &sample))
-                }
-            })
-            .fold((0u64, 0u64), |(m, u), ok| (m + 1, u + u64::from(!ok)));
-        let measured_any = measured > 0;
-        let all_ok = unacceptable == 0;
-        let poll_errored = self.faults.should_inject(FaultKind::PollError);
-        if poll_errored {
-            self.metrics.poll_errors.inc();
-        } else if measured_any {
-            let label = if all_ok { Label::Pos } else { Label::Neg };
-            match self.obs_tx.try_send(TrainerMsg::Observe {
-                matrix: self.shared.snapshot(),
-                label,
-            }) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => self.metrics.obs_dropped.inc(),
-                // Training disabled or trainer shut down: the
-                // observation has nowhere to go by design.
-                Err(TrySendError::Disconnected(_)) => {}
-            }
-        }
-
-        // Region re-evaluation, mirroring the middlebox loop: one
-        // decision per matrix state; revoking a flow updates both the
-        // shared matrix and the local working copy before re-deciding.
-        // Revocations shed this shard's oldest admission first; kept
-        // flows are tallied in bulk, never materialised.
         let guard = self.reader.pin();
-        if guard.phase() == Phase::Online {
-            let mut matrix = self.shared.snapshot();
-            let (mut label, mut margin) = guard.decide(&matrix);
-            if label == Label::Pos {
-                self.metrics.keeps.add(self.flows.len() as u64);
-            }
-            while label == Label::Neg {
-                let Some((key, kind)) = self.flows.front().map(|(k, fs)| (*k, fs.kind)) else {
-                    break;
-                };
-                self.shared.remove(kind);
-                matrix.remove(kind);
-                self.flows.remove(&key);
-                Self::note_rejection(&mut self.rejected, &self.metrics, key);
-                verdicts.push((key, PollVerdict::Revoke));
-                self.metrics.revokes.inc();
-                self.decisions.push(DecisionEvent {
-                    at: now,
-                    flow: key,
-                    class: kind.class,
-                    snr: kind.snr,
-                    verdict: DecisionKind::Revoke,
-                    margin,
-                    reason: DecisionReason::RegionReevaluation,
-                });
-                let (next_label, next_margin) = guard.decide(&matrix);
-                label = next_label;
-                margin = next_margin;
-            }
+        let mut src = Pinned {
+            snapshot: &guard,
+            link: &mut self.link,
+        };
+        self.engine.poll_into(&mut src, now, out);
+        if out.capacity() != cap_before {
+            self.link.poll_buf_grows.inc();
         }
-        drop(guard);
-        // Fresh measurement windows: the wheel path touches only the
-        // flows it evaluated; the scan path resets the whole arena.
-        if self.cfg.poll_wheel {
-            for &slot in &scratch {
-                if let Some((_, fs)) = self.flows.get_slot_mut(slot) {
-                    fs.meter.reset();
-                    fs.next_eval = u64::MAX;
-                }
-            }
-        } else {
-            self.flows.for_each_value_mut(|fs| fs.meter.reset());
-        }
-        scratch.clear();
-        self.poll_scratch = scratch;
     }
 }

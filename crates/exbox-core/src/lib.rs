@@ -22,7 +22,8 @@
 //!   multiple cells (paper §4.1).
 //! * [`middlebox`] — the packet-facing assembly: early
 //!   classification → admission → QoS metering → periodic
-//!   re-evaluation (paper Fig. 5, §4.3).
+//!   re-evaluation (paper Fig. 5, §4.3) — one flow engine, shared with
+//!   the [`gateway`]'s shards.
 //! * [`apps`] — app-based admission control (the paper's §4.5 future
 //!   work): subsidiary flows ride their app's dominant-flow decision.
 //! * [`excr`] — extract the learnt region as Fig.-2-style slices,
@@ -41,7 +42,7 @@
 //!   [`flowtable::FlowMap`] with stable slots and insertion-order
 //!   iteration, the generation-stamped [`flowtable::RejectedRing`],
 //!   and the hierarchical [`flowtable::TimerWheel`] behind incremental
-//!   polling (`EXBOX_POLL_WHEEL`).
+//!   polling.
 //!
 //! ## Quick start
 //!
@@ -69,6 +70,7 @@
 pub mod admittance;
 pub mod apps;
 pub mod baselines;
+pub(crate) mod engine;
 pub mod excr;
 pub mod flowtable;
 pub mod gateway;

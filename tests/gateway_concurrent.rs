@@ -39,25 +39,38 @@ fn acfg() -> AdmittanceConfig {
     }
 }
 
-/// A classifier trained online to admit at most two streaming flows.
-fn trained_classifier(reg: &MetricsRegistry) -> AdmittanceClassifier {
-    let mut ac = AdmittanceClassifier::with_registry(acfg(), reg);
+/// A classifier trained online to admit at most `cap` streaming flows.
+fn classifier_admitting(
+    cap: u32,
+    acfg: AdmittanceConfig,
+    reg: &MetricsRegistry,
+) -> AdmittanceClassifier {
+    let mut ac = AdmittanceClassifier::with_registry(acfg, reg);
     for n in 0..80u32 {
         let total = n % 8;
         let mut mat = TrafficMatrix::empty();
         for _ in 0..total {
             mat.add(FlowKind::new(AppClass::Streaming, SnrLevel::High));
         }
-        let y = if total <= 2 { Label::Pos } else { Label::Neg };
+        let y = if total <= cap { Label::Pos } else { Label::Neg };
         ac.observe(mat, y);
     }
     assert_eq!(ac.phase(), Phase::Online, "fixture must go online");
     ac
 }
 
-fn trained_snapshot() -> ModelSnapshot {
+/// A classifier trained online to admit at most two streaming flows.
+fn trained_classifier(reg: &MetricsRegistry) -> AdmittanceClassifier {
+    classifier_admitting(2, acfg(), reg)
+}
+
+fn snapshot_admitting(epoch: u64, cap: u32) -> ModelSnapshot {
     let reg = MetricsRegistry::new();
-    ModelSnapshot::from_classifier(1, &trained_classifier(&reg))
+    ModelSnapshot::from_classifier(epoch, &classifier_admitting(cap, acfg(), &reg))
+}
+
+fn trained_snapshot() -> ModelSnapshot {
+    snapshot_admitting(1, 2)
 }
 
 fn streaming_pkts(key: FlowKey, n: usize) -> Vec<Packet> {
@@ -166,9 +179,10 @@ fn env_configured_shard_count_matches_reference() {
     );
 }
 
-/// Satellite 1: a 1-shard gateway reaches the same verdict for every
-/// flow as the single-threaded middlebox serving the same (static)
-/// model on the same trace.
+/// A 1-shard gateway *is* the single-threaded middlebox with the
+/// trainer moved off-thread: on the same trace — packets, QoS reports,
+/// polls, departures — serving the same (static) model, every verdict,
+/// poll output, decision-log event and shared counter agrees.
 #[test]
 fn one_shard_gateway_matches_middlebox() {
     let reg = MetricsRegistry::new();
@@ -179,23 +193,213 @@ fn one_shard_gateway_matches_middlebox() {
         &reg,
     );
     mb.set_fault_plan(FaultPlan::disabled());
+    let retrains = mb.admittance().retrain_count();
     let mut gw =
         ConcurrentGateway::serving_only(GatewayConfig::default(), estimator(), trained_snapshot());
 
+    let mut polls = 0u64;
     for id in 1..=20u32 {
         let key = flow_key(id);
-        for p in streaming_pkts(key, 12) {
-            let a = mb.process_packet(&p, SnrLevel::High);
-            let b = gw.process_packet(&p, SnrLevel::High);
-            assert_eq!(a, b, "flow {id}: middlebox and gateway disagreed");
+        let batch: Vec<(Packet, SnrLevel)> = streaming_pkts(key, 12)
+            .into_iter()
+            .map(|p| (p, SnrLevel::High))
+            .collect();
+        // Alternate the entry points: per-packet and batched ingest
+        // are the same engine steps.
+        let (a, b) = if id % 2 == 0 {
+            (mb.process_batch(&batch), gw.process_packets(&batch))
+        } else {
+            let a = batch.iter().map(|(p, snr)| mb.process_packet(p, *snr));
+            let b = batch.iter().map(|(p, snr)| gw.process_packet(p, *snr));
+            (a.collect(), b.collect())
+        };
+        assert_eq!(a, b, "flow {id}: middlebox and gateway disagreed");
+
+        // QoS reports for every flow, admitted or not (reports for
+        // unknown flows must be ignored alike): healthy deliveries,
+        // starved ones for every third flow, a loss now and then.
+        for i in 0..20u64 {
+            let sent = Instant::from_millis(u64::from(id) * 3_000 + i * 10);
+            let (delay, size) = if id % 3 == 0 { (2_000, 200) } else { (5, 1400) };
+            let received = sent + Duration::from_millis(delay);
+            mb.record_delivery(&key, sent, received, size);
+            gw.record_delivery(&key, sent, received, size);
+            if i % 7 == 0 {
+                mb.record_drop(&key);
+                gw.record_drop(&key);
+            }
+        }
+        if id % 4 == 0 {
+            polls += 1;
+            // The second call of each pair lands inside the interval.
+            for now in [Instant::from_secs(3 * u64::from(id)); 2] {
+                assert_eq!(mb.poll(now), gw.poll(now), "poll after flow {id}");
+            }
         }
         if id % 5 == 0 {
             mb.flow_departed(&key);
             gw.flow_departed(&key);
         }
+        assert_eq!(mb.matrix(), gw.matrix(), "after flow {id}");
     }
     assert_eq!(mb.admitted_flows(), gw.admitted_flows());
-    assert_eq!(mb.matrix(), gw.matrix());
+    // The middlebox's polls trained its classifier in-line; the trace
+    // stays below one retrain batch so both sides serve one model.
+    assert_eq!(mb.admittance().retrain_count(), retrains);
+    assert!(
+        mb.admittance().num_observations() > 80,
+        "polls must observe"
+    );
+
+    let (mine, theirs) = (reg.snapshot(), gw.merged_metrics());
+    for name in [
+        "middlebox.packets",
+        "middlebox.admits",
+        "middlebox.rejects",
+        "middlebox.drops_rejected",
+        "middlebox.keeps",
+        "middlebox.revokes",
+        "middlebox.departures",
+        "middlebox.polls",
+        "middlebox.rejected_evictions",
+        "recovery.fallback_decisions",
+        "recovery.poll_errors",
+    ] {
+        assert_eq!(mine.counter(name), theirs.counter(name), "{name}");
+        assert!(mine.counter(name).is_some(), "{name} must be bound");
+    }
+    assert_eq!(mine.counter("middlebox.polls"), Some(polls));
+    assert_eq!(
+        mine.gauge("middlebox.rejected_occupancy"),
+        theirs.gauge("middlebox.rejected_occupancy")
+    );
+    for name in ["middlebox.decision_latency_ns", "middlebox.poll_latency_ns"] {
+        let samples = |snap: &exbox_obs::MetricsSnapshot| snap.histogram(name).map(|h| h.count);
+        assert_eq!(samples(&mine), samples(&theirs), "{name}");
+    }
+    let shard = gw.take_shards().pop().unwrap();
+    assert_eq!(
+        mb.decision_log().snapshot(),
+        shard.decision_log().snapshot()
+    );
+}
+
+/// The rejection-record ring is bounded, so a revoked flow can outlive
+/// its record. It must then be classified and decided afresh — not
+/// forwarded forever on the strength of a classification that no
+/// longer has a verdict attached. (Also the gateway's revoke loop: a
+/// tighter region published under four standing admissions.)
+#[test]
+fn gateway_redecides_a_revoked_flow_after_its_record_is_evicted() {
+    let cfg = GatewayConfig {
+        middlebox: MiddleboxConfig {
+            rejected_capacity: 1,
+            ..MiddleboxConfig::default()
+        },
+        ..GatewayConfig::default()
+    };
+    let window = cfg.middlebox.classify_window;
+    let mut gw = ConcurrentGateway::serving_only(cfg, estimator(), snapshot_admitting(1, 4));
+    for id in 1..=4 {
+        for p in streaming_pkts(flow_key(id), 12) {
+            assert_eq!(gw.process_packet(&p, SnrLevel::High), Action::Forward);
+        }
+    }
+    assert_eq!(gw.admitted_flows(), 4);
+
+    // The region shrinks to two flows: the poll sheds the two oldest
+    // admissions, and the second record evicts the first from the
+    // one-slot ring.
+    gw.snapshot_cell().publish(snapshot_admitting(2, 2));
+    assert_eq!(
+        gw.poll(Instant::from_secs(5)),
+        vec![
+            (flow_key(1), PollVerdict::Revoke),
+            (flow_key(2), PollVerdict::Revoke)
+        ]
+    );
+    assert_eq!((gw.admitted_flows(), gw.matrix().total()), (2, 2));
+    let metrics = gw.merged_metrics();
+    assert_eq!(metrics.counter("middlebox.revokes"), Some(2));
+    assert_eq!(metrics.counter("middlebox.rejected_evictions"), Some(1));
+
+    // Flow 1 keeps sending: a fresh classification window is forwarded
+    // (§4.2), then the full cell rejects it and its packets drop.
+    let actions: Vec<Action> = streaming_pkts(flow_key(1), 40)
+        .iter()
+        .map(|p| gw.process_packet(p, SnrLevel::High))
+        .collect();
+    let (head, tail) = actions.split_at(window - 1);
+    assert!(head.iter().all(|a| *a == Action::Forward));
+    assert!(
+        tail.iter().all(|a| *a == Action::Drop),
+        "revoked flow forwarded after its rejection record was evicted"
+    );
+    assert_eq!((gw.admitted_flows(), gw.matrix().total()), (2, 2));
+    assert_eq!(gw.merged_metrics().counter("middlebox.rejects"), Some(1));
+}
+
+/// The same defect through the single-threaded assembly, where the
+/// revocation comes from the in-line trainer: starved deliveries make
+/// the poll relabel the standing matrix, the monotone guard applies
+/// the new label at once, and the oldest flow is shed.
+#[test]
+fn middlebox_redecides_a_revoked_flow_after_its_record_is_evicted() {
+    let reg = MetricsRegistry::new();
+    let cfg = MiddleboxConfig {
+        rejected_capacity: 1,
+        ..MiddleboxConfig::default()
+    };
+    let window = cfg.classify_window;
+    let relabelling = AdmittanceConfig {
+        batch_size: 1,
+        monotone_guard: true,
+        ..AdmittanceConfig::default()
+    };
+    let mut mb = Middlebox::with_registry(
+        cfg,
+        estimator(),
+        classifier_admitting(4, relabelling, &reg),
+        &reg,
+    );
+    mb.set_fault_plan(FaultPlan::disabled());
+    for id in 1..=3 {
+        for p in streaming_pkts(flow_key(id), 12) {
+            assert_eq!(mb.process_packet(&p, SnrLevel::High), Action::Forward);
+        }
+    }
+    for i in 0..40u64 {
+        let sent = Instant::from_millis(i * 50);
+        mb.record_delivery(&flow_key(1), sent, sent + Duration::from_secs(2), 200);
+    }
+    assert_eq!(
+        mb.poll(Instant::from_secs(5)),
+        vec![(flow_key(1), PollVerdict::Revoke)],
+        "three flows were observed inadmissible, two still are fine"
+    );
+    // A fourth arrival would restore the inadmissible matrix: it is
+    // rejected, and its record evicts the revoked flow's.
+    let rejected = streaming_pkts(flow_key(4), 12)
+        .iter()
+        .map(|p| mb.process_packet(p, SnrLevel::High))
+        .last();
+    assert_eq!(rejected, Some(Action::Drop));
+    assert_eq!(
+        reg.snapshot().counter("middlebox.rejected_evictions"),
+        Some(1)
+    );
+
+    let actions: Vec<Action> = streaming_pkts(flow_key(1), 40)
+        .iter()
+        .map(|p| mb.process_packet(p, SnrLevel::High))
+        .collect();
+    let (head, tail) = actions.split_at(window - 1);
+    assert!(head.iter().all(|a| *a == Action::Forward));
+    assert!(
+        tail.iter().all(|a| *a == Action::Drop),
+        "revoked flow forwarded after its rejection record was evicted"
+    );
+    assert_eq!((mb.admitted_flows(), mb.matrix().total()), (2, 2));
 }
 
 /// Satellite 2: shards driven from four real threads, counters
