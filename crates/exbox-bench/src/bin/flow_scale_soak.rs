@@ -2,8 +2,7 @@
 //! [`exbox_traffic::ScaledWorkload`] flash-crowd stream through a
 //! `Middlebox` and assert the process peak RSS stayed under a
 //! ceiling. Guards the streaming contract — memory O(users +
-//! concurrent flows), never O(total events) — without needing the
-//! full bench run.
+//! concurrent flows), never O(total events).
 //!
 //! ```sh
 //! cargo run --release -p exbox-bench --bin flow_scale_soak -- \

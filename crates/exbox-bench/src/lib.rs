@@ -1,11 +1,12 @@
-//! # exbox-bench — figure regeneration and benchmark harness
+//! # exbox-bench — figure regeneration binaries
 //!
 //! One binary per table/figure in the paper's evaluation (see
-//! `DESIGN.md` §4 for the experiment index), plus Criterion benches
-//! for the §5.3 latency study and `ablation_*` binaries for the
-//! design choices DESIGN.md calls out. Every binary prints a CSV
-//! series matching the paper's axes to stdout and progress notes to
-//! stderr; `EXPERIMENTS.md` records paper-vs-measured shape for each.
+//! `DESIGN.md` §4 for the experiment index; the §5.3 latency study is
+//! `sec53_latency`), plus `ablation_*` binaries for the design choices
+//! DESIGN.md calls out. Every binary prints a CSV series matching the
+//! paper's axes to stdout and progress notes to stderr;
+//! `EXPERIMENTS.md` records paper-vs-measured shape for each.
+//! Performance numbers come from the ledger in `bench/`, not from here.
 //!
 //! Run e.g.:
 //! ```sh
@@ -190,127 +191,6 @@ pub fn print_series(pattern: &str, name: &str, report: &exbox_testbed::EvalRepor
 /// audit alongside each figure's CSV.
 pub fn dump_metrics() {
     eprintln!("{}", exbox_obs::global().snapshot().render());
-}
-
-// ---- latency-bench harness ------------------------------------------
-//
-// The two `benches/` binaries share this machinery: a scenario is
-// measured into a `BenchRecord`, and the collected records are
-// emitted either as the historical CSV (default) or as a JSON
-// document keyed by scenario name, which `scripts/bench_compare.sh`
-// diffs against the committed `BENCH_BASELINE.json`.
-
-/// One measured benchmark scenario: nanosecond latency quantiles over
-/// `reps` recorded runs.
-#[derive(Debug, Clone)]
-pub struct BenchRecord {
-    /// Scenario name, e.g. `smo_rbf/200`.
-    pub name: String,
-    /// Problem size (samples, flows, …) the scenario ran at.
-    pub n: usize,
-    /// Recorded repetitions.
-    pub reps: u32,
-    /// Mean latency in ns.
-    pub mean_ns: f64,
-    /// Median latency in ns.
-    pub p50_ns: f64,
-    /// 95th-percentile latency in ns.
-    pub p95_ns: f64,
-    /// Worst recorded latency in ns.
-    pub max_ns: f64,
-}
-
-/// Command-line switches shared by the bench binaries.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BenchArgs {
-    /// Emit a JSON document instead of CSV (`--json`).
-    pub json: bool,
-    /// Reduced sizes/repetitions for CI smoke runs (`--quick`).
-    pub quick: bool,
-}
-
-/// Parse `--json` / `--quick` from the process arguments; anything
-/// else aborts with a usage note (benches take no positional args).
-pub fn bench_args() -> BenchArgs {
-    let mut args = BenchArgs::default();
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--json" => args.json = true,
-            "--quick" => args.quick = true,
-            // `cargo bench` appends this to every harness invocation.
-            "--bench" => {}
-            other => {
-                eprintln!("unknown argument `{other}` (expected --json / --quick)");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-/// Run `f` `warmup` times unrecorded, then `reps` recorded times,
-/// returning the latency record. `bounds` picks the histogram
-/// resolution (decisions are tens of ns, training runs are ms — one
-/// bucket layout cannot serve both).
-pub fn measure(
-    name: impl Into<String>,
-    n: usize,
-    warmup: u32,
-    reps: u32,
-    bounds: &[f64],
-    mut f: impl FnMut(),
-) -> BenchRecord {
-    for _ in 0..warmup {
-        f();
-    }
-    let hist = exbox_obs::Histogram::new(bounds);
-    for _ in 0..reps {
-        let ((), ns) = exbox_obs::time_ns(&mut f);
-        hist.record(ns);
-    }
-    let s = hist.snapshot();
-    BenchRecord {
-        name: name.into(),
-        n,
-        reps,
-        mean_ns: s.mean(),
-        p50_ns: s.quantile(0.50),
-        p95_ns: s.quantile(0.95),
-        max_ns: s.max,
-    }
-}
-
-/// Emit collected records: CSV rows (`name,n,reps,mean_ns,p50_ns,
-/// p95_ns,max_ns`) by default, or — with `--json` — one JSON object
-/// `{"bench": …, "scenarios": {name: {…}}}` for `bench_compare.sh`.
-pub fn emit_records(bench: &str, records: &[BenchRecord], args: BenchArgs) {
-    if args.json {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"bench\":\"{bench}\",\"quick\":{},\"scenarios\":{{",
-            args.quick
-        ));
-        for (i, r) in records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"n\":{},\"reps\":{},\"mean_ns\":{:.0},\"p50_ns\":{:.0},\
-                 \"p95_ns\":{:.0},\"max_ns\":{:.0}}}",
-                r.name, r.n, r.reps, r.mean_ns, r.p50_ns, r.p95_ns, r.max_ns
-            ));
-        }
-        out.push_str("}}");
-        println!("{out}");
-    } else {
-        println!("name,n,reps,mean_ns,p50_ns,p95_ns,max_ns");
-        for r in records {
-            println!(
-                "{},{},{},{:.0},{:.0},{:.0},{:.0}",
-                r.name, r.n, r.reps, r.mean_ns, r.p50_ns, r.p95_ns, r.max_ns
-            );
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Streamed large-population soak driver (shared by the `flow_scale`
-//! bench and the `flow_scale_soak` CI binary).
+//! Streamed large-population soak driver (behind the
+//! `flow_scale_soak` CI binary).
 //!
 //! Drives a [`ScaledWorkload`] event stream — 10⁵–10⁶ users, never
 //! materialised — through a single [`Middlebox`]: every arrival

@@ -35,10 +35,9 @@
 //!   bit-stable so the cache can reuse them. Off by default: the
 //!   per-retrain refit matches the paper's batch procedure exactly.
 //! * Gram evaluation routes through the lane-blocked engine of
-//!   DESIGN.md §6 when the `simd` feature (or
-//!   `EXBOX_KERNEL_ENGINE=lanes`) selects it — bit-identical to the
-//!   scalar path by the ordered-reduction contract, so cached, SIMD
-//!   and cold scalar retrains all produce the same model bits.
+//!   DESIGN.md §6 when the `simd` feature selects it — bit-identical
+//!   to the scalar path by the ordered-reduction contract, so cached,
+//!   SIMD and cold scalar retrains all produce the same model bits.
 //!
 //! ## Serving fast path
 //!

@@ -31,10 +31,11 @@
 //!
 //! [`TimerWheel`] is a hierarchical timer wheel over poll ticks:
 //! flows carry a next-evaluation deadline, so an incremental poll
-//! visits only the flows due this window — O(due), not O(all) — which
-//! is what turns the 100k-flow steady-state poll from milliseconds
-//! into microseconds (`PollSteady/{scan,wheel}` in
-//! `benches/flow_scale.rs`).
+//! visits only the flows due this window — O(due), not O(all). The
+//! ledger's `flash_state` workload (`bench/`) measures it end to end
+//! — each step is an executed poll over ≈3 × 10⁴ live flows — and the
+//! `core.flowtable.wheel_schedule_ns` / `wheel_advance_ns_per_due`
+//! probes give the per-layer cost.
 
 use std::collections::VecDeque;
 

@@ -44,8 +44,7 @@
 //!   verdicts merged back into one globally-ordered stream that is
 //!   byte-identical to sequential driving (see [`pipeline`]).
 //!
-//! Shard count comes from [`GatewayConfig::shards`] or the
-//! `EXBOX_SHARDS` environment knob ([`GatewayConfig::from_env`]). A
+//! Shard count is the [`GatewayConfig::shards`] field. A
 //! 1-shard gateway *is* the single-threaded middlebox with the model
 //! pinned instead of owned: same verdicts, poll outputs, decision log
 //! and counters on the same trace (asserted in
@@ -102,15 +101,6 @@ pub(crate) fn route(key: &FlowKey, shards: usize) -> usize {
     (crate::flowtable::hash_flow_key(key) % shards as u64) as usize
 }
 
-/// Environment knob selecting the shard count (positive integer).
-pub const SHARDS_ENV: &str = "EXBOX_SHARDS";
-
-/// Environment knob selecting the pipeline's ingress batch size
-/// (positive integer): how many packets a worker drains per pass and
-/// the dispatcher's ring-publish stride; ingress rings hold four
-/// batches.
-pub const BATCH_ENV: &str = "EXBOX_BATCH";
-
 /// Gateway assembly knobs.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
@@ -144,32 +134,6 @@ impl Default for GatewayConfig {
     }
 }
 
-impl GatewayConfig {
-    /// Defaults, with the shard count overridden by `EXBOX_SHARDS` and
-    /// the ingress batch size by `EXBOX_BATCH`, each when set to a
-    /// positive integer (anything else warns on stderr and is ignored,
-    /// like every other `EXBOX_*` knob).
-    pub fn from_env() -> Self {
-        let var = |name| std::env::var(name).ok();
-        Self::from_knobs(var(SHARDS_ENV).as_deref(), var(BATCH_ENV).as_deref())
-    }
-
-    /// [`from_env`](Self::from_env) on the knobs' raw values (`None`
-    /// when unset).
-    fn from_knobs(shards: Option<&str>, batch: Option<&str>) -> Self {
-        let positive =
-            |name, raw: Option<&str>| exbox_par::parse_env_knob::<usize>(name, raw?, |n| *n >= 1);
-        let mut cfg = Self::default();
-        if let Some(n) = positive(SHARDS_ENV, shards) {
-            cfg.shards = n;
-        }
-        if let Some(n) = positive(BATCH_ENV, batch) {
-            cfg.batch = n;
-        }
-        cfg
-    }
-}
-
 /// The sharded serving layer plus its background trainer.
 ///
 /// Three driving styles:
@@ -185,9 +149,10 @@ impl GatewayConfig {
 ///   the gateway itself; packets are routed to their owner shard
 ///   in-line. Deterministic — replaying a trace yields the same
 ///   verdict multiset for any shard count.
-/// - **Concurrent** (benchmarks, real deployments): move the shards
-///   out with [`take_shards`](Self::take_shards) and drive each from
-///   its own thread (a shard is `Send`, methods take `&mut self`).
+/// - **Concurrent** (today only the ThreadSanitizer suites in
+///   `tests/gateway_concurrent.rs`): move the shards out with
+///   [`take_shards`](Self::take_shards) and drive each from its own
+///   thread (a shard is `Send`, methods take `&mut self`).
 ///   The gateway keeps the registries, snapshot cell and trainer, so
 ///   [`merged_metrics`](Self::merged_metrics), checkpointing and
 ///   shutdown still work while the shards are out.
@@ -665,32 +630,5 @@ impl ConcurrentGateway {
     /// snapshot after shutdown.
     pub fn shutdown(&mut self) -> Option<AdmittanceClassifier> {
         self.trainer.take().map(TrainerHandle::shutdown)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn malformed_env_knobs_are_ignored_not_fatal() {
-        let defaults = GatewayConfig::default();
-        let read = |shards, batch| {
-            let cfg = GatewayConfig::from_knobs(shards, batch);
-            (cfg.shards, cfg.batch)
-        };
-        assert_eq!(read(None, None), (defaults.shards, defaults.batch));
-        assert_eq!(read(Some(" 4 "), Some("128\n")), (4, 128));
-        // Zero, signs, units, overflow, blanks: each knob falls back to
-        // its default on its own, the other one still applies.
-        for bad in ["0", "-2", "+", "4 shards", "four", "", "  ", "1e3"] {
-            assert_eq!(read(Some(bad), Some("32")), (defaults.shards, 32));
-            assert_eq!(read(Some("2"), Some(bad)), (2, defaults.batch));
-        }
-        let huge = "99999999999999999999999999";
-        assert_eq!(
-            read(Some(huge), Some(huge)),
-            (defaults.shards, defaults.batch)
-        );
     }
 }

@@ -35,9 +35,9 @@
 //!   `EXBOX_FAULTS` knob) and the bounded retrain backoff behind the
 //!   middlebox's degraded-mode policy.
 //! * [`gateway`] — the concurrent serving layer: flow-hash sharding
-//!   (`EXBOX_SHARDS`), lock-free epoch-stamped model snapshots, and a
-//!   background trainer that keeps retraining and checkpointing off
-//!   the packet path.
+//!   (`GatewayConfig::shards`), lock-free epoch-stamped model
+//!   snapshots, and a background trainer that keeps retraining and
+//!   checkpointing off the packet path.
 //! * [`flowtable`] — the million-flow state layer: slab-backed
 //!   [`flowtable::FlowMap`] with stable slots and insertion-order
 //!   iteration, the generation-stamped [`flowtable::RejectedRing`],

@@ -49,7 +49,7 @@
 //! [`ConcurrentGateway`](crate::gateway::ConcurrentGateway) whose
 //! trainer runs inline — by construction, not by mirroring; what this
 //! module adds on top of the engine is the checkpoint/restore surface.
-//! The single-threaded API is *not* deprecated: benches, the DES
+//! The single-threaded API is *not* deprecated: the soak, the DES
 //! simulator and the figure pipeline keep using it.
 
 use std::io::{self, Read, Write};

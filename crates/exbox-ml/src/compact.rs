@@ -28,9 +28,8 @@
 //! or the lane-blocked SIMD form in [`crate::engine`] — and, for the
 //! `Lanes` engine, precomputes a feature-major copy of the
 //! support-vector buffer. Both engines are bit-identical (that is the
-//! [`crate::engine`] determinism contract), so the choice is purely a
-//! latency knob: `simd` builds default to `Lanes`, and
-//! `EXBOX_KERNEL_ENGINE=scalar|lanes` overrides at runtime.
+//! [`crate::engine`] determinism contract), so the choice only moves
+//! latency: `simd` builds use `Lanes`, every other build `Scalar`.
 
 use crate::engine::{self, KernelEngine};
 use crate::kernel::{dot, Kernel};
@@ -109,16 +108,15 @@ impl CompactSvm {
     /// Lossless conversion: prunes only exactly-zero coefficients and
     /// collapses the linear kernel. Kernel-expansion decisions
     /// (RBF / polynomial) are bit-exact with the source model. The
-    /// kernel engine is chosen by [`KernelEngine::select`] (the `simd`
-    /// feature default, overridable via `EXBOX_KERNEL_ENGINE`).
+    /// kernel engine is chosen by [`KernelEngine::select`] (`Lanes`
+    /// iff the `simd` feature is on).
     pub fn from_model(model: &SvmModel) -> Self {
         Self::convert(model, 0.0, KernelEngine::select())
     }
 
     /// [`CompactSvm::from_model`] with an explicit engine, bypassing
-    /// feature/environment selection — benchmarks use this to measure
-    /// scalar and lane-blocked evaluation of the *same* model side by
-    /// side.
+    /// the feature selection — the bit-identity tests use this to
+    /// evaluate the *same* model under both engines on any build.
     pub fn from_model_with_engine(model: &SvmModel, engine: KernelEngine) -> Self {
         Self::convert(model, 0.0, engine)
     }

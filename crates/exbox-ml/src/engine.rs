@@ -50,10 +50,10 @@
 //! engine is never approximated — it is the reference.
 //!
 //! Engine choice is made once, at model-compaction time (see
-//! [`crate::compact::CompactSvm::from_model`]): the default is `Lanes`
-//! when the `simd` feature is enabled and `Scalar` otherwise, and the
-//! `EXBOX_KERNEL_ENGINE` environment variable (`scalar` / `lanes`)
-//! overrides the default at runtime for A/B measurement.
+//! [`crate::compact::CompactSvm::from_model`]): `Lanes` when the
+//! `simd` feature is enabled and `Scalar` otherwise. Code that needs a
+//! particular engine whatever the build (the bit-identity tests) forces
+//! it with [`crate::compact::CompactSvm::from_model_with_engine`].
 
 use crate::kernel::{dot, Kernel};
 
@@ -77,28 +77,17 @@ pub enum KernelEngine {
 }
 
 impl KernelEngine {
-    /// The engine compaction selects by default: honours the
-    /// `EXBOX_KERNEL_ENGINE` environment variable (`scalar` or
-    /// `lanes`; unknown values are ignored), then falls back to
-    /// `Lanes` iff the `simd` cargo feature is enabled.
+    /// The engine compaction selects by default: `Lanes` iff the
+    /// `simd` cargo feature is enabled.
     pub fn select() -> Self {
-        match std::env::var("EXBOX_KERNEL_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("scalar") => KernelEngine::Scalar,
-            Ok(v) if v.eq_ignore_ascii_case("lanes") || v.eq_ignore_ascii_case("simd") => {
-                KernelEngine::Lanes
-            }
-            _ => {
-                if cfg!(feature = "simd") {
-                    KernelEngine::Lanes
-                } else {
-                    KernelEngine::Scalar
-                }
-            }
+        if cfg!(feature = "simd") {
+            KernelEngine::Lanes
+        } else {
+            KernelEngine::Scalar
         }
     }
 
-    /// Stable lower-case name (`"scalar"` / `"lanes"`), matching the
-    /// values `EXBOX_KERNEL_ENGINE` accepts.
+    /// Stable lower-case name (`"scalar"` / `"lanes"`).
     pub fn name(self) -> &'static str {
         match self {
             KernelEngine::Scalar => "scalar",
@@ -599,16 +588,10 @@ mod tests {
 
     #[test]
     fn select_honours_feature_default() {
-        // Can't mutate the environment safely in a threaded test
-        // runner; just pin the feature-driven default.
-        if std::env::var_os("EXBOX_KERNEL_ENGINE").is_none() {
-            let want = if cfg!(feature = "simd") {
-                KernelEngine::Lanes
-            } else {
-                KernelEngine::Scalar
-            };
-            assert_eq!(KernelEngine::select(), want);
-        }
+        assert_eq!(
+            KernelEngine::select() == KernelEngine::Lanes,
+            cfg!(feature = "simd")
+        );
         assert_eq!(KernelEngine::Scalar.name(), "scalar");
         assert_eq!(KernelEngine::Lanes.name(), "lanes");
     }

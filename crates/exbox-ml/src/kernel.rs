@@ -141,8 +141,7 @@ pub fn gram_matrix(
 /// products per pass over the query. The lanes build is
 /// **bit-identical** to the scalar build on every configuration — the
 /// training path never takes the `fast-math` approximation — so the
-/// engine choice is purely a throughput knob (benchmarked as
-/// `GramBuild/{scalar,simd}`).
+/// engine choice can only move throughput.
 pub fn gram_matrix_with_engine(
     kernel: Kernel,
     data: &crate::data::Dataset,

@@ -789,8 +789,8 @@ impl PersistentKernelCache {
     }
 
     /// Keep only the first `keep` rows (no-op when `keep >= len`).
-    /// Shrinks the Gram in place; used by benches and tests to replay
-    /// an append without refeeding a store.
+    /// Shrinks the Gram in place; also lets tests replay an append
+    /// without refeeding a store.
     pub fn truncate(&mut self, keep: usize) {
         if keep >= self.n {
             return;

@@ -31,12 +31,6 @@
 //! when e.g. a parallel cross-validation fold trains an SVM whose
 //! Gram build is itself parallel).
 //!
-//! Alongside the scoped fork/join pool there is a **persistent
-//! work-queue mode**, [`WorkerPool`]: long-lived workers with
-//! per-worker FIFO queues, used by the concurrent gateway to give
-//! every shard a dedicated serving thread (jobs for one shard never
-//! migrate, so shard state needs no locking beyond the queue).
-//!
 //! ## Example
 //!
 //! ```
@@ -48,29 +42,10 @@
 //! ```
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use exbox_obs::Counter;
-
-/// cfg-selected sync layer for the [`WorkerPool`] job queues: `std` by
-/// default, the `exbox-loom` shims under `--cfg exbox_loom` so the
-/// queue protocol (submit → pop → execute → barrier) is exhaustively
-/// model-checked. The scoped fork/join [`ThreadPool`] stays on plain
-/// `std`: scoped threads are joined before `parallel_map` returns, so
-/// there is no cross-call protocol to model.
-mod sync {
-    #[cfg(not(exbox_loom))]
-    pub(crate) use std::sync::{Condvar, Mutex};
-    #[cfg(not(exbox_loom))]
-    pub(crate) use std::thread;
-
-    #[cfg(exbox_loom)]
-    pub(crate) use exbox_loom::sync::{Condvar, Mutex};
-    #[cfg(exbox_loom)]
-    pub(crate) use exbox_loom::thread;
-}
 
 thread_local! {
     /// Set while the current thread is an exbox-par worker; nested
@@ -274,305 +249,6 @@ impl Default for ThreadPool {
     }
 }
 
-/// A boxed unit of work for a [`WorkerPool`] worker.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-enum WorkerMsg {
-    Run(Job),
-    Shutdown,
-}
-
-impl std::fmt::Debug for WorkerMsg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            WorkerMsg::Run(_) => "Run",
-            WorkerMsg::Shutdown => "Shutdown",
-        })
-    }
-}
-
-#[derive(Debug)]
-struct QueueState {
-    jobs: VecDeque<WorkerMsg>,
-    /// `Run` jobs enqueued so far (monotone; drives [`JobQueue::wait_executed`]).
-    submitted: u64,
-    /// `Run` jobs completed so far (monotone).
-    executed: u64,
-    /// Set when the worker exits — clean shutdown or a panicking job —
-    /// so later submits fail fast instead of queueing to nobody.
-    closed: bool,
-}
-
-/// One worker's FIFO job queue, on the cfg-selected [`sync`] layer so
-/// the whole submit/pop/barrier protocol is model-checkable under
-/// `--cfg exbox_loom` (see the `loom_models` test module).
-///
-/// Replaces the per-worker `std::sync::mpsc` channel the pool used
-/// before PR 9: same FIFO and disconnect semantics, but every blocking
-/// edge is an explorable switch point, and the drain barrier is a
-/// counter comparison instead of an ack channel — `barrier` waits
-/// until each queue has *executed* everything *submitted* before the
-/// call, and panics (like the old `recv().expect`) if a worker died
-/// with jobs still owed.
-#[derive(Debug)]
-struct JobQueue {
-    state: sync::Mutex<QueueState>,
-    /// Wakes the worker: a new message is queued.
-    ready: sync::Condvar,
-    /// Wakes `barrier` callers: a job finished or the worker exited.
-    drained: sync::Condvar,
-}
-
-impl JobQueue {
-    fn new() -> Self {
-        JobQueue {
-            state: sync::Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                submitted: 0,
-                executed: 0,
-                closed: false,
-            }),
-            ready: sync::Condvar::new(),
-            drained: sync::Condvar::new(),
-        }
-    }
-
-    /// Enqueue a message; `false` once the worker is gone.
-    fn push(&self, msg: WorkerMsg) -> bool {
-        let mut st = self.state.lock().expect("worker queue poisoned");
-        if st.closed {
-            return false;
-        }
-        if matches!(msg, WorkerMsg::Run(_)) {
-            st.submitted += 1;
-        }
-        st.jobs.push_back(msg);
-        drop(st);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Blocking dequeue (worker side).
-    fn pop(&self) -> WorkerMsg {
-        let mut st = self.state.lock().expect("worker queue poisoned");
-        loop {
-            if let Some(msg) = st.jobs.pop_front() {
-                return msg;
-            }
-            st = self.ready.wait(st).expect("worker queue poisoned");
-        }
-    }
-
-    /// Worker-side: one `Run` job finished.
-    fn job_done(&self) {
-        let mut st = self.state.lock().expect("worker queue poisoned");
-        st.executed += 1;
-        drop(st);
-        self.drained.notify_all();
-    }
-
-    /// Worker-side: the worker is exiting (normally or unwinding).
-    fn close(&self) {
-        let mut st = self.state.lock().expect("worker queue poisoned");
-        st.closed = true;
-        drop(st);
-        self.drained.notify_all();
-    }
-
-    /// `Run` jobs submitted so far (the barrier's drain target).
-    fn submitted(&self) -> u64 {
-        self.state.lock().expect("worker queue poisoned").submitted
-    }
-
-    /// Block until `executed >= target`.
-    ///
-    /// # Panics
-    /// Panics if the worker exits before reaching `target` — a job
-    /// panicked and the jobs owed to the barrier will never run.
-    fn wait_executed(&self, target: u64) {
-        let mut st = self.state.lock().expect("worker queue poisoned");
-        while st.executed < target {
-            assert!(!st.closed, "worker died before barrier");
-            st = self.drained.wait(st).expect("worker queue poisoned");
-        }
-    }
-}
-
-/// Closes the owning queue when the worker exits, even by unwinding.
-struct CloseOnExit(Arc<JobQueue>);
-
-impl Drop for CloseOnExit {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-/// The persistent work-queue mode: long-lived worker threads, each
-/// with its own FIFO queue, addressed by index.
-///
-/// Where [`ThreadPool`] forks scoped workers per call and joins them
-/// before returning (right for fork/join maps like the Gram build),
-/// `WorkerPool` keeps its threads alive across submissions — the shape
-/// the concurrent gateway's shard serving loop needs: shard `i`'s
-/// packets always go to queue `i % workers`, so one shard's state is
-/// only ever touched from one worker thread and jobs for the same
-/// shard run in submission order. [`WorkerPool::barrier`] waits until
-/// every queue has drained past the jobs submitted so far.
-///
-/// Dropping the pool shuts the workers down and joins them. A job
-/// that panics poisons nothing here, but the panic is re-raised on
-/// the pool thread's join during drop (fail fast, never silently lose
-/// work).
-///
-/// Like the rest of this crate: cfg-selected locks and threads only
-/// (`std` outside model builds), no `unsafe`.
-#[derive(Debug)]
-pub struct WorkerPool {
-    queues: Vec<Arc<JobQueue>>,
-    handles: Vec<sync::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawn `workers` long-lived worker threads (at least one), each
-    /// owning one FIFO job queue.
-    ///
-    /// # Panics
-    /// Panics if `workers == 0`.
-    pub fn new(workers: usize) -> Self {
-        assert!(workers > 0, "worker pool needs at least one worker");
-        let mut queues = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let queue = Arc::new(JobQueue::new());
-            let worker_queue = Arc::clone(&queue);
-            let handle = sync::thread::Builder::new()
-                .name(format!("exbox-worker-{i}"))
-                .spawn(move || {
-                    IN_POOL.with(|flag| flag.set(true));
-                    let _closer = CloseOnExit(Arc::clone(&worker_queue));
-                    while let WorkerMsg::Run(job) = worker_queue.pop() {
-                        tasks_counter().inc();
-                        job();
-                        worker_queue.job_done();
-                    }
-                })
-                .expect("failed to spawn worker thread");
-            queues.push(queue);
-            handles.push(handle);
-        }
-        WorkerPool { queues, handles }
-    }
-
-    /// Number of worker threads (and queues).
-    pub fn workers(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Enqueue `job` on worker `worker % workers`. Jobs submitted to
-    /// the same worker run on the same thread, in submission order.
-    pub fn submit(&self, worker: usize, job: impl FnOnce() + Send + 'static) {
-        let idx = worker % self.queues.len();
-        assert!(
-            self.queues[idx].push(WorkerMsg::Run(Box::new(job))),
-            "worker thread gone"
-        );
-    }
-
-    /// Block until every worker has finished all jobs submitted before
-    /// this call (a drain barrier, not a shutdown).
-    pub fn barrier(&self) {
-        // Snapshot every drain target first, then wait: a job that
-        // submits to a *later* queue while we wait on an earlier one
-        // must not extend the barrier.
-        let targets: Vec<u64> = self.queues.iter().map(|q| q.submitted()).collect();
-        for (q, target) in self.queues.iter().zip(targets) {
-            q.wait_executed(target);
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        for q in &self.queues {
-            // A worker that already died (panicked job) has closed its
-            // queue; the join below re-raises its panic.
-            let _ = q.push(WorkerMsg::Shutdown);
-        }
-        for handle in self.handles.drain(..) {
-            if let Err(panic) = handle.join() {
-                if !std::thread::panicking() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        }
-    }
-}
-
-/// Interleaving models for the [`WorkerPool`] queue protocol. Only
-/// built under `--cfg exbox_loom`; run with
-/// `RUSTFLAGS='--cfg exbox_loom' cargo test -p exbox-par --lib`.
-#[cfg(all(test, exbox_loom))]
-mod loom_models {
-    use super::*;
-
-    /// Submit → barrier against one worker: the barrier must not
-    /// return before every submitted job executed, under every
-    /// interleaving of the submitter and the worker.
-    #[test]
-    fn barrier_observes_all_prior_jobs() {
-        exbox_loom::model(|| {
-            let pool = WorkerPool::new(1);
-            let hits = Arc::new(Mutex::new(0u32));
-            for _ in 0..2 {
-                let hits = Arc::clone(&hits);
-                pool.submit(0, move || {
-                    *hits.lock().unwrap() += 1;
-                });
-            }
-            pool.barrier();
-            assert_eq!(*hits.lock().unwrap(), 2, "barrier returned early");
-            drop(pool);
-        });
-    }
-
-    /// Two workers, one job each: jobs never migrate queues, each runs
-    /// exactly once, and pool drop joins both workers cleanly in every
-    /// schedule.
-    #[test]
-    fn two_workers_run_disjoint_jobs_once() {
-        exbox_loom::model(|| {
-            let pool = WorkerPool::new(2);
-            let hits = Arc::new(Mutex::new([0u32; 2]));
-            for w in 0..2 {
-                let hits = Arc::clone(&hits);
-                pool.submit(w, move || {
-                    hits.lock().unwrap()[w] += 1;
-                });
-            }
-            pool.barrier();
-            assert_eq!(*hits.lock().unwrap(), [1, 1]);
-            drop(pool);
-        });
-    }
-
-    /// Dropping the pool with a job still queued: the job runs before
-    /// the shutdown message (FIFO), never lost.
-    #[test]
-    fn drop_drains_queued_jobs() {
-        exbox_loom::model(|| {
-            let ran = Arc::new(Mutex::new(false));
-            {
-                let pool = WorkerPool::new(1);
-                let ran = Arc::clone(&ran);
-                pool.submit(0, move || {
-                    *ran.lock().unwrap() = true;
-                });
-            }
-            assert!(*ran.lock().unwrap(), "queued job lost on drop");
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,84 +340,6 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn zero_threads_panics() {
         let _ = ThreadPool::new(0);
-    }
-
-    #[test]
-    fn worker_pool_runs_jobs_in_submission_order_per_worker() {
-        let pool = WorkerPool::new(2);
-        let log: Arc<Mutex<Vec<(usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
-        for seq in 0..50usize {
-            for worker in 0..2usize {
-                let log = Arc::clone(&log);
-                pool.submit(worker, move || {
-                    log.lock().unwrap().push((worker, seq));
-                });
-            }
-        }
-        pool.barrier();
-        let log = log.lock().unwrap();
-        for worker in 0..2usize {
-            let seqs: Vec<usize> = log
-                .iter()
-                .filter(|(w, _)| *w == worker)
-                .map(|&(_, s)| s)
-                .collect();
-            assert_eq!(
-                seqs,
-                (0..50).collect::<Vec<_>>(),
-                "worker {worker} reordered"
-            );
-        }
-    }
-
-    #[test]
-    fn worker_pool_pins_a_worker_index_to_one_thread() {
-        let pool = WorkerPool::new(3);
-        let ids: Arc<Mutex<Vec<std::thread::ThreadId>>> = Arc::new(Mutex::new(Vec::new()));
-        for _ in 0..20 {
-            let ids = Arc::clone(&ids);
-            pool.submit(1, move || {
-                ids.lock().unwrap().push(std::thread::current().id());
-            });
-        }
-        pool.barrier();
-        let ids = ids.lock().unwrap();
-        assert_eq!(ids.len(), 20);
-        assert!(ids.iter().all(|&id| id == ids[0]), "jobs migrated threads");
-    }
-
-    #[test]
-    fn worker_pool_barrier_waits_for_all_queues() {
-        let pool = WorkerPool::new(4);
-        let done = Arc::new(AtomicU64::new(0));
-        for worker in 0..4usize {
-            let done = Arc::clone(&done);
-            pool.submit(worker, move || {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                done.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        pool.barrier();
-        assert_eq!(done.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn worker_pool_nested_parallel_map_runs_inline() {
-        // A fork/join map issued from a worker must not spawn more
-        // threads (IN_POOL is set on workers).
-        let pool = WorkerPool::new(1);
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.submit(0, move || {
-            let out = ThreadPool::new(8).parallel_map(4, |i| i * 2);
-            tx.send(out).unwrap();
-        });
-        assert_eq!(rx.recv().unwrap(), vec![0, 2, 4, 6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one")]
-    fn zero_workers_panics() {
-        let _ = WorkerPool::new(0);
     }
 
     #[test]

@@ -32,9 +32,6 @@ cargo test -q -p exbox-core --lib
 echo "== gateway models under --features simd (satellite: both kernel modes)"
 cargo test -q -p exbox-core --lib --features simd
 
-echo "== worker-pool models (job queue, barrier, drop drain)"
-cargo test -q -p exbox-par --lib
-
 echo "== exbox-obs under the loom cfg (atomics shim compiles + behaves)"
 cargo test -q -p exbox-obs --lib
 

@@ -2,9 +2,9 @@
 //! must make recurring decisions at least 2x faster at the median than
 //! re-running the model every time, without changing a single verdict.
 //!
-//! This is the acceptance gate for the fast-path work; the
-//! `admission_latency` bench measures the same scenario with more
-//! statistical care, and `BENCH_BASELINE.json` records its numbers.
+//! This is the acceptance gate for the fast-path work. What the cache
+//! buys a serving gateway is the ledger's `arrival_storm` workload
+//! (`bench/`): `gateway.shard.cache_hit_ratio` and `decision_p50_us`.
 
 use exbox_core::prelude::*;
 use exbox_ml::Label;

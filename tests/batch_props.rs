@@ -3,10 +3,10 @@
 //! `process_packets` must reach verdicts byte-identical to per-packet
 //! driving — including run-length-cache interactions (bursty streams),
 //! the deferred counter flush, and model snapshots published between
-//! batches. This is the contract that lets operators turn `EXBOX_BATCH`
-//! up or down without ever changing an admission decision — and, since
-//! the multi-core pipeline (DESIGN.md §10), turn `EXBOX_SHARDS` up or
-//! down without changing one either.
+//! batches. This is the contract that lets operators turn
+//! `GatewayConfig::batch` up or down without ever changing an admission
+//! decision — and, since the multi-core pipeline (DESIGN.md §10), turn
+//! `GatewayConfig::shards` up or down without changing one either.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -259,7 +259,7 @@ proptest! {
     /// driving, in verdicts (global ingress order), matrix occupancy
     /// and admissions — for every supported worker count, with
     /// verdicts drained opportunistically mid-stream. This is the
-    /// DESIGN.md §10 determinism contract: `EXBOX_SHARDS` may change
+    /// DESIGN.md §10 determinism contract: the shard count may change
     /// the core count, never a verdict.
     #[test]
     fn pipeline_equals_sequential_for_any_split(

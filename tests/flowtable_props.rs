@@ -11,7 +11,7 @@
 //! * A timer-wheel middlebox (`poll_wheel: true`) must return verdicts
 //!   identical to the full-scan middlebox (`poll_wheel: false`) over any
 //!   interleaving of arrivals, QoS reports, departures and polls — the
-//!   contract that makes `EXBOX_POLL_WHEEL` a pure performance knob.
+//!   scan path is kept as the reference the wheel is checked against.
 
 use std::collections::{HashMap, VecDeque};
 

@@ -148,7 +148,7 @@ fn verdict_csv(shards: usize, seed: u64) -> String {
 /// disabled), for several seeds.
 #[test]
 fn verdicts_are_shard_count_invariant() {
-    for seed in [1u64, 7, 42, 1234] {
+    for seed in [1u64, 7, 42, 99, 1234] {
         let reference = verdict_csv(1, seed);
         assert!(
             reference.contains("admit") && reference.contains("reject"),
@@ -162,21 +162,6 @@ fn verdicts_are_shard_count_invariant() {
             );
         }
     }
-}
-
-/// The `EXBOX_SHARDS` knob (CI re-runs this suite with 1/2/4/8): the
-/// env-selected shard count must reproduce the 1-shard verdict CSV
-/// byte for byte.
-#[test]
-fn env_configured_shard_count_matches_reference() {
-    let cfg = GatewayConfig::from_env();
-    assert!(cfg.shards >= 1);
-    assert_eq!(
-        verdict_csv(cfg.shards, 99),
-        verdict_csv(1, 99),
-        "EXBOX_SHARDS={} diverged from the 1-shard reference",
-        cfg.shards
-    );
 }
 
 /// A 1-shard gateway *is* the single-threaded middlebox with the
