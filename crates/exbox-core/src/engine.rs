@@ -29,14 +29,24 @@
 //! a poll revokes or the flow departs, neither of which can run inside
 //! a batch, so (1) can never serve a stale verdict.
 //!
-//! ## Revocation forgets the classification
+//! ## One owner per flow, one hash per packet
 //!
-//! A flow leaves the admitted set by departing or by being revoked;
-//! both paths — like arrival rejection — drop its early-classifier
-//! record. Otherwise a revoked flow whose rejection record is later
-//! evicted from the bounded ring would be forwarded forever: still
-//! "classified", so never re-decided, yet neither admitted (metered,
-//! in the matrix) nor rejected.
+//! A flow the engine knows is in exactly one place: a half-filled
+//! window in the early classifier, the admitted-flow map, or the
+//! rejected ring. The classifier hands a flow over the moment its
+//! window completes and keeps nothing
+//! ([`EarlyClassifier::observe`]); [`FlowEngine::decide`] files it as
+//! admitted or rejected; a revocation moves it from the map to the
+//! ring; a departure, or eviction from the bounded ring, forgets it
+//! altogether. A revoked flow whose rejection record is later evicted
+//! is therefore simply unknown again — classified and decided afresh,
+//! never forwarded on a stale classification.
+//!
+//! The ring and the map are indexed by the same seedless
+//! [`hash_flow_key`], so a probe, a decision, a departure or a
+//! revocation computes it once and hands it to both; the classifier
+//! keys its own secret hash, and only for packets of flows neither
+//! table knows.
 
 use std::fmt;
 use std::sync::Arc;
@@ -46,7 +56,7 @@ use exbox_net::{AppClass, Duration, EarlyClassifier, FlowKey, Instant, Packet, Q
 use exbox_obs::{buckets, Counter, EventRing, Gauge, Histogram, MetricsRegistry};
 
 use crate::admittance::Phase;
-use crate::flowtable::{FlowMap, FlowSlot, RejectedRing, TimerWheel};
+use crate::flowtable::{hash_flow_key, FlowMap, FlowSlot, RejectedRing, TimerWheel};
 use crate::matrix::{FlowKind, SnrLevel, TrafficMatrix};
 use crate::qoe::QoeEstimator;
 use crate::recovery::{FaultKind, FaultPlan};
@@ -238,6 +248,12 @@ struct EngineMetrics {
     /// `middlebox.rejected_occupancy` — live records in the bounded
     /// rejected set (capacity pressure made visible).
     rejected_occupancy: Arc<Gauge>,
+    /// `middlebox.classifying_flows` — flows with a classification
+    /// window open, sampled at each executed poll. A flow that sends
+    /// fewer than `classify_window` packets and never departs (DNS, a
+    /// scan) holds its window for good; this gauge is what reports
+    /// them. *Bounding* the table is ROADMAP item 5(b).
+    classifying_flows: Arc<Gauge>,
     /// `recovery.fallback_decisions` — arrival decisions served by the
     /// occupancy baseline because no model was available.
     fallback_decisions: Arc<Counter>,
@@ -263,6 +279,7 @@ impl EngineMetrics {
             polls: reg.counter("middlebox.polls"),
             rejected_evictions: reg.counter("middlebox.rejected_evictions"),
             rejected_occupancy: reg.gauge("middlebox.rejected_occupancy"),
+            classifying_flows: reg.gauge("middlebox.classifying_flows"),
             fallback_decisions: reg.counter("recovery.fallback_decisions"),
             poll_errors: reg.counter("recovery.poll_errors"),
             decision_latency_ns: reg
@@ -291,6 +308,10 @@ struct FlowState {
 #[derive(Debug, Default)]
 pub(crate) struct Run {
     last: Option<(FlowKey, Action)>,
+    /// `hash_flow_key` of the flow the last full probe looked up —
+    /// the packet a `Probe::Classified` is about, so
+    /// [`FlowEngine::decide`] files the flow without hashing again.
+    hash: u64,
     packets: u64,
     drops: u64,
 }
@@ -375,9 +396,12 @@ impl FlowEngine {
     pub(crate) fn probe(&mut self, run: &mut Run, pkt: &Packet) -> Probe {
         run.packets += 1;
         if !matches!(run.last, Some((key, _)) if key == pkt.flow) {
-            run.last = if self.rejected.contains(&pkt.flow) {
+            // One hash serves both tables (and `decide`, if it comes
+            // to that); the classifier keys its own.
+            run.hash = hash_flow_key(&pkt.flow);
+            run.last = if self.rejected.contains_hashed(run.hash, &pkt.flow) {
                 Some((pkt.flow, Action::Drop))
-            } else if self.flows.contains_key(&pkt.flow) {
+            } else if self.flows.contains_hashed(run.hash, &pkt.flow) {
                 Some((pkt.flow, Action::Forward))
             } else {
                 None
@@ -442,12 +466,12 @@ impl FlowEngine {
                     meter: QosMeter::new(),
                     next_eval: u64::MAX,
                 };
-                self.flows.insert(pkt.flow, state);
+                self.flows.insert_hashed(run.hash, pkt.flow, state);
                 self.metrics.admits.inc();
                 (DecisionKind::Admit, Action::Forward)
             }
             Label::Neg => {
-                self.note_rejection(pkt.flow);
+                self.note_rejection(run.hash, pkt.flow);
                 self.metrics.rejects.inc();
                 (DecisionKind::Reject, Action::Drop)
             }
@@ -490,13 +514,13 @@ impl FlowEngine {
     }
 
     /// A flow stops being served (arrival rejection or revocation):
-    /// remember it in the bounded ring so its packets drop, and forget
-    /// its classification so that, once the record is evicted, it is
-    /// classified and decided afresh. Maintains the eviction counter,
-    /// the occupancy gauge and the warn-once capacity-pressure log.
-    fn note_rejection(&mut self, key: FlowKey) {
-        let ins = self.rejected.insert(key);
-        self.early.forget(&key);
+    /// remember it in the bounded ring so its packets drop. The ring
+    /// is all that remembers it — once the record is evicted the flow
+    /// is classified and decided afresh. Maintains the eviction
+    /// counter, the occupancy gauge and the warn-once
+    /// capacity-pressure log. `hash` is `hash_flow_key(&key)`.
+    fn note_rejection(&mut self, hash: u64, key: FlowKey) {
+        let ins = self.rejected.insert_hashed(hash, key);
         self.metrics.rejected_evictions.add(ins.evicted);
         self.metrics
             .rejected_occupancy
@@ -554,17 +578,24 @@ impl FlowEngine {
     /// its kind, if it was admitted, for the caller to take out of the
     /// matrix. Any pending timer-wheel entry goes stale and is skipped
     /// at its tick (the slot's generation no longer resolves).
+    ///
+    /// A flow has one owner at a time (module docs), so the search
+    /// stops at the first table that knew it: the admitted map, else
+    /// the rejected ring, else a half-filled classification window.
     pub(crate) fn flow_departed(&mut self, key: &FlowKey) -> Option<FlowKind> {
-        let kind = self.flows.remove(key).map(|fs| fs.kind);
-        if kind.is_some() {
+        let hash = hash_flow_key(key);
+        if let Some(fs) = self.flows.remove_hashed(hash, key) {
             self.metrics.departures.inc();
+            return Some(fs.kind);
         }
-        self.rejected.remove(key);
-        self.metrics
-            .rejected_occupancy
-            .set(self.rejected.len() as f64);
-        self.early.forget(key);
-        kind
+        if self.rejected.remove_hashed(hash, key) {
+            self.metrics
+                .rejected_occupancy
+                .set(self.rejected.len() as f64);
+        } else {
+            self.early.forget(key);
+        }
+        None
     }
 
     /// Whether `poll_interval` has elapsed since the last executed
@@ -591,6 +622,9 @@ impl FlowEngine {
         }
         self.last_poll = now;
         self.metrics.polls.inc();
+        self.metrics
+            .classifying_flows
+            .set(self.early.classifying_flows() as f64);
         let ((), poll_ns) = exbox_obs::time_ns(|| self.run_poll(src, now, out));
         self.metrics.poll_latency_ns.record(poll_ns);
     }
@@ -674,8 +708,9 @@ impl FlowEngine {
                 };
                 src.remove(kind);
                 matrix.remove(kind);
-                self.flows.remove(&key);
-                self.note_rejection(key);
+                let hash = hash_flow_key(&key);
+                self.flows.remove_hashed(hash, &key);
+                self.note_rejection(hash, key);
                 out.push((key, PollVerdict::Revoke));
                 self.metrics.revokes.inc();
                 self.decisions.push(DecisionEvent {
@@ -889,6 +924,44 @@ mod tests {
             count("middlebox.drops_rejected"),
             after(12) + 3 + after(12) + after(40)
         );
+    }
+
+    #[test]
+    fn abandoned_windows_show_in_the_gauge_until_the_flow_departs() {
+        let reg = MetricsRegistry::new();
+        let mut e = engine(MiddleboxConfig::default(), FaultPlan::disabled(), &reg);
+        let mut src = Scripted::online(8);
+        let gauge = || reg.snapshot().gauge("middlebox.classifying_flows");
+
+        // Three flows stop short of their window (a DNS exchange, a
+        // scan); a fourth completes it and leaves the classifier.
+        for id in [1, 2, 3] {
+            assert_eq!(send(&mut e, &mut src, id, 3), vec![Action::Forward; 3]);
+        }
+        send(&mut e, &mut src, 4, 12);
+        assert_eq!(e.admitted_flows(), 1);
+        assert_eq!(gauge(), Some(0.0), "sampled by polls, not per packet");
+        poll(&mut e, &mut src, 5);
+        assert_eq!(gauge(), Some(3.0));
+
+        // A departure mid-window releases the window; the next
+        // executed poll (not the one inside the interval) reports it.
+        assert_eq!(e.flow_departed(&key(2)), None);
+        poll(&mut e, &mut src, 6);
+        assert_eq!(gauge(), Some(3.0));
+        poll(&mut e, &mut src, 8);
+        assert_eq!(gauge(), Some(2.0));
+        for id in [1, 3] {
+            e.flow_departed(&key(id));
+        }
+        assert_eq!(e.early.classifying_flows(), 0);
+        // Departed means forgotten: flow 2 starts a whole new window.
+        let window = MiddleboxConfig::default().classify_window;
+        assert_eq!(e.admitted_flows(), 1);
+        send(&mut e, &mut src, 2, window - 1);
+        assert_eq!((e.admitted_flows(), e.early.classifying_flows()), (1, 1));
+        send(&mut e, &mut src, 2, 1);
+        assert_eq!((e.admitted_flows(), e.early.classifying_flows()), (2, 0));
     }
 
     #[test]

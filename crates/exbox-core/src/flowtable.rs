@@ -6,8 +6,10 @@
 //! stock `std::collections::HashMap<FlowKey, _>` has three problems:
 //!
 //! 1. SipHash is an order of magnitude slower than needed for a
-//!    fixed-layout 13-byte key that attackers cannot choose (flow
-//!    keys come from the operator's own packet path);
+//!    fixed-layout 13-byte key, and these tables are not where an
+//!    outsider's keys land first: a key enters them only after its
+//!    flow sent a whole classification window and was decided (the
+//!    first-packet table is the early classifier's, which is keyed);
 //! 2. iteration order is unspecified, so every poll had to collect
 //!    and **sort** all keys (O(N log N) plus a fresh allocation) to
 //!    stay deterministic;
@@ -17,7 +19,8 @@
 //! [`FlowMap`] replaces it: a dense slab arena (`Vec` + free list)
 //! holding the flow states, addressed by stable [`FlowSlot`] handles,
 //! indexed by an open-addressed table over [`hash_flow_key`] (an
-//! FxHash-style multiply-xor hash — zero dependencies), and threaded
+//! FxHash-style multiply-xor hash — zero dependencies — that the
+//! caller may compute once and hand to several tables), and threaded
 //! by an intrusive doubly-linked list so iteration is **insertion
 //! order**: deterministic, allocation-free, and independent of
 //! hash-table geometry. Determinism contract (DESIGN.md §6): the
@@ -39,36 +42,13 @@
 
 use std::collections::VecDeque;
 
+/// The seedless FxHash-style flow hash behind every table here and
+/// the gateway's shard routing; defined next to [`FlowKey`].
+pub use exbox_net::hash_flow_key;
 use exbox_net::FlowKey;
 
 /// Absent link / bucket marker for the intrusive lists and the index.
 const NIL: u32 = u32::MAX;
-
-/// FxHash-style hash of a [`FlowKey`]: the 13 significant bytes are
-/// packed into two words and folded with the rotate-xor-multiply step
-/// rustc's own hash tables use, plus a final avalanche so the low
-/// bits (which pick the bucket) depend on every field. Not keyed —
-/// flow keys on a gateway are operator-side data, not attacker-chosen
-/// strings — and an order of magnitude cheaper than SipHash on this
-/// fixed layout.
-#[inline]
-pub fn hash_flow_key(key: &FlowKey) -> u64 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let a = (u32::from(key.client_ip) as u64) << 32 | u32::from(key.server_ip) as u64;
-    let b = (key.client_port as u64) << 24
-        | (key.server_port as u64) << 8
-        | key.protocol.ip_proto() as u64;
-    let mut h = 0u64;
-    h = (h.rotate_left(5) ^ a).wrapping_mul(K);
-    h = (h.rotate_left(5) ^ b).wrapping_mul(K);
-    // Final avalanche (splitmix64 tail): FxHash concentrates entropy
-    // in the high bits, the open-addressed index masks the low ones.
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
 
 /// Stable handle to an occupied [`FlowMap`] slot: an arena index plus
 /// a generation stamp. The index is reused after removal but the
@@ -93,6 +73,10 @@ impl FlowSlot {
 /// Shared by the [`FlowMap`] index (`V = u32` slot index) and the
 /// [`RejectedRing`] index (`V = u64` stamp). Never iterated, so its
 /// bucket order is invisible to the determinism contract.
+///
+/// Every operation takes the key's [`hash_flow_key`] from the caller,
+/// so a caller that asks several tables about one key — the engine
+/// probes the rejected ring, then the flow map — hashes it once.
 #[derive(Debug, Clone)]
 struct FxTable<V: Copy> {
     buckets: Vec<Option<(FlowKey, V)>>,
@@ -113,9 +97,9 @@ impl<V: Copy> FxTable<V> {
     }
 
     #[inline]
-    fn get(&self, key: &FlowKey) -> Option<V> {
+    fn get(&self, hash: u64, key: &FlowKey) -> Option<V> {
         let mask = self.mask();
-        let mut i = (hash_flow_key(key) as usize) & mask;
+        let mut i = (hash as usize) & mask;
         loop {
             match &self.buckets[i] {
                 None => return None,
@@ -125,14 +109,14 @@ impl<V: Copy> FxTable<V> {
         }
     }
 
-    /// Insert or replace; returns the previous value if the key was
-    /// already present.
-    fn insert(&mut self, key: FlowKey, value: V) -> Option<V> {
+    /// Insert unless the key is present; an existing entry is left as
+    /// it is and its value returned.
+    fn insert(&mut self, hash: u64, key: FlowKey, value: V) -> Option<V> {
         if (self.len + 1) * 8 >= self.buckets.len() * 7 {
             self.grow();
         }
         let mask = self.mask();
-        let mut i = (hash_flow_key(&key) as usize) & mask;
+        let mut i = (hash as usize) & mask;
         loop {
             match &mut self.buckets[i] {
                 slot @ None => {
@@ -140,15 +124,15 @@ impl<V: Copy> FxTable<V> {
                     self.len += 1;
                     return None;
                 }
-                Some((k, v)) if *k == key => return Some(std::mem::replace(v, value)),
+                Some((k, v)) if *k == key => return Some(*v),
                 Some(_) => i = (i + 1) & mask,
             }
         }
     }
 
-    fn remove(&mut self, key: &FlowKey) -> Option<V> {
+    fn remove(&mut self, hash: u64, key: &FlowKey) -> Option<V> {
         let mask = self.mask();
-        let mut i = (hash_flow_key(key) as usize) & mask;
+        let mut i = (hash as usize) & mask;
         loop {
             match &self.buckets[i] {
                 None => return None,
@@ -259,24 +243,29 @@ impl<V> FlowMap<V> {
 
     /// True when `key` is stored.
     pub fn contains_key(&self, key: &FlowKey) -> bool {
-        self.index.get(key).is_some()
+        self.contains_hashed(hash_flow_key(key), key)
+    }
+
+    /// [`contains_key`](Self::contains_key) given `hash_flow_key(key)`.
+    pub(crate) fn contains_hashed(&self, hash: u64, key: &FlowKey) -> bool {
+        self.index.get(hash, key).is_some()
     }
 
     /// Shared access by key.
     pub fn get(&self, key: &FlowKey) -> Option<&V> {
-        let idx = self.index.get(key)?;
+        let idx = self.index.get(hash_flow_key(key), key)?;
         self.slots[idx as usize].data.as_ref().map(|(_, v)| v)
     }
 
     /// Mutable access by key.
     pub fn get_mut(&mut self, key: &FlowKey) -> Option<&mut V> {
-        let idx = self.index.get(key)?;
+        let idx = self.index.get(hash_flow_key(key), key)?;
         self.slots[idx as usize].data.as_mut().map(|(_, v)| v)
     }
 
     /// The stable handle for `key`, if stored.
     pub fn slot_of(&self, key: &FlowKey) -> Option<FlowSlot> {
-        let idx = self.index.get(key)?;
+        let idx = self.index.get(hash_flow_key(key), key)?;
         Some(FlowSlot {
             index: idx,
             gen: self.slots[idx as usize].gen,
@@ -306,7 +295,22 @@ impl<V> FlowMap<V> {
     /// appends at the iteration tail; an existing key keeps both its
     /// position and its handle.
     pub fn insert(&mut self, key: FlowKey, value: V) -> FlowSlot {
-        if let Some(idx) = self.index.get(&key) {
+        self.insert_hashed(hash_flow_key(&key), key, value)
+    }
+
+    /// [`insert`](Self::insert) given `hash_flow_key(&key)`. One index
+    /// probe: the slot a fresh key would take (the free list's head,
+    /// else the arena's end) is offered to the index, which either
+    /// records it or answers with the key's existing slot.
+    pub(crate) fn insert_hashed(&mut self, hash: u64, key: FlowKey, value: V) -> FlowSlot {
+        let reuse = self.free_head != NIL;
+        let idx = if reuse {
+            self.free_head
+        } else {
+            assert!(self.slots.len() < NIL as usize, "FlowMap slot overflow");
+            self.slots.len() as u32
+        };
+        if let Some(idx) = self.index.insert(hash, key, idx) {
             let s = &mut self.slots[idx as usize];
             s.data = Some((key, value));
             return FlowSlot {
@@ -314,20 +318,16 @@ impl<V> FlowMap<V> {
                 gen: s.gen,
             };
         }
-        let idx = if self.free_head != NIL {
-            let idx = self.free_head;
+        if reuse {
             self.free_head = self.slots[idx as usize].next;
-            idx
         } else {
-            assert!(self.slots.len() < NIL as usize, "FlowMap slot overflow");
             self.slots.push(Slot {
                 gen: 0,
                 prev: NIL,
                 next: NIL,
                 data: None,
             });
-            (self.slots.len() - 1) as u32
-        };
+        }
         let gen = self.slots[idx as usize].gen;
         self.slots[idx as usize].data = Some((key, value));
         self.slots[idx as usize].prev = self.tail;
@@ -338,7 +338,6 @@ impl<V> FlowMap<V> {
             self.head = idx;
         }
         self.tail = idx;
-        self.index.insert(key, idx);
         self.len += 1;
         FlowSlot { index: idx, gen }
     }
@@ -346,7 +345,12 @@ impl<V> FlowMap<V> {
     /// Remove by key, returning the value. Bumps the slot generation,
     /// invalidating every outstanding handle to it.
     pub fn remove(&mut self, key: &FlowKey) -> Option<V> {
-        let idx = self.index.remove(key)?;
+        self.remove_hashed(hash_flow_key(key), key)
+    }
+
+    /// [`remove`](Self::remove) given `hash_flow_key(key)`.
+    pub(crate) fn remove_hashed(&mut self, hash: u64, key: &FlowKey) -> Option<V> {
+        let idx = self.index.remove(hash, key)?;
         let (prev, next) = {
             let s = &self.slots[idx as usize];
             (s.prev, s.next)
@@ -487,13 +491,24 @@ impl RejectedRing {
 
     /// True when `key` is currently remembered as rejected.
     pub fn contains(&self, key: &FlowKey) -> bool {
-        self.index.get(key).is_some()
+        self.contains_hashed(hash_flow_key(key), key)
     }
 
-    /// Forget a rejection record (the flow departed). O(1): the ring
-    /// entry goes stale instead of being searched out.
-    pub fn remove(&mut self, key: &FlowKey) {
-        self.index.remove(key);
+    /// [`contains`](Self::contains) given `hash_flow_key(key)`.
+    pub(crate) fn contains_hashed(&self, hash: u64, key: &FlowKey) -> bool {
+        self.index.get(hash, key).is_some()
+    }
+
+    /// Forget a rejection record (the flow departed); true when there
+    /// was one. O(1): the ring entry goes stale instead of being
+    /// searched out.
+    pub fn remove(&mut self, key: &FlowKey) -> bool {
+        self.remove_hashed(hash_flow_key(key), key)
+    }
+
+    /// [`remove`](Self::remove) given `hash_flow_key(key)`.
+    pub(crate) fn remove_hashed(&mut self, hash: u64, key: &FlowKey) -> bool {
+        self.index.remove(hash, key).is_some()
     }
 
     /// Live records (the `middlebox.rejected_occupancy` gauge).
@@ -519,15 +534,19 @@ impl RejectedRing {
     /// Insert a rejection record; reports evictions and (once) the
     /// capacity-pressure condition.
     pub fn insert(&mut self, key: FlowKey) -> RingInsert {
-        if self.contains(&key) {
+        self.insert_hashed(hash_flow_key(&key), key)
+    }
+
+    /// [`insert`](Self::insert) given `hash_flow_key(&key)`.
+    pub(crate) fn insert_hashed(&mut self, hash: u64, key: FlowKey) -> RingInsert {
+        let stamp = self.next_stamp;
+        if self.index.insert(hash, key, stamp).is_some() {
             return RingInsert {
                 evicted: 0,
                 pressure: false,
             };
         }
-        let stamp = self.next_stamp;
         self.next_stamp += 1;
-        self.index.insert(key, stamp);
         self.ring.push_back((key, stamp));
         self.inserts += 1;
         let mut evicted = 0;
@@ -536,8 +555,9 @@ impl RejectedRing {
                 Some((old, old_stamp)) => {
                     // Stale entries (removed or re-inserted since)
                     // don't count: the live record lives further back.
-                    if self.index.get(&old) == Some(old_stamp) {
-                        self.index.remove(&old);
+                    let old_hash = hash_flow_key(&old);
+                    if self.index.get(old_hash, &old) == Some(old_stamp) {
+                        self.index.remove(old_hash, &old);
                         evicted += 1;
                     }
                 }
@@ -547,7 +567,8 @@ impl RejectedRing {
         self.evictions += evicted;
         if self.ring.len() > 2 * self.index.len.max(self.cap) {
             let index = &self.index;
-            self.ring.retain(|(k, s)| index.get(k) == Some(*s));
+            self.ring
+                .retain(|(k, s)| index.get(hash_flow_key(k), k) == Some(*s));
         }
         RingInsert {
             evicted,
@@ -693,17 +714,6 @@ mod tests {
 
     fn key(n: u32) -> FlowKey {
         FlowKey::synthetic(n, n, 1, Protocol::Tcp)
-    }
-
-    #[test]
-    fn hash_differs_across_fields() {
-        let base = key(1);
-        let mut other = base;
-        other.server_port = base.server_port.wrapping_add(1);
-        assert_ne!(hash_flow_key(&base), hash_flow_key(&other));
-        let mut udp = base;
-        udp.protocol = Protocol::Udp;
-        assert_ne!(hash_flow_key(&base), hash_flow_key(&udp));
     }
 
     #[test]
@@ -907,19 +917,24 @@ mod tests {
         // Dense churn at small capacity forces wraparound probes and
         // backward-shift deletions across the table boundary.
         let mut t: FxTable<u32> = FxTable::new();
+        let hashed = |n: u32| (hash_flow_key(&key(n)), key(n));
         for round in 0u32..50 {
             for n in 0..12 {
-                t.insert(key(round * 12 + n), n);
+                let (h, k) = hashed(round * 12 + n);
+                assert_eq!(t.insert(h, k, n), None);
+                assert_eq!(t.insert(h, k, 99), Some(n), "present: left as it is");
             }
             for n in 0..12 {
+                let (h, k) = hashed(round * 12 + n);
                 if n % 3 != 0 {
-                    assert_eq!(t.remove(&key(round * 12 + n)), Some(n));
-                    assert_eq!(t.get(&key(round * 12 + n)), None);
+                    assert_eq!(t.remove(h, &k), Some(n));
+                    assert_eq!(t.get(h, &k), None);
                 }
             }
             for n in 0..12 {
+                let (h, k) = hashed(round * 12 + n);
                 if n % 3 == 0 {
-                    assert_eq!(t.get(&key(round * 12 + n)), Some(n));
+                    assert_eq!(t.get(h, &k), Some(n));
                 }
             }
         }

@@ -98,6 +98,11 @@ use trainer::{TrainerHandle, TrainerMetrics, TrainerMsg};
 /// deployment that persists per-shard artifacts.
 #[inline]
 pub(crate) fn route(key: &FlowKey, shards: usize) -> usize {
+    // Everything routes to the only shard there is: skip the hash
+    // (`h % 1` is 0 whatever `h`).
+    if shards == 1 {
+        return 0;
+    }
     (crate::flowtable::hash_flow_key(key) % shards as u64) as usize
 }
 
@@ -421,15 +426,15 @@ impl ConcurrentGateway {
     /// never reorder packets, so the shared matrix and every shard's
     /// flow state evolve exactly as under per-packet driving, while
     /// each run amortises the snapshot pin and counter updates via
-    /// [`GatewayShard::process_packets`].
+    /// [`GatewayShard::process_packets`]. Every run appends to the one
+    /// `Vec` returned — the call's only allocation.
     pub fn process_packets(&mut self, pkts: &[(Packet, SnrLevel)]) -> Vec<Action> {
         assert!(
             !self.shards.is_empty(),
             "gateway shards were taken; drive them directly"
         );
-        // One routing hash per packet: the run scan used to call
-        // `shard_for` twice per packet (once in the inner scan, again
-        // when the next outer iteration re-hashed the run boundary).
+        // One `route` per packet (no hash at all with a single shard),
+        // kept in a reused scratch.
         let shards = self.cfg.shards;
         self.route_scratch.clear();
         self.route_scratch
@@ -442,7 +447,7 @@ impl ConcurrentGateway {
             while j < pkts.len() && self.route_scratch[j] == idx {
                 j += 1;
             }
-            out.extend(self.shards[idx as usize].process_packets(&pkts[i..j]));
+            self.shards[idx as usize].process_packets_into(&pkts[i..j], &mut out);
             i = j;
         }
         out

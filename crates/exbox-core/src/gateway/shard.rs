@@ -11,6 +11,7 @@
 //! the engine's *pinned* model source.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::mpsc::TrySendError;
 use std::sync::Arc;
 
@@ -28,7 +29,7 @@ use crate::matrix::{FlowKind, SnrLevel, TrafficMatrix};
 use crate::middlebox::{Action, DecisionEvent, PollVerdict};
 
 use super::pipeline::OrderGate;
-use super::snapshot::{ModelSnapshot, SnapshotReader};
+use super::snapshot::{ModelSnapshot, SnapshotCell, SnapshotReader};
 use super::trainer::TrainerMsg;
 
 /// Abstraction over the two batch-input shapes — the sequential
@@ -119,6 +120,32 @@ impl SharedMatrix {
     }
 }
 
+/// Multiply-fold hasher for the decision memo's keys. A
+/// [`TrafficMatrix`] is six small counters of the gateway's own
+/// admissions — nothing an outsider picks freely, and the memo is
+/// capped and cleared — so SipHash's keyed rounds buy nothing on a
+/// lookup every arrival decision makes. Folds whatever `Hash` writes,
+/// eight bytes at a time, FxHash-style.
+#[derive(Debug, Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(word))
+                .wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's entropy sits in the high bits; the map picks
+        // buckets from both ends.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 /// Bounded decision memo keyed by `(snapshot epoch, resulting
 /// matrix)`. A new epoch clears the map lazily on first insert, so a
 /// snapshot publish costs the shard nothing until it actually decides
@@ -127,7 +154,7 @@ impl SharedMatrix {
 struct ShardDecisionCache {
     cap: usize,
     epoch: u64,
-    map: HashMap<TrafficMatrix, (Label, f64)>,
+    map: HashMap<TrafficMatrix, (Label, f64), BuildHasherDefault<FoldHasher>>,
 }
 
 impl ShardDecisionCache {
@@ -135,7 +162,7 @@ impl ShardDecisionCache {
         ShardDecisionCache {
             cap,
             epoch: 0,
-            map: HashMap::new(),
+            map: HashMap::default(),
         }
     }
 
@@ -288,6 +315,9 @@ pub struct GatewayShard {
     id: usize,
     engine: FlowEngine,
     reader: SnapshotReader<ModelSnapshot>,
+    /// The cell `reader` pins, held beside it so the batch loop can
+    /// watch the publish count while a guard borrows the reader.
+    cell: Arc<SnapshotCell<ModelSnapshot>>,
     link: ShardLink,
 }
 
@@ -301,6 +331,7 @@ impl GatewayShard {
         GatewayShard {
             id,
             engine,
+            cell: Arc::clone(reader.cell()),
             reader,
             link,
         }
@@ -377,8 +408,19 @@ impl GatewayShard {
     ///   once per batch instead of per packet.
     pub fn process_packets(&mut self, pkts: &[(Packet, SnrLevel)]) -> Vec<Action> {
         let mut out = Vec::with_capacity(pkts.len());
-        self.process_batch_inner(pkts, None, |_seq, act| out.push(act));
+        self.process_packets_into(pkts, &mut out);
         out
+    }
+
+    /// [`process_packets`](Self::process_packets) appending to the
+    /// caller's buffer — how the gateway's sequential driver collects
+    /// every shard's run into the one `Vec` it returns.
+    pub(super) fn process_packets_into(
+        &mut self,
+        pkts: &[(Packet, SnrLevel)],
+        out: &mut Vec<Action>,
+    ) {
+        self.process_batch_inner(pkts, None, |_seq, act| out.push(act));
     }
 
     /// The pipeline's gated twin of
@@ -406,7 +448,7 @@ impl GatewayShard {
         gate: Option<(&OrderGate, usize)>,
         mut emit: impl FnMut(u64, Action),
     ) {
-        let cell = Arc::clone(self.reader.cell());
+        let cell = &self.cell;
         let mut run = Run::default();
         // Set when a publication landed between a packet's
         // classification and its decision: the probe's side effects

@@ -33,7 +33,7 @@ pub mod time;
 
 pub use classify::{AppClass, EarlyClassifier, FlowFeatures};
 pub use flow::{FlowStats, FlowTable};
-pub use packet::{Direction, FlowKey, Packet, Protocol};
+pub use packet::{hash_flow_key, Direction, FlowKey, Packet, Protocol};
 pub use qos::{QosMeter, QosSample};
 pub use shaper::{NetemLink, TokenBucket};
 pub use time::{Duration, Instant};

@@ -110,6 +110,44 @@ impl FlowKey {
             protocol,
         }
     }
+
+    /// The 13 significant bytes packed into two words — addresses in
+    /// one, ports and protocol in the other — for the flow hashes.
+    #[inline]
+    pub(crate) fn words(&self) -> (u64, u64) {
+        let a = (u32::from(self.client_ip) as u64) << 32 | u32::from(self.server_ip) as u64;
+        let b = (self.client_port as u64) << 24
+            | (self.server_port as u64) << 8
+            | self.protocol.ip_proto() as u64;
+        (a, b)
+    }
+}
+
+/// FxHash-style hash of a [`FlowKey`]: the 13 significant bytes are
+/// packed into two words and folded with the rotate-xor-multiply step
+/// rustc's own hash tables use, plus a final avalanche so the low
+/// bits (which pick the bucket) depend on every field, an order of
+/// magnitude cheaper than SipHash on this fixed layout. Seedless on
+/// purpose: it is also the gateway's shard-routing function, which
+/// must map a flow to the same shard in every process (the
+/// stable-routing contract), and the tables it indexes take a key only
+/// once its flow completed a classification window and was decided.
+/// The table that inserts on a flow's *first* packet — the early
+/// classifier's — is keyed instead ([`crate::classify`]).
+#[inline]
+pub fn hash_flow_key(key: &FlowKey) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let (a, b) = key.words();
+    let mut h = 0u64;
+    h = (h.rotate_left(5) ^ a).wrapping_mul(K);
+    h = (h.rotate_left(5) ^ b).wrapping_mul(K);
+    // Final avalanche (splitmix64 tail): FxHash concentrates entropy
+    // in the high bits, the open-addressed index masks the low ones.
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
 impl fmt::Display for FlowKey {
@@ -194,6 +232,17 @@ mod tests {
     fn synthetic_key_encodes_client_id_beyond_u8() {
         let k = FlowKey::synthetic(300, 0, 1, Protocol::Tcp);
         assert_eq!(k.client_ip, Ipv4Addr::new(10, 0, 1, 44));
+    }
+
+    #[test]
+    fn hash_differs_across_fields() {
+        let base = FlowKey::synthetic(1, 1, 1, Protocol::Tcp);
+        let mut other = base;
+        other.server_port = base.server_port.wrapping_add(1);
+        assert_ne!(hash_flow_key(&base), hash_flow_key(&other));
+        let mut udp = base;
+        udp.protocol = Protocol::Udp;
+        assert_ne!(hash_flow_key(&base), hash_flow_key(&udp));
     }
 
     #[test]

@@ -60,7 +60,8 @@ pub mod buckets {
 /// Buckets are defined by ascending upper bounds; an implicit
 /// overflow bucket catches everything above the last bound. Recording
 /// is lock-free (relaxed atomics); `sum`/`min`/`max` are maintained
-/// with CAS loops over the value's bit pattern.
+/// with CAS loops over the value's bit pattern, entered only when the
+/// sample moves them.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: Vec<f64>,
@@ -109,6 +110,12 @@ impl Histogram {
         let mut cur = cell.load(Ordering::Relaxed);
         loop {
             let next = f(f64::from_bits(cur)).to_bits();
+            // A sample that does not move the value — nearly every one,
+            // for min and max — needs no exchange: the update took
+            // effect, unchanged, at the load that read `cur`.
+            if next == cur {
+                return;
+            }
             match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
                 Ok(_) => return,
                 Err(seen) => cur = seen,
@@ -241,6 +248,39 @@ mod tests {
         assert!(p99 <= s.max);
         assert_eq!(s.quantile(0.0).max(1.0), 1.0);
         assert_eq!(s.quantile(1.0), 1000.0);
+    }
+
+    #[test]
+    fn concurrent_recorders_converge_to_true_min_max() {
+        // Four recorders released together, each walking its own
+        // residue class inwards from both ends, so new minima and
+        // maxima keep racing samples that move neither.
+        const PER_THREAD: u64 = 20_000;
+        let h = Histogram::new(&buckets::exponential(1.0, 4.0, 10));
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (h, start) = (&h, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        let step = (i / 2) * 4 + t;
+                        let v = if i % 2 == 0 {
+                            4 * PER_THREAD - step
+                        } else {
+                            step + 1
+                        };
+                        h.record(v as f64);
+                    }
+                });
+            }
+        });
+        let s = h.snapshot();
+        assert_eq!(s.count, 4 * PER_THREAD);
+        assert_eq!((s.min, s.max), (1.0, (4 * PER_THREAD) as f64));
+        // Every integer in 1..=4·PER_THREAD was recorded exactly once.
+        let n = (4 * PER_THREAD) as f64;
+        assert_eq!(s.sum, n * (n + 1.0) / 2.0);
     }
 
     #[test]
