@@ -110,10 +110,9 @@ fn dataset(n: usize) -> Dataset {
 
 fn main() {
     eprintln!(
-        "machine: {} hardware threads, pool of {}, kernel engine {}",
+        "machine: {} hardware threads, pool of {}",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         exbox_par::ThreadPool::global().threads(),
-        KernelEngine::select().name(),
     );
     println!("name,n,reps,mean_ns,p50_ns,p95_ns,max_ns");
 

@@ -34,10 +34,9 @@
 //!   compaction), which is what keeps previously-scaled rows
 //!   bit-stable so the cache can reuse them. Off by default: the
 //!   per-retrain refit matches the paper's batch procedure exactly.
-//! * Gram evaluation routes through the lane-blocked engine of
-//!   DESIGN.md §6 when the `simd` feature selects it — bit-identical
-//!   to the scalar path by the ordered-reduction contract, so cached,
-//!   SIMD and cold scalar retrains all produce the same model bits.
+//! * Every Gram cell, cached or fresh, comes from the same
+//!   `Kernel::eval_with_norms` arithmetic, so cached and cold retrains
+//!   produce the same model bits (DESIGN.md §6).
 //!
 //! ## Serving fast path
 //!

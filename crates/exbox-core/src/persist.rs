@@ -932,6 +932,27 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_rejects_poisoned_poly_kernel() {
+        // A NaN coef0 makes every margin NaN, which reads as "reject
+        // every arrival"; the embedded model loader must refuse it
+        // behind a valid checksum.
+        let body = "exbox-ckpt v1\nphase online\ncounters 1 0 0\n\
+                    scaler-mean 0 0 0 0 0 0\nscaler-std 1 1 1 1 1 1\n\
+                    model-svm-begin\nexbox-svm v1\nkernel poly 0.5 NaN 2\ndims 6\n\
+                    bias 0\nsv 1 1 0 0 0 0 0\nmodel-svm-end\n\
+                    qoe-begin\nqoe-end\n";
+        let file = format!("{body}checksum {:016x}\n", fnv1a64(body.as_bytes()));
+        let err = load_checkpoint(
+            file.as_bytes(),
+            AdmittanceConfig::default(),
+            &MetricsRegistry::new(),
+        )
+        .expect_err("NaN coef0 must not restore");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("poly params"), "{err}");
+    }
+
+    #[test]
     fn degraded_checkpoint_roundtrips_without_model() {
         // Online phase with no model — the post-crash degraded state —
         // must checkpoint and restore cleanly.

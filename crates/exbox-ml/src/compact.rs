@@ -9,9 +9,7 @@
 //! * support vectors flattened into one contiguous **row-major**
 //!   buffer — the kernel expansion walks a single cache-friendly
 //!   allocation and the inner dot products autovectorise,
-//! * exactly-zero coefficients pruned (they cannot contribute;
-//!   [`CompactSvm::from_model_pruned`] additionally drops near-zero
-//!   coefficients when a lossy, smaller model is acceptable),
+//! * exactly-zero coefficients pruned (they cannot contribute),
 //! * the **linear** kernel collapsed to its explicit weight vector
 //!   `w = Σ αᵢyᵢ xᵢ`, making a decision a single `dims`-length dot
 //!   product regardless of the support-vector count.
@@ -20,18 +18,14 @@
 //! arithmetic and the accumulation order are *identical* to
 //! [`SvmModel::decision_value`], so compact decisions are **bit-exact**
 //! with the uncompacted model (property-tested in
-//! `tests/compact_props.rs`). The collapsed linear form re-associates
-//! the sum `Σ cᵢ (xᵢ·x)` into `(Σ cᵢ xᵢ)·x` and therefore agrees to
-//! floating-point round-off rather than bit-for-bit.
-//!
-//! Conversion also picks a [`KernelEngine`] — scalar reference loops
-//! or the lane-blocked SIMD form in [`crate::engine`] — and, for the
-//! `Lanes` engine, precomputes a feature-major copy of the
-//! support-vector buffer. Both engines are bit-identical (that is the
-//! [`crate::engine`] determinism contract), so the choice only moves
-//! latency: `simd` builds use `Lanes`, every other build `Scalar`.
+//! `tests/proptests.rs`). The one liberty taken is the polynomial
+//! power: the degree dispatch is hoisted out of the row loop and
+//! degrees 1–4 are written as the product tree `f64::powi` evaluates
+//! (see `powi_tree`) — same bits, no libcall per support vector. The
+//! collapsed linear form re-associates the sum `Σ cᵢ (xᵢ·x)` into
+//! `(Σ cᵢ xᵢ)·x` and therefore agrees to floating-point round-off
+//! rather than bit-for-bit.
 
-use crate::engine::{self, KernelEngine};
 use crate::kernel::{dot, Kernel};
 use crate::svm::SvmModel;
 use crate::Classifier;
@@ -48,16 +42,10 @@ use crate::Classifier;
 /// # Memory layout
 ///
 /// * `sv` — support vectors **row-major**: row `i` is
-///   `sv[i*dims .. (i+1)*dims]`. This buffer is authoritative: the
-///   checkpoint path serialises from it via
-///   [`CompactSvm::support_iter`].
+///   `sv[i*dims .. (i+1)*dims]`. The checkpoint path serialises from
+///   it via [`CompactSvm::support_iter`].
 /// * `coef`, `norms` — per-row signed coefficients `αᵢyᵢ` and cached
 ///   `‖svᵢ‖²` (RBF only), aligned with `sv`'s rows.
-/// * `lanes` — only under the `Lanes` engine: the same rows regrouped
-///   **feature-major in blocks of 4** (`lanes[b*dims*4 + k*4 + j]` is
-///   feature `k` of block `b`'s row `j`, zero-padded tail), so the
-///   kernel expansion advances four rows per pass over the query. A
-///   derived copy, never serialised.
 ///
 /// # Example
 ///
@@ -73,15 +61,12 @@ use crate::Classifier;
 /// }
 /// let model = SvmTrainer::new(Kernel::rbf(0.5)).c(10.0).train(&ds);
 /// let compact = model.compact();
-/// // Same bits as the training-side model, whatever engine was picked
-/// // (fast-math builds renounce this and must skip the comparison).
+/// // Same bits as the training-side model.
 /// let x = [2.0, 3.0];
-/// if exbox_ml::determinism_guaranteed() {
-///     assert_eq!(
-///         model.decision_value(&x).to_bits(),
-///         compact.decision_value(&x).to_bits(),
-///     );
-/// }
+/// assert_eq!(
+///     model.decision_value(&x).to_bits(),
+///     compact.decision_value(&x).to_bits(),
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompactSvm {
@@ -96,10 +81,6 @@ pub struct CompactSvm {
     norms: Vec<f64>,
     /// Explicit weight vector for the collapsed linear kernel.
     weights: Option<Vec<f64>>,
-    /// Feature-major lane blocks of `sv` (Lanes engine only).
-    lanes: Vec<f64>,
-    /// Inner-loop implementation picked at conversion time.
-    engine: KernelEngine,
     /// Coefficients dropped at conversion time.
     pruned: usize,
 }
@@ -107,44 +88,15 @@ pub struct CompactSvm {
 impl CompactSvm {
     /// Lossless conversion: prunes only exactly-zero coefficients and
     /// collapses the linear kernel. Kernel-expansion decisions
-    /// (RBF / polynomial) are bit-exact with the source model. The
-    /// kernel engine is chosen by [`KernelEngine::select`] (`Lanes`
-    /// iff the `simd` feature is on).
+    /// (RBF / polynomial) are bit-exact with the source model.
     pub fn from_model(model: &SvmModel) -> Self {
-        Self::convert(model, 0.0, KernelEngine::select())
-    }
-
-    /// [`CompactSvm::from_model`] with an explicit engine, bypassing
-    /// the feature selection — the bit-identity tests use this to
-    /// evaluate the *same* model under both engines on any build.
-    pub fn from_model_with_engine(model: &SvmModel, engine: KernelEngine) -> Self {
-        Self::convert(model, 0.0, engine)
-    }
-
-    /// Lossy conversion: additionally prunes every coefficient with
-    /// `|αᵢyᵢ| <= tol`. The decision function shifts by at most
-    /// `Σ_pruned |cᵢ| · max|K|` (for RBF/poly with bounded inputs a
-    /// tiny, testable bound); use when model size matters more than
-    /// the last bits of the margin.
-    ///
-    /// # Panics
-    /// Panics if `tol` is negative or not finite.
-    pub fn from_model_pruned(model: &SvmModel, tol: f64) -> Self {
-        assert!(
-            tol >= 0.0 && tol.is_finite(),
-            "prune tolerance must be >= 0"
-        );
-        Self::convert(model, tol, KernelEngine::select())
-    }
-
-    fn convert(model: &SvmModel, tol: f64, engine: KernelEngine) -> Self {
         let dims = model.dims();
         let kernel = model.kernel();
         let mut sv = Vec::new();
         let mut coef = Vec::new();
         let mut pruned = 0usize;
         for (c, x) in model.support_iter() {
-            if c.abs() <= tol {
+            if c == 0.0 {
                 pruned += 1;
                 continue;
             }
@@ -164,12 +116,6 @@ impl CompactSvm {
             }
             w
         });
-        // The lane buffer only serves the kernel-expansion paths; a
-        // collapsed linear model decides from `weights` alone.
-        let lanes = match engine {
-            KernelEngine::Lanes if weights.is_none() => engine::interleave_rows(&sv, dims),
-            _ => Vec::new(),
-        };
         CompactSvm {
             kernel,
             dims,
@@ -178,8 +124,6 @@ impl CompactSvm {
             coef,
             norms,
             weights,
-            lanes,
-            engine,
             pruned,
         }
     }
@@ -206,11 +150,6 @@ impl CompactSvm {
         self.kernel
     }
 
-    /// The inner-loop engine picked at conversion time.
-    pub fn engine(&self) -> KernelEngine {
-        self.engine
-    }
-
     /// The collapsed weight vector (linear kernel only).
     pub fn weights(&self) -> Option<&[f64]> {
         self.weights.as_deref()
@@ -234,54 +173,30 @@ impl CompactSvm {
             .copied()
             .zip(self.sv.chunks_exact(self.dims.max(1)))
     }
+
+    /// `bias + Σᵢ cᵢ·(γ·svᵢ·x + c₀)^degree`, rows in order.
+    #[inline(always)]
+    fn poly_rows(&self, x: &[f64], gamma: f64, coef0: f64, degree: u32) -> f64 {
+        let mut f = self.bias;
+        for (row, &c) in self.sv.chunks_exact(self.dims).zip(&self.coef) {
+            f += c * powi_tree(gamma * dot(row, x) + coef0, degree);
+        }
+        f
+    }
 }
 
 impl Classifier for CompactSvm {
-    /// Signed margin of `x`. Dispatches on the engine picked at
-    /// conversion; both engines produce the same bits (the
-    /// [`crate::engine`] determinism contract), so callers never need
-    /// to know which one is running.
+    /// Signed margin of `x`: one row-major pass over the support
+    /// vectors, accumulated in row order.
     fn decision_value(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dims, "input dimensionality mismatch");
         if let Some(w) = &self.weights {
-            return match self.engine {
-                KernelEngine::Scalar => dot(w, x),
-                KernelEngine::Lanes => engine::dot_ordered(w, x),
-            } + self.bias;
+            return dot(w, x) + self.bias;
         }
-        if self.engine == KernelEngine::Lanes {
-            return match self.kernel {
-                Kernel::Rbf { gamma } => engine::rbf_lanes(
-                    &self.lanes,
-                    self.dims,
-                    &self.coef,
-                    &self.norms,
-                    gamma,
-                    x,
-                    self.bias,
-                ),
-                Kernel::Poly {
-                    gamma,
-                    coef0,
-                    degree,
-                } => engine::poly_lanes(
-                    &self.lanes,
-                    self.dims,
-                    &self.coef,
-                    gamma,
-                    coef0,
-                    degree,
-                    x,
-                    self.bias,
-                ),
-                // Linear always collapses to `weights` above.
-                Kernel::Linear => unreachable!("linear kernel is always collapsed"),
-            };
-        }
-        let mut f = self.bias;
         match self.kernel {
             Kernel::Rbf { gamma } => {
                 let nx = dot(x, x);
+                let mut f = self.bias;
                 for ((row, &c), &ns) in self
                     .sv
                     .chunks_exact(self.dims)
@@ -294,27 +209,50 @@ impl Classifier for CompactSvm {
                     let d2 = (ns + nx - 2.0 * dot(row, x)).max(0.0);
                     f += c * (-gamma * d2).exp();
                 }
+                f
             }
-            Kernel::Linear => {
-                for (row, &c) in self.sv.chunks_exact(self.dims).zip(&self.coef) {
-                    f += c * dot(row, x);
-                }
-            }
+            // The degree dispatch sits out here, not in the row loop:
+            // `poly_rows` is inlined into each arm with a literal
+            // degree, which folds `powi_tree`'s match away and leaves
+            // degrees 1–4 a loop of plain multiplies.
             Kernel::Poly {
                 gamma,
                 coef0,
                 degree,
-            } => {
-                for (row, &c) in self.sv.chunks_exact(self.dims).zip(&self.coef) {
-                    f += c * (gamma * dot(row, x) + coef0).powi(degree as i32);
-                }
-            }
+            } => match degree {
+                1 => self.poly_rows(x, gamma, coef0, 1),
+                2 => self.poly_rows(x, gamma, coef0, 2),
+                3 => self.poly_rows(x, gamma, coef0, 3),
+                4 => self.poly_rows(x, gamma, coef0, 4),
+                d => self.poly_rows(x, gamma, coef0, d),
+            },
+            Kernel::Linear => unreachable!("linear kernel is always collapsed"),
         }
-        f
     }
 
     fn dims(&self) -> usize {
         self.dims
+    }
+}
+
+/// `t.powi(degree)`, with degrees 1–4 written as the product tree the
+/// `__powidf2` square-and-multiply routine behind `f64::powi`
+/// evaluates (`r = 1; r *= t` on set exponent bits, `t *= t` between).
+/// Multiplying by 1 is exact and IEEE-754 multiplication commutes, so
+/// the expansion has the same bits as the call — it only skips the
+/// call. `degree` must fit an `i32` ([`Kernel::poly`] and the model
+/// loader both check).
+#[inline(always)]
+fn powi_tree(t: f64, degree: u32) -> f64 {
+    match degree {
+        1 => t,
+        2 => t * t,
+        3 => (t * t) * t,
+        4 => {
+            let s = t * t;
+            s * s
+        }
+        _ => t.powi(degree as i32),
     }
 }
 
@@ -365,10 +303,6 @@ mod tests {
 
     #[test]
     fn rbf_compact_is_bit_exact() {
-        if !crate::engine::determinism_guaranteed() {
-            eprintln!("skipped: fast-math build forfeits bit-equality");
-            return;
-        }
         let model = SvmTrainer::new(Kernel::rbf(0.3))
             .c(10.0)
             .train(&grid_dataset());
@@ -422,10 +356,6 @@ mod tests {
 
     #[test]
     fn zero_coefficients_are_pruned_losslessly() {
-        if !crate::engine::determinism_guaranteed() {
-            eprintln!("skipped: fast-math build forfeits bit-equality");
-            return;
-        }
         let support = vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]];
         let coef = vec![0.5, 0.0, -0.25];
         let model = SvmModel::from_parts(Kernel::rbf(0.4), support, coef, 0.1, 2);
@@ -437,26 +367,6 @@ mod tests {
                 model.decision_value(&q).to_bits(),
                 compact.decision_value(&q).to_bits()
             );
-        }
-    }
-
-    #[test]
-    fn lossy_pruning_bounds_the_margin_shift() {
-        if !crate::engine::determinism_guaranteed() {
-            eprintln!("skipped: fast-math build forfeits exact-margin bound");
-            return;
-        }
-        let support = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]];
-        let coef = vec![1.0, 1e-9, -2.0];
-        let model = SvmModel::from_parts(Kernel::rbf(0.5), support, coef, 0.0, 2);
-        let compact = CompactSvm::from_model_pruned(&model, 1e-6);
-        assert_eq!(compact.pruned(), 1);
-        for q in queries() {
-            let naive = model.decision_value(&q);
-            let fast = compact.decision_value(&q);
-            // RBF kernel values are <= 1, so the shift is bounded by
-            // the pruned mass.
-            assert!((naive - fast).abs() <= 1e-9 + 1e-15);
         }
     }
 
@@ -477,62 +387,44 @@ mod tests {
     }
 
     #[test]
-    fn lanes_engine_is_bit_identical_to_scalar() {
-        // The determinism contract (crate::engine): the lane-blocked
-        // engine must reproduce the scalar reference bit for bit over
-        // every kernel, including support counts that leave a ragged
-        // tail block. fast-math deliberately breaks this for RBF and
-        // the test refuses to certify such a build.
-        for kernel in [
-            Kernel::rbf(0.3),
-            Kernel::poly(0.5, 1.0, 2),
-            Kernel::poly(1.0 / 2.0, 1.0, 3),
-            Kernel::Linear,
-        ] {
-            if matches!(kernel, Kernel::Rbf { .. }) && !crate::engine::determinism_guaranteed() {
-                eprintln!("skipped RBF case: fast-math build forfeits bit-equality");
-                continue;
-            }
-            let model = SvmTrainer::new(kernel).c(10.0).train(&grid_dataset());
-            let scalar = CompactSvm::from_model_with_engine(&model, KernelEngine::Scalar);
-            let lanes = CompactSvm::from_model_with_engine(&model, KernelEngine::Lanes);
-            assert_eq!(scalar.engine(), KernelEngine::Scalar);
-            assert_eq!(lanes.engine(), KernelEngine::Lanes);
-            for q in queries() {
-                assert_eq!(
-                    scalar.decision_value(&q).to_bits(),
-                    lanes.decision_value(&q).to_bits(),
-                    "engines diverged for {kernel:?} at {q:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lanes_engine_handles_ragged_and_degenerate_models() {
-        // 1..=9 support vectors: exercises partial, exact and ragged
-        // lane blocks (LANES = 4), plus the empty model.
+    fn ragged_and_empty_models_match_the_reference() {
+        // 0..=9 support vectors, the empty model included.
         for n in 0..10usize {
             let support: Vec<Vec<f64>> = (0..n)
                 .map(|i| vec![i as f64 * 0.7 - 1.0, (i * i) as f64 * 0.3])
                 .collect();
             let coef: Vec<f64> = (0..n).map(|i| (i as f64 - 2.5) * 0.4).collect();
             for kernel in [Kernel::rbf(0.4), Kernel::poly(0.5, 1.0, 2)] {
-                if matches!(kernel, Kernel::Rbf { .. }) && !crate::engine::determinism_guaranteed()
-                {
-                    continue;
-                }
                 let model = SvmModel::from_parts(kernel, support.clone(), coef.clone(), 0.25, 2);
-                let scalar = CompactSvm::from_model_with_engine(&model, KernelEngine::Scalar);
-                let lanes = CompactSvm::from_model_with_engine(&model, KernelEngine::Lanes);
+                let compact = model.compact();
                 for q in queries() {
                     assert_eq!(
-                        scalar.decision_value(&q).to_bits(),
-                        lanes.decision_value(&q).to_bits(),
-                        "engines diverged for {kernel:?}, n={n}, at {q:?}"
+                        model.decision_value(&q).to_bits(),
+                        compact.decision_value(&q).to_bits(),
+                        "compact diverged for {kernel:?}, n={n}, at {q:?}"
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn powi_tree_is_bit_identical_to_powi() {
+        // ±0, subnormals, values whose powers under/overflow, and
+        // ordinary ones whose powers round differently per tree.
+        let pos = [
+            0.0, 5e-324, 5.6e-309, 1e-150, 1e150, 0.1, 1.1, 3.3, 1234.5678,
+        ];
+        let ts: Vec<f64> = pos.iter().flat_map(|&t| [t, -t]).collect();
+        for degree in 1..=8u32 {
+            for &t in &ts {
+                assert_eq!(
+                    powi_tree(t, degree).to_bits(),
+                    t.powi(degree as i32).to_bits(),
+                    "powi_tree({t:e}, {degree})"
+                );
+            }
+            assert!(powi_tree(f64::NAN, degree).is_nan());
         }
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! The Admittance Classifier's capacity-region boundary is generally a
 //! curved surface in traffic-matrix space (see the paper's Fig. 2c),
-//! so the default kernel is RBF; the linear kernel is kept for
-//! ablation (and is markedly faster at prediction time — the paper's
-//! §5.3 latency discussion blames "choice of SVM kernel" for its
-//! ≈5 ms decision latency).
+//! so the default backend is a degree-2 polynomial kernel (smooth, and
+//! it extrapolates monotonically outside the training hull); RBF and
+//! the linear kernel are kept for ablation (linear is markedly faster
+//! at prediction time — the paper's §5.3 latency discussion blames
+//! "choice of SVM kernel" for its ≈5 ms decision latency).
 
 /// A positive-definite kernel `K(x, z)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,10 +42,17 @@ impl Kernel {
     /// Convenience constructor for a polynomial kernel.
     ///
     /// # Panics
-    /// Panics if `gamma <= 0` or `degree == 0`.
+    /// Panics if `gamma` is not strictly positive and finite, `coef0`
+    /// is not finite (every margin would be NaN), `degree == 0`, or
+    /// `degree > i32::MAX` (`powi` takes an `i32`; a wrapped exponent
+    /// would turn the power into a reciprocal).
     pub fn poly(gamma: f64, coef0: f64, degree: u32) -> Self {
         assert!(gamma > 0.0 && gamma.is_finite(), "gamma must be positive");
-        assert!(degree >= 1, "degree must be at least 1");
+        assert!(coef0.is_finite(), "coef0 must be finite");
+        assert!(
+            (1..=i32::MAX as u32).contains(&degree),
+            "degree must be in 1..=i32::MAX"
+        );
         Kernel::Poly {
             gamma,
             coef0,
@@ -55,8 +63,8 @@ impl Kernel {
     /// Evaluate the kernel on two vectors.
     ///
     /// # Panics
-    /// Panics (debug builds) on length mismatch via the zip below being
-    /// silently truncating is avoided with an explicit assert.
+    /// Panics in debug builds when `x` and `z` differ in length
+    /// (release builds evaluate over the shorter of the two).
     #[inline]
     pub fn eval(&self, x: &[f64], z: &[f64]) -> f64 {
         debug_assert_eq!(x.len(), z.len(), "kernel arg dimension mismatch");
@@ -133,66 +141,6 @@ pub fn gram_matrix(
     g
 }
 
-/// [`gram_matrix`] with an explicit [`KernelEngine`](crate::engine::KernelEngine)
-/// choice. `Scalar` is the reference
-/// build above; `Lanes` walks the same upper triangle but evaluates
-/// each query row against a feature-major lane block of the dataset
-/// ([`crate::engine::kernel_rows_lanes`]), advancing four row dot
-/// products per pass over the query. The lanes build is
-/// **bit-identical** to the scalar build on every configuration — the
-/// training path never takes the `fast-math` approximation — so the
-/// engine choice can only move throughput.
-pub fn gram_matrix_with_engine(
-    kernel: Kernel,
-    data: &crate::data::Dataset,
-    pool: &exbox_par::ThreadPool,
-    engine: crate::engine::KernelEngine,
-) -> Vec<f64> {
-    use crate::engine::{interleave_rows, kernel_rows_lanes, KernelEngine, LANES};
-    let n = data.len();
-    let dims = data.dims();
-    if engine == KernelEngine::Scalar || dims == 0 || n == 0 {
-        return gram_matrix(kernel, data, pool);
-    }
-    let norms = match kernel {
-        Kernel::Rbf { .. } => data.squared_norms(),
-        _ => Vec::new(),
-    };
-    let norm = |i: usize| norms.get(i).copied().unwrap_or(0.0);
-    let mut flat = Vec::with_capacity(n * dims);
-    for i in 0..n {
-        flat.extend_from_slice(data.x(i));
-    }
-    let lanes = interleave_rows(&flat, dims);
-    // Upper-triangle rows as in `gram_matrix`; each row starts at its
-    // lane-block boundary (≤ LANES−1 wasted evaluations per row) and
-    // the j < i prefix is skipped at mirror time — draining it here
-    // would memmove O(n) per row, an O(n²) tax the scalar build never
-    // pays.
-    let rows: Vec<Vec<f64>> = pool.parallel_map(n, |i| {
-        let start = (i / LANES) * LANES;
-        let sub = &lanes[(start / LANES) * dims * LANES..];
-        let nsub = if norms.is_empty() {
-            &norms[..]
-        } else {
-            &norms[start..]
-        };
-        let mut out = vec![0.0; n - start];
-        kernel_rows_lanes(kernel, sub, dims, nsub, data.x(i), norm(i), &mut out);
-        out
-    });
-    let mut g = vec![0.0; n * n];
-    for (i, row) in rows.iter().enumerate() {
-        let start = (i / LANES) * LANES;
-        for (off, &v) in row[i - start..].iter().enumerate() {
-            let j = i + off;
-            g[i * n + j] = v;
-            g[j * n + i] = v;
-        }
-    }
-    g
-}
-
 /// Dot product of two equal-length slices.
 #[inline]
 pub fn dot(x: &[f64], z: &[f64]) -> f64 {
@@ -259,6 +207,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "coef0")]
+    fn poly_rejects_non_finite_coef0() {
+        let _ = Kernel::poly(0.5, f64::NAN, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "degree")]
+    fn poly_rejects_degree_beyond_i32() {
+        let _ = Kernel::poly(0.5, 1.0, i32::MAX as u32 + 1);
+    }
+
+    #[test]
     fn default_gamma_scales_with_dims() {
         match Kernel::rbf_default(4) {
             Kernel::Rbf { gamma } => assert!((gamma - 0.25).abs() < 1e-12),
@@ -291,46 +251,6 @@ mod tests {
                 assert_eq!(grams[0].len(), g.len());
                 for (a, b) in grams[0].iter().zip(g) {
                     assert_eq!(a.to_bits(), b.to_bits(), "gram differs across threads");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gram_matrix_engines_agree_bitwise() {
-        use crate::data::{Dataset, Label};
-        use crate::engine::KernelEngine;
-        let mut state = 0x6EA4u64;
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        // Ragged and exact lane-block sample counts.
-        for n in [1usize, 4, 5, 31, 64] {
-            let mut ds = Dataset::new(5);
-            for i in 0..n {
-                let x: Vec<f64> = (0..5).map(|_| (next() % 1000) as f64 / 50.0).collect();
-                let y = if i % 2 == 0 { Label::Pos } else { Label::Neg };
-                ds.push(x, y);
-            }
-            let pool = exbox_par::ThreadPool::new(2);
-            for kernel in [
-                Kernel::Linear,
-                Kernel::rbf(0.4),
-                Kernel::poly(0.5, 1.0, 2),
-                Kernel::poly(0.2, 0.0, 3),
-            ] {
-                let scalar = gram_matrix_with_engine(kernel, &ds, &pool, KernelEngine::Scalar);
-                let lanes = gram_matrix_with_engine(kernel, &ds, &pool, KernelEngine::Lanes);
-                assert_eq!(scalar.len(), lanes.len());
-                for (k, (a, b)) in scalar.iter().zip(&lanes).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "engines diverged at cell {k} for {kernel:?} (n={n})"
-                    );
                 }
             }
         }

@@ -10,17 +10,12 @@
 //!   polynomial and RBF kernels ([`kernel`]).
 //! * [`compact`] — a flattened, pruned serving form of a trained SVM
 //!   ([`CompactSvm`]) for the per-arrival admission fast path.
-//! * [`engine`] — the kernel evaluation engines behind [`CompactSvm`]:
-//!   a scalar reference and a lane-blocked SIMD form (`simd` feature)
-//!   that is bit-identical to it — see that module's determinism
-//!   contract.
 //! * [`linear`] — a fast primal solver (Pegasos-style SGD) for linear
 //!   SVMs, used when training sets grow large.
 //! * [`logreg`] — logistic regression, provided because the paper notes
 //!   "the actual learning technique is not central to the concept of
 //!   ExBox and can be implemented as a separate module".
-//! * [`scale`] — feature standardisation (zero mean / unit variance)
-//!   and min-max scaling.
+//! * [`scale`] — feature standardisation (zero mean / unit variance).
 //! * [`cv`] — n-fold cross-validation, used by the bootstrap phase to
 //!   decide when the classifier is accurate enough to go online.
 //! * [`metrics`] — precision / recall / accuracy / F1, the metrics the
@@ -54,7 +49,6 @@
 pub mod compact;
 pub mod cv;
 pub mod data;
-pub mod engine;
 pub mod kernel;
 pub mod linear;
 pub mod logreg;
@@ -66,12 +60,11 @@ pub mod svm;
 pub use compact::CompactSvm;
 pub use cv::{cross_validate, cross_validate_pooled, CvReport};
 pub use data::{Dataset, Label};
-pub use engine::{determinism_guaranteed, KernelEngine};
-pub use kernel::{gram_matrix, gram_matrix_with_engine, Kernel};
+pub use kernel::{gram_matrix, Kernel};
 pub use linear::{LinearSvm, LinearSvmTrainer};
 pub use logreg::{LogisticRegression, LogisticRegressionTrainer};
 pub use metrics::{BinaryMetrics, ConfusionMatrix};
-pub use scale::{MinMaxScaler, StandardScaler};
+pub use scale::StandardScaler;
 pub use svm::{PersistentKernelCache, SvmFit, SvmModel, SvmTrainer, WarmStart};
 
 /// A trained binary classifier over dense `f64` feature vectors.
@@ -123,12 +116,11 @@ pub mod prelude {
     pub use crate::compact::CompactSvm;
     pub use crate::cv::{cross_validate, cross_validate_pooled, CvReport};
     pub use crate::data::{Dataset, Label};
-    pub use crate::engine::{determinism_guaranteed, KernelEngine};
     pub use crate::kernel::Kernel;
     pub use crate::linear::{LinearSvm, LinearSvmTrainer};
     pub use crate::logreg::{LogisticRegression, LogisticRegressionTrainer};
     pub use crate::metrics::{BinaryMetrics, ConfusionMatrix};
-    pub use crate::scale::{MinMaxScaler, StandardScaler};
+    pub use crate::scale::StandardScaler;
     pub use crate::svm::{PersistentKernelCache, SvmFit, SvmModel, SvmTrainer, WarmStart};
     pub use crate::{Classifier, TrainClassifier};
 }

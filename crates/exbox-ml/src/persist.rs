@@ -53,7 +53,13 @@ fn kernel_from_parts(parts: &[&str]) -> io::Result<Kernel> {
             let gamma: f64 = g.parse().map_err(|_| bad("bad poly gamma"))?;
             let coef0: f64 = c0.parse().map_err(|_| bad("bad poly coef0"))?;
             let degree: u32 = d.parse().map_err(|_| bad("bad poly degree"))?;
-            if !(gamma > 0.0 && gamma.is_finite()) || degree == 0 {
+            // A non-finite coef0 makes every margin NaN (which reads
+            // as "reject"), and `powi` takes the degree as an `i32`.
+            let in_range = gamma > 0.0
+                && gamma.is_finite()
+                && coef0.is_finite()
+                && (1..=i32::MAX as u32).contains(&degree);
+            if !in_range {
                 return Err(bad("poly params out of range"));
             }
             Ok(Kernel::Poly {
@@ -238,6 +244,24 @@ mod tests {
     fn rejects_garbage_numbers() {
         let text = "exbox-svm v1\nkernel rbf nan\ndims 1\nbias 0\n";
         assert!(SvmModel::load(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn rejects_out_of_range_poly_params() {
+        // NaN/inf coef0 poisons every margin; a degree above i32::MAX
+        // wraps negative in `powi`.
+        for params in [
+            "0.5 NaN 2",
+            "0.5 inf 2",
+            "0.5 1 4294967295",
+            "0.5 1 2147483648",
+        ] {
+            let text = format!("exbox-svm v1\nkernel poly {params}\ndims 1\nbias 0\nsv 1.0 1.0\n");
+            let err = SvmModel::load(text.as_bytes()).expect_err("poly params must be checked");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{params}");
+        }
+        let ok = "exbox-svm v1\nkernel poly 0.5 1 2147483647\ndims 1\nbias 0\nsv 1.0 1.0\n";
+        assert!(SvmModel::load(ok.as_bytes()).is_ok());
     }
 
     #[test]

@@ -80,10 +80,7 @@ impl StandardScaler {
 
     /// Transform one feature vector into a caller-provided buffer —
     /// the zero-allocation form the admission fast path uses with a
-    /// stack scratch array. Runs the lane-chunked loop from
-    /// [`crate::engine`]; standardisation is element-wise, so the
-    /// result is bit-identical to [`StandardScaler::transform`]
-    /// whatever the chunking.
+    /// stack scratch array.
     ///
     /// # Panics
     /// Panics when `x` does not match the fitted dimensionality or
@@ -91,7 +88,9 @@ impl StandardScaler {
     pub fn transform_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.mean.len(), "dimensionality mismatch");
         assert_eq!(out.len(), x.len(), "output buffer length mismatch");
-        crate::engine::scale_lanes(x, &self.mean, &self.std, out);
+        for ((o, &v), (&m, &sd)) in out.iter_mut().zip(x).zip(self.mean.iter().zip(&self.std)) {
+            *o = (v - m) / sd;
+        }
     }
 
     /// Transform a whole dataset (labels preserved).
@@ -134,66 +133,6 @@ impl StandardScaler {
     }
 }
 
-/// Min-max scaling to `[0, 1]` per feature.
-#[derive(Debug, Clone)]
-pub struct MinMaxScaler {
-    min: Vec<f64>,
-    range: Vec<f64>,
-}
-
-impl MinMaxScaler {
-    /// Fit the scaler on a dataset. Constant features get range 1 so
-    /// they map to 0.
-    ///
-    /// # Panics
-    /// Panics on an empty dataset.
-    pub fn fit(data: &Dataset) -> Self {
-        assert!(!data.is_empty(), "cannot fit scaler on empty dataset");
-        let d = data.dims();
-        let mut min = vec![f64::INFINITY; d];
-        let mut max = vec![f64::NEG_INFINITY; d];
-        for (x, _) in data.iter() {
-            for k in 0..d {
-                min[k] = min[k].min(x[k]);
-                max[k] = max[k].max(x[k]);
-            }
-        }
-        let range = min
-            .iter()
-            .zip(&max)
-            .map(|(&lo, &hi)| {
-                let r = hi - lo;
-                if r > 1e-12 {
-                    r
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        MinMaxScaler { min, range }
-    }
-
-    /// Transform one feature vector. Values outside the fitted range
-    /// extrapolate beyond `[0, 1]` (they are *not* clamped, so the
-    /// classifier can still see "further outside than ever observed").
-    pub fn transform(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.min.len(), "dimensionality mismatch");
-        x.iter()
-            .zip(self.min.iter().zip(&self.range))
-            .map(|(&v, (&lo, &r))| (v - lo) / r)
-            .collect()
-    }
-
-    /// Transform a whole dataset (labels preserved).
-    pub fn transform_dataset(&self, data: &Dataset) -> Dataset {
-        let mut out = Dataset::new(data.dims());
-        for (x, y) in data.iter() {
-            out.push(self.transform(x), y);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,22 +164,6 @@ mod tests {
         // Column 1 is constant 10 -> std forced to 1, transform = v-10.
         assert_eq!(s.transform(&[2.0, 10.0])[1], 0.0);
         assert_eq!(s.transform(&[2.0, 12.0])[1], 2.0);
-    }
-
-    #[test]
-    fn minmax_maps_to_unit_interval() {
-        let s = MinMaxScaler::fit(&ds());
-        let lo = s.transform(&[0.0, 10.0]);
-        let hi = s.transform(&[4.0, 10.0]);
-        assert_eq!(lo[0], 0.0);
-        assert_eq!(hi[0], 1.0);
-    }
-
-    #[test]
-    fn minmax_extrapolates_outside_range() {
-        let s = MinMaxScaler::fit(&ds());
-        assert!(s.transform(&[8.0, 10.0])[0] > 1.0);
-        assert!(s.transform(&[-4.0, 10.0])[0] < 0.0);
     }
 
     #[test]

@@ -44,8 +44,7 @@ use std::rc::Rc;
 use exbox_par::ThreadPool;
 
 use crate::data::{Dataset, Label};
-use crate::engine::{interleave_rows, kernel_rows_lanes, KernelEngine};
-use crate::kernel::{dot, gram_matrix_with_engine, Kernel};
+use crate::kernel::{dot, gram_matrix, Kernel};
 use crate::{Classifier, TrainClassifier};
 
 /// Consecutive quiescent-at-bound passes before a multiplier is
@@ -852,10 +851,9 @@ impl PersistentKernelCache {
             }
         }
         self.n = n;
-        let engine = KernelEngine::select();
         if n0 == 0 {
             // Full rebuild: the triangular builder halves the work.
-            self.gram = gram_matrix_with_engine(kernel, data, pool, engine);
+            self.gram = gram_matrix(kernel, data, pool);
             return n;
         }
         // Incremental append: grow the matrix by a strided copy of the
@@ -873,28 +871,14 @@ impl PersistentKernelCache {
         let fresh = n - n0;
         let norms = &self.norms;
         let norm = |i: usize| norms.get(i).copied().unwrap_or(0.0);
-        let new_rows: Vec<Vec<f64>> = if engine == KernelEngine::Lanes && dims > 0 {
-            let mut flat = Vec::with_capacity(n * dims);
-            for i in 0..n {
-                flat.extend_from_slice(data.x(i));
-            }
-            let lanes = interleave_rows(&flat, dims);
-            pool.parallel_map(fresh, |k| {
-                let i = n0 + k;
-                let mut out = vec![0.0; n];
-                kernel_rows_lanes(kernel, &lanes, dims, norms, data.x(i), norm(i), &mut out);
-                out
-            })
-        } else {
-            pool.parallel_map(fresh, |k| {
-                let i = n0 + k;
-                let xi = data.x(i);
-                let ni = norm(i);
-                (0..n)
-                    .map(|j| kernel.eval_with_norms(xi, ni, data.x(j), norm(j)))
-                    .collect()
-            })
-        };
+        let new_rows: Vec<Vec<f64>> = pool.parallel_map(fresh, |k| {
+            let i = n0 + k;
+            let xi = data.x(i);
+            let ni = norm(i);
+            (0..n)
+                .map(|j| kernel.eval_with_norms(xi, ni, data.x(j), norm(j)))
+                .collect()
+        });
         for (k, row) in new_rows.iter().enumerate() {
             let i = n0 + k;
             g[i * n..(i + 1) * n].copy_from_slice(row);
@@ -963,32 +947,25 @@ impl RowCache {
 /// Unified kernel-value access for the SMO: full Gram below the
 /// limit (owned, or borrowed from a [`PersistentKernelCache`]),
 /// LRU-cached rows above it, RBF norms precomputed either way. All
-/// evaluations route through [`Kernel::eval_with_norms`] or the
-/// bit-identical [`kernel_rows_lanes`] path, so the regimes, engines
-/// and every thread count agree bit-for-bit.
+/// evaluations route through [`Kernel::eval_with_norms`], so the
+/// regimes and every thread count agree bit-for-bit.
 struct KernelCache<'a> {
     kernel: Kernel,
     data: &'a Dataset,
-    engine: KernelEngine,
     norms: Vec<f64>,
     diag: Vec<f64>,
     gram: Option<GramRef<'a>>,
-    /// Lazily-built feature-major lane buffer for on-demand rows in
-    /// the LRU regime (lanes engine only).
-    lanes: RefCell<Option<Rc<Vec<f64>>>>,
     lru: RefCell<RowCache>,
 }
 
 impl<'a> KernelCache<'a> {
     fn new(kernel: Kernel, data: &'a Dataset, gram_limit: usize, pool: &ThreadPool) -> Self {
         let n = data.len();
-        let engine = KernelEngine::select();
         let norms = match kernel {
             Kernel::Rbf { .. } => data.squared_norms(),
             _ => Vec::new(),
         };
-        let gram = (n <= gram_limit)
-            .then(|| GramRef::Owned(gram_matrix_with_engine(kernel, data, pool, engine)));
+        let gram = (n <= gram_limit).then(|| GramRef::Owned(gram_matrix(kernel, data, pool)));
         let diag: Vec<f64> = match &gram {
             Some(g) => (0..n).map(|i| g[i * n + i]).collect(),
             None => (0..n)
@@ -1009,11 +986,9 @@ impl<'a> KernelCache<'a> {
         KernelCache {
             kernel,
             data,
-            engine,
             norms,
             diag,
             gram,
-            lanes: RefCell::new(None),
             lru: RefCell::new(RowCache {
                 cap,
                 stamp: 0,
@@ -1037,35 +1012,15 @@ impl<'a> KernelCache<'a> {
         KernelCache {
             kernel,
             data,
-            engine: KernelEngine::select(),
             norms: cache.norms.clone(),
             diag,
             gram: Some(GramRef::Borrowed(&cache.gram)),
-            lanes: RefCell::new(None),
             lru: RefCell::new(RowCache {
                 cap: 0,
                 stamp: 0,
                 rows: HashMap::new(),
             }),
         }
-    }
-
-    /// Interleaved feature-major copy of the whole dataset, built on
-    /// first use (LRU regime + lanes engine only).
-    fn lanes_buf(&self) -> Rc<Vec<f64>> {
-        let mut cell = self.lanes.borrow_mut();
-        if let Some(l) = cell.as_ref() {
-            return Rc::clone(l);
-        }
-        let dims = self.data.dims();
-        let n = self.data.len();
-        let mut flat = Vec::with_capacity(n * dims);
-        for i in 0..n {
-            flat.extend_from_slice(self.data.x(i));
-        }
-        let l = Rc::new(interleave_rows(&flat, dims));
-        *cell = Some(Rc::clone(&l));
-        l
     }
 
     #[inline]
@@ -1113,22 +1068,7 @@ impl<'a> KernelCache<'a> {
                 if let Some(r) = self.lru.borrow_mut().get(i) {
                     return RowHandle::Shared(r);
                 }
-                let row = if self.engine == KernelEngine::Lanes && self.data.dims() > 0 {
-                    let lanes = self.lanes_buf();
-                    let mut out = vec![0.0; n];
-                    kernel_rows_lanes(
-                        self.kernel,
-                        &lanes,
-                        self.data.dims(),
-                        &self.norms,
-                        self.data.x(i),
-                        self.norm(i),
-                        &mut out,
-                    );
-                    Rc::new(out)
-                } else {
-                    Rc::new((0..n).map(|t| self.eval_idx(i, t)).collect::<Vec<f64>>())
-                };
+                let row = Rc::new((0..n).map(|t| self.eval_idx(i, t)).collect::<Vec<f64>>());
                 self.lru.borrow_mut().insert(i, Rc::clone(&row));
                 RowHandle::Shared(row)
             }

@@ -163,19 +163,29 @@ proptest! {
             let y = if i % 2 == 0 { Label::Pos } else { Label::Neg };
             ds.push(r.clone(), y);
         }
-        for kernel in [Kernel::rbf(gamma), Kernel::poly(gamma, 1.0, 2)] {
-            // fast-math builds approximate the Lanes-engine RBF exp and
-            // explicitly forfeit bit-equality; refuse to certify them.
-            if matches!(kernel, Kernel::Rbf { .. }) && !exbox_ml::determinism_guaranteed() {
-                continue;
+        let poly = SvmTrainer::new(Kernel::poly(gamma, 1.0, 2)).c(5.0).train(&ds);
+        let mut models = vec![SvmTrainer::new(Kernel::rbf(gamma)).c(5.0).train(&ds)];
+        // Degrees 1–4 take the hoisted product trees, 5–6 the `powi`
+        // fallback; coef0 = 0 lets zero and negative bases through.
+        // The sweep re-labels the polynomial fit's support set rather
+        // than refitting: only evaluation differs by degree.
+        let (coef, support): (Vec<f64>, Vec<Vec<f64>>) =
+            poly.support_iter().map(|(c, x)| (c, x.to_vec())).unzip();
+        for degree in 1..=6 {
+            for coef0 in [0.0, 1.0] {
+                let kernel = Kernel::poly(gamma, coef0, degree);
+                let (support, coef) = (support.clone(), coef.clone());
+                models.push(SvmModel::from_parts(kernel, support, coef, poly.bias(), 3));
             }
-            let model = SvmTrainer::new(kernel).c(5.0).train(&ds);
+        }
+        models.push(poly);
+        for model in &models {
             let compact = model.compact();
             for q in &queries {
                 prop_assert_eq!(
                     model.decision_value(q).to_bits(),
                     compact.decision_value(q).to_bits(),
-                    "compact diverged for {:?} at {:?}", kernel, q
+                    "compact diverged for {:?} at {:?}", model.kernel(), q
                 );
             }
         }

@@ -1,11 +1,11 @@
 //! Property tests for the retrain fast path (DESIGN.md §8): the
-//! persistent incremental kernel cache and the lane-blocked Gram
-//! engine must be bit-identical to the scalar full-rebuild reference
-//! under every mutation sequence a bounded sample store can produce —
-//! appends, label flips and seeded compactions in any order.
+//! persistent incremental kernel cache must be bit-identical to the
+//! full-rebuild reference under every mutation sequence a bounded
+//! sample store can produce — appends, label flips and seeded
+//! compactions in any order.
 
 use exbox_ml::prelude::*;
-use exbox_ml::{gram_matrix, gram_matrix_with_engine, PersistentKernelCache};
+use exbox_ml::{gram_matrix, PersistentKernelCache};
 use exbox_par::ThreadPool;
 use proptest::prelude::*;
 
@@ -15,9 +15,8 @@ fn finite_vec(dims: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-100.0f64..100.0, dims)
 }
 
-/// The kernel matrix exercised by `gram_and_on_demand_paths_agree`
-/// and the engine unit tests: one of each family plus degree/width
-/// variants.
+/// The kernel matrix exercised below: one of each family plus
+/// degree/width variants.
 fn kernels() -> [Kernel; 5] {
     [
         Kernel::Linear,
@@ -149,31 +148,6 @@ proptest! {
                     a.to_bits(), b.to_bits(),
                     "incremental Gram diverged from full rebuild"
                 );
-            }
-        }
-    }
-
-    /// Engine invariant: the lane-blocked Gram builder is bit-equal to
-    /// the scalar one on every kernel in the matrix, on both build
-    /// configs (the lanes code is always compiled; the `simd` feature
-    /// only changes the default selection).
-    #[test]
-    fn lanes_and_scalar_gram_agree_bitwise(
-        rows in prop::collection::vec(finite_vec(DIMS), 1..40),
-        threads in 1usize..4,
-    ) {
-        let mut ds = Dataset::new(DIMS);
-        for (i, r) in rows.iter().enumerate() {
-            ds.push(r.clone(), if i % 2 == 0 { Label::Pos } else { Label::Neg });
-        }
-        let pool = ThreadPool::new(threads);
-        for kernel in kernels() {
-            let scalar = gram_matrix_with_engine(kernel, &ds, &pool, KernelEngine::Scalar);
-            let lanes = gram_matrix_with_engine(kernel, &ds, &pool, KernelEngine::Lanes);
-            let plain = gram_matrix(kernel, &ds, &pool);
-            for ((a, b), c) in scalar.iter().zip(&lanes).zip(&plain) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "lanes diverged under {:?}", kernel);
-                prop_assert_eq!(a.to_bits(), c.to_bits(), "engine wrapper diverged");
             }
         }
     }

@@ -29,9 +29,6 @@ cargo test -q -p exbox-loom
 echo "== gateway models (snapshot QSBR, channel, trainer drain, shard merge)"
 cargo test -q -p exbox-core --lib
 
-echo "== gateway models under --features simd (satellite: both kernel modes)"
-cargo test -q -p exbox-core --lib --features simd
-
 echo "== exbox-obs under the loom cfg (atomics shim compiles + behaves)"
 cargo test -q -p exbox-obs --lib
 
