@@ -24,7 +24,7 @@
 //! ```
 //!
 //! `--assert` switches to a bounded-store soak: the sample cap is set
-//! (default 100, `--max-samples`/`EXBOX_MAX_SAMPLES` override), the
+//! (default 100, `--max-samples` overrides), the
 //! draw space is widened so the store churns through ≥ 10× the cap in
 //! distinct matrices, and the run asserts (a) per-round trainer wall
 //! time stays flat (late median ≤ 1.5× early median + scheduling

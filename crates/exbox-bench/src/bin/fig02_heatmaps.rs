@@ -54,20 +54,11 @@ fn main() {
         "qoe_network",
     ]);
 
-    // Every (conf, stream) cell simulates an independent fluid cell:
-    // fan the flattened grid out over the exbox-par pool and print in
-    // grid order, so the CSV is byte-identical for any EXBOX_THREADS.
-    let grid: Vec<(u32, u32)> = (0..=50u32)
-        .step_by(2)
-        .flat_map(|conf| (0..=50u32).step_by(2).map(move |stream| (conf, stream)))
-        .collect();
-    let pool = exbox_par::ThreadPool::global();
-    let rows = pool.parallel_map(grid.len(), |i| {
-        let (conf, stream) = grid[i];
-        grid_point(&estimator, &cell, conf, stream)
-    });
-    for ((conf, stream), (qs, qc, qn)) in grid.iter().zip(&rows) {
-        println!("{conf},{stream},{},{},{}", f(*qs), f(*qc), f(*qn));
+    for conf in (0..=50u32).step_by(2) {
+        for stream in (0..=50u32).step_by(2) {
+            let (qs, qc, qn) = grid_point(&estimator, &cell, conf, stream);
+            println!("{conf},{stream},{},{},{}", f(qs), f(qc), f(qn));
+        }
     }
 
     exbox_bench::dump_metrics();

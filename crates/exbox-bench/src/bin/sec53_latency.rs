@@ -15,8 +15,8 @@
 //! sorted raw samples. A decision costs nanoseconds, less than a
 //! clock read, so a decision sample is the mean over one block of
 //! [`BLOCK`] calls (`reps` counts blocks, `max_ns` is the slowest
-//! block); a training sample is one fit. The ExBox rows run with the
-//! decision cache off, so every call evaluates the trained model —
+//! block); a training sample is one fit. The controller keeps no
+//! decision cache, so every ExBox call evaluates the trained model —
 //! the quantity the paper timed. What the cache-served gateway path
 //! pays is the ledger's `decision_p50_us` (`bench/`).
 //!
@@ -86,12 +86,9 @@ fn samples(n: usize) -> Vec<(TrafficMatrix, Label)> {
     (0..n).map(|_| draw()).collect()
 }
 
-/// ExBox trained online on `n` samples, decision cache off.
+/// ExBox trained online on `n` samples.
 fn trained_exbox(n: usize) -> ExBoxController {
-    let mut ex = ExBoxController::new(AdmittanceClassifier::new(AdmittanceConfig {
-        decision_cache_size: 0,
-        ..AdmittanceConfig::default()
-    }));
+    let mut ex = ExBoxController::new(AdmittanceClassifier::new(AdmittanceConfig::default()));
     for (m, label) in samples(n) {
         ex.on_observation(m, label);
     }
@@ -110,9 +107,8 @@ fn dataset(n: usize) -> Dataset {
 
 fn main() {
     eprintln!(
-        "machine: {} hardware threads, pool of {}",
+        "machine: {} hardware threads",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
-        exbox_par::ThreadPool::global().threads(),
     );
     println!("name,n,reps,mean_ns,p50_ns,p95_ns,max_ns");
 

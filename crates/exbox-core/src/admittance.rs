@@ -14,7 +14,7 @@
 //!   freshness rule, which is what lets ExBox adapt when the network
 //!   itself changes — Fig. 11). The store is append-only with
 //!   in-place label replacement; with
-//!   [`AdmittanceConfig::max_samples`] set (`EXBOX_MAX_SAMPLES`) it is
+//!   [`AdmittanceConfig::max_samples`] set it is
 //!   bounded by deterministic seeded stratified-reservoir compaction,
 //!   so steady-state retrain cost is O(cap) rather than growing with
 //!   everything ever observed.
@@ -40,22 +40,21 @@
 //!
 //! ## Serving fast path
 //!
-//! The classifier sits on the gateway's per-arrival datapath, so the
-//! online decision is engineered around three observations:
+//! The learnt state sits on the gateway's per-arrival datapath, so the
+//! online decision is engineered around two observations:
 //!
 //! 1. A trained [`SvmModel`] is converted into a [`CompactSvm`]
 //!    (flattened support vectors, pruned zero coefficients, linear
 //!    kernel collapsed to one dot product) after every retrain.
-//! 2. [`AdmittanceClassifier::decide`] computes the margin **once**
-//!    and derives the label from its sign — callers that need both no
-//!    longer pay two kernel expansions.
-//! 3. Traffic matrices live on a small discrete lattice and recur
-//!    constantly under steady load, so decisions are memoised in a
-//!    bounded, generation-stamped cache keyed by the matrix itself.
-//!    Every retrain (and, when the monotonicity guard is on, every
-//!    `observe`) bumps the generation, so a stale verdict can never be
-//!    served. `admittance.cache_hits` / `admittance.cache_misses`
-//!    count the traffic.
+//! 2. The decision rule — phase, scaler transform, one margin
+//!    evaluation, label from its sign — is written once, in the
+//!    serving value the classifier owns. [`AdmittanceClassifier::decide`]
+//!    runs it behind the optional monotonicity guard; a published
+//!    [`ModelSnapshot`](crate::gateway::ModelSnapshot) carries a clone
+//!    and runs the same code, so the two cannot drift.
+//!
+//! The classifier itself memoises nothing: the one decision cache is
+//! the gateway shard's, keyed by `(snapshot epoch, matrix)`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -102,12 +101,6 @@ struct AdmittanceMetrics {
     /// `admittance.cv_accuracy` — latest bootstrap cross-validation
     /// accuracy.
     cv_accuracy: Arc<Gauge>,
-    /// `admittance.cache_hits` — decisions served from the
-    /// matrix-keyed cache.
-    cache_hits: Arc<Counter>,
-    /// `admittance.cache_misses` — decisions that ran the model (or
-    /// found a stale-generation entry).
-    cache_misses: Arc<Counter>,
     /// `recovery.retrain_failures` — retrain attempts that failed
     /// (today only injectable via [`FaultPlan`]; the hook is where a
     /// real trainer error would land).
@@ -134,8 +127,6 @@ impl AdmittanceMetrics {
             shrunk_fraction: reg.histogram("svm.shrunk_fraction", &buckets::unit()),
             nonconverged_retrains: reg.counter("admittance.nonconverged_retrains"),
             cv_accuracy: reg.gauge("admittance.cv_accuracy"),
-            cache_hits: reg.counter("admittance.cache_hits"),
-            cache_misses: reg.counter("admittance.cache_misses"),
             retrain_failures: reg.counter("recovery.retrain_failures"),
             retrain_retries: reg.counter("recovery.retrain_retries"),
         }
@@ -192,6 +183,14 @@ pub struct AdmittanceConfig {
     /// dominated by a stored admissible matrix must be admissible.
     /// Applied before the model; makes the controller conservative
     /// under label noise (the `ablation_guard` bench quantifies it).
+    ///
+    /// The guard reads the sample store, so only drivers that decide
+    /// through the classifier itself honour it:
+    /// [`Middlebox`](crate::middlebox::Middlebox) and
+    /// [`ExBoxController`](crate::baselines::ExBoxController). A
+    /// [`ConcurrentGateway`](crate::gateway::ConcurrentGateway) serves
+    /// from published snapshots, which carry no sample store, and so
+    /// decides **without** the guard (it says so once on stderr).
     pub monotone_guard: bool,
     /// Minimum samples before bootstrap exit is considered (paper:
     /// "bootstrapping can be done with ≈50 samples").
@@ -210,12 +209,6 @@ pub struct AdmittanceConfig {
     pub warm_start: bool,
     /// Training seed.
     pub seed: u64,
-    /// Capacity of the matrix-keyed decision cache (distinct
-    /// matrices); `0` disables caching entirely. The environment
-    /// variable `EXBOX_DECISION_CACHE` overrides this at
-    /// construction, which is how the CI determinism check runs the
-    /// figure binaries cache-off without a code change.
-    pub decision_cache_size: usize,
     /// Bound on the sample store (distinct matrices); `0` keeps the
     /// store unbounded (the paper's "all observed so far"). When the
     /// store exceeds the bound, deterministic seeded
@@ -223,7 +216,7 @@ pub struct AdmittanceConfig {
     /// (hysteresis, so compaction is amortised rather than
     /// per-observation), keeping at least one sample of each present
     /// label so the monotonicity guard can still fire in both
-    /// directions. `EXBOX_MAX_SAMPLES` overrides at construction.
+    /// directions.
     pub max_samples: usize,
     /// Reuse the fitted feature scaler across retrains instead of
     /// refitting on every batch (it is still refitted after a
@@ -247,7 +240,6 @@ impl Default for AdmittanceConfig {
             cv_folds: 5,
             warm_start: true,
             seed: 0xADB0,
-            decision_cache_size: 4096,
             max_samples: 0,
             sticky_scaler: false,
         }
@@ -291,32 +283,78 @@ impl Model {
     }
 }
 
-/// An opaque, immutable handle to the classifier's served model of
-/// whichever backend — the unit the concurrent gateway publishes
-/// inside an epoch-stamped [`crate::gateway::ModelSnapshot`].
-///
-/// Decisions through a `ServingModel` are bit-exact with
-/// [`AdmittanceClassifier::decision_value`] on the same scaled input:
-/// it wraps the very same backend value the classifier serves. It is
-/// `Send + Sync` (the compact SVM, logistic and Pegasos forms are all
-/// plain owned data), so many shards can evaluate one shared snapshot
-/// concurrently through `&self`.
+/// The serving view of the learnt state — the phase and, once
+/// trained, the fitted scaler and model — and the one place the
+/// decision rule is written. The classifier owns one and decides
+/// through it; `ModelSnapshot::from_classifier` clones it, so every
+/// shard evaluates the very same code on the very same values
+/// (`Send + Sync`: the compact SVM, logistic and Pegasos forms are all
+/// plain owned data, read through `&self`).
 #[derive(Debug, Clone)]
-pub struct ServingModel(Model);
+pub(crate) struct Serving {
+    phase: Phase,
+    scaler: Option<StandardScaler>,
+    model: Option<Model>,
+}
 
-impl ServingModel {
-    /// Signed decision score for an already-scaled feature vector;
-    /// positive ⇒ inside the learnt ExCR.
-    pub fn decision_value(&self, scaled: &[f64]) -> f64 {
-        self.0.decision_value(scaled)
+impl Serving {
+    /// The pre-training state: bootstrap phase, no model.
+    pub(crate) fn bootstrap() -> Self {
+        Serving {
+            phase: Phase::Bootstrap,
+            scaler: None,
+            model: None,
+        }
+    }
+
+    pub(crate) fn phase(&self) -> Phase {
+        self.phase
+    }
+
+    /// Whether a scaler/model pair is servable.
+    pub(crate) fn model_available(&self) -> bool {
+        self.scaler.is_some() && self.model.is_some()
+    }
+
+    /// Signed distance-like score for the matrix that would result
+    /// from an admission: positive ⇒ inside the learnt ExCR. `None`
+    /// until a model exists.
+    ///
+    /// Allocation-free: features and scaled features live in stack
+    /// arrays sized by [`TrafficMatrix::DIMS`].
+    #[inline]
+    pub(crate) fn decision_value(&self, resulting: &TrafficMatrix) -> Option<f64> {
+        let scaler = self.scaler.as_ref()?;
+        let model = self.model.as_ref()?;
+        let mut raw = [0.0f64; TrafficMatrix::DIMS];
+        resulting.features_into(&mut raw);
+        let mut scaled = [0.0f64; TrafficMatrix::DIMS];
+        scaler.transform_into(&raw, &mut scaled);
+        Some(model.decision_value(&scaled))
+    }
+
+    /// Single-pass decision: one margin evaluation, label from its
+    /// sign. Everything is admissible in bootstrap, and online while
+    /// no model exists (the degraded fallback gates that case
+    /// upstream).
+    #[inline]
+    pub(crate) fn decide(&self, resulting: &TrafficMatrix) -> (Label, Option<f64>) {
+        let margin = self.decision_value(resulting);
+        let label = match self.phase {
+            Phase::Bootstrap => Label::Pos,
+            Phase::Online => match margin {
+                Some(v) => Label::from_signum(v),
+                None => Label::Pos,
+            },
+        };
+        (label, margin)
     }
 }
 
-// The whole serving pair must be shareable across shard threads.
+// The serving value must be shareable across shard threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ServingModel>();
-    assert_send_sync::<StandardScaler>();
+    assert_send_sync::<Serving>();
 };
 
 /// Dual state carried between SVM retrains: per-sample (label at the
@@ -328,61 +366,12 @@ struct WarmState {
     bias: f64,
 }
 
-/// Bounded, generation-stamped memo of `(label, margin)` verdicts
-/// keyed by traffic matrix. Entries from an older generation are
-/// treated as misses; [`DecisionCache::invalidate`] (called on every
-/// retrain, and on every `observe` when the monotonicity guard reads
-/// the sample store) is therefore O(1). Capacity pressure first drops
-/// the stale generations, then — if the live working set alone
-/// overflows — clears outright, so memory stays bounded by `cap` live
-/// entries plus whatever stale ones the next insert sweeps.
-#[derive(Debug)]
-struct DecisionCache {
-    cap: usize,
-    generation: u64,
-    map: HashMap<TrafficMatrix, (u64, Label, f64)>,
-}
-
-impl DecisionCache {
-    fn new(cap: usize) -> Self {
-        DecisionCache {
-            cap,
-            generation: 0,
-            map: HashMap::new(),
-        }
-    }
-
-    fn get(&self, key: &TrafficMatrix) -> Option<(Label, f64)> {
-        match self.map.get(key) {
-            Some(&(gen, label, margin)) if gen == self.generation => Some((label, margin)),
-            _ => None,
-        }
-    }
-
-    fn insert(&mut self, key: TrafficMatrix, label: Label, margin: f64) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.map.len() >= self.cap && !self.map.contains_key(&key) {
-            let gen = self.generation;
-            self.map.retain(|_, &mut (g, _, _)| g == gen);
-            if self.map.len() >= self.cap {
-                self.map.clear();
-            }
-        }
-        self.map.insert(key, (self.generation, label, margin));
-    }
-
-    fn invalidate(&mut self) {
-        self.generation += 1;
-    }
-}
-
 /// The Admittance Classifier.
 #[derive(Debug)]
 pub struct AdmittanceClassifier {
     cfg: AdmittanceConfig,
-    phase: Phase,
+    /// Phase, scaler and model: what a decision reads.
+    serving: Serving,
     /// Insertion-ordered sample store; the map gives the index of the
     /// latest entry for each distinct matrix so repeats *replace*.
     samples: Vec<(TrafficMatrix, Label)>,
@@ -390,16 +379,13 @@ pub struct AdmittanceClassifier {
     pending: usize,
     observations: u64,
     retrain_count: u64,
-    scaler: Option<StandardScaler>,
     /// Sticky-scaler mode only: set by compaction to force a scaler
     /// refit at the next retrain (the store distribution changed).
     scaler_stale: bool,
-    model: Option<Model>,
     warm: Option<WarmState>,
     /// Gram matrix carried across warm retrains (rebuildable —
     /// deliberately not checkpointed).
     kernel_cache: PersistentKernelCache,
-    cache: DecisionCache,
     metrics: AdmittanceMetrics,
     faults: FaultPlan,
     backoff: RetryBackoff,
@@ -471,38 +457,17 @@ impl AdmittanceClassifier {
             cfg.bootstrap_accuracy > 0.0 && cfg.bootstrap_accuracy <= 1.0,
             "bootstrap accuracy must be in (0, 1]"
         );
-        let mut cfg = cfg;
-        if let Ok(v) = std::env::var("EXBOX_DECISION_CACHE") {
-            // Zero is a valid setting here (cache off), so any usize
-            // passes; garbage warns and keeps the configured size.
-            if let Some(n) =
-                exbox_par::parse_env_knob::<usize>("EXBOX_DECISION_CACHE", &v, |_| true)
-            {
-                cfg.decision_cache_size = n;
-            }
-        }
-        if let Ok(v) = std::env::var("EXBOX_MAX_SAMPLES") {
-            // Zero is valid (unbounded), so any usize passes; garbage
-            // warns and keeps the configured bound.
-            if let Some(n) = exbox_par::parse_env_knob::<usize>("EXBOX_MAX_SAMPLES", &v, |_| true) {
-                cfg.max_samples = n;
-            }
-        }
-        let cache = DecisionCache::new(cfg.decision_cache_size);
         AdmittanceClassifier {
             cfg,
-            phase: Phase::Bootstrap,
+            serving: Serving::bootstrap(),
             samples: Vec::new(),
             index: HashMap::new(),
             pending: 0,
             observations: 0,
             retrain_count: 0,
-            scaler: None,
             scaler_stale: false,
-            model: None,
             warm: None,
             kernel_cache: PersistentKernelCache::new(),
-            cache,
             metrics: AdmittanceMetrics::bind(registry),
             faults: FaultPlan::disabled(),
             backoff: RetryBackoff::default(),
@@ -521,7 +486,7 @@ impl AdmittanceClassifier {
     /// `false` during bootstrap-before-first-train and after a failed
     /// restore — the states the middlebox serves in degraded mode.
     pub fn model_available(&self) -> bool {
-        self.model.is_some() && self.scaler.is_some()
+        self.serving.model_available()
     }
 
     /// Failed retrain attempts since the last success (0 in healthy
@@ -532,7 +497,7 @@ impl AdmittanceClassifier {
 
     /// Current phase.
     pub fn phase(&self) -> Phase {
-        self.phase
+        self.serving.phase
     }
 
     /// Number of distinct traffic matrices stored (repeats replace).
@@ -567,13 +532,7 @@ impl AdmittanceClassifier {
                 self.maybe_compact();
             }
         }
-        // The monotonicity guard reads the sample store directly, so
-        // with it enabled every observation can change a verdict —
-        // not just retrains.
-        if self.cfg.monotone_guard {
-            self.cache.invalidate();
-        }
-        match self.phase {
+        match self.serving.phase {
             Phase::Bootstrap => self.try_exit_bootstrap(),
             Phase::Online => {
                 self.pending += 1;
@@ -613,7 +572,7 @@ impl AdmittanceClassifier {
         self.metrics.cv_accuracy.set(acc);
         if acc >= self.cfg.bootstrap_accuracy {
             self.retrain();
-            self.phase = Phase::Online;
+            self.serving.phase = Phase::Online;
             self.metrics.bootstrap_exits.inc();
             true
         } else {
@@ -681,8 +640,7 @@ impl AdmittanceClassifier {
     ///
     /// Determinism: the draw is seeded by `cfg.seed ^ observations`,
     /// both of which are checkpointed — a restored classifier compacts
-    /// identically, and no thread pool is involved so `EXBOX_THREADS`
-    /// cannot change the outcome (property-tested).
+    /// identically (property-tested).
     fn maybe_compact(&mut self) {
         let cap = self.cfg.max_samples;
         let n = self.samples.len();
@@ -753,9 +711,7 @@ impl AdmittanceClassifier {
                 bias: w.bias,
             });
         }
-        // Dropped rows change what the monotonicity guard and the next
-        // scaler fit see.
-        self.cache.invalidate();
+        // Dropped rows change what the next scaler fit sees.
         self.scaler_stale = true;
         self.metrics.store_compactions.inc();
     }
@@ -808,7 +764,7 @@ impl AdmittanceClassifier {
         // persistent cache's incremental Gram reuse. A compaction
         // marks it stale (the store distribution changed).
         let prev_scaler = (cfg.sticky_scaler && !self.scaler_stale)
-            .then(|| self.scaler.clone())
+            .then(|| self.serving.scaler.clone())
             .flatten();
         let kcache = &mut self.kernel_cache;
         let (fitted, wall_ns) = exbox_obs::time_ns(move || {
@@ -878,12 +834,11 @@ impl AdmittanceClassifier {
                 .record(self.kernel_cache.last_fresh_rows() as f64);
         }
         self.metrics.retrains.inc();
-        self.scaler = Some(scaler);
+        self.serving.scaler = Some(scaler);
         self.scaler_stale = false;
-        self.model = Some(model);
+        self.serving.model = Some(model);
         self.retrain_count += 1;
         self.backoff.on_success();
-        self.cache.invalidate();
     }
 
     /// Capture the complete learnt state for checkpointing. The SVM
@@ -893,7 +848,7 @@ impl AdmittanceClassifier {
     /// rebuilds identical rows, coefficients and cached norms —
     /// decisions round-trip bit-exactly.
     pub(crate) fn export_state(&self) -> ClassifierState {
-        let model = self.model.as_ref().map(|m| match m {
+        let model = self.serving.model.as_ref().map(|m| match m {
             Model::Svm(compact) => {
                 let mut support = Vec::with_capacity(compact.num_support_vectors());
                 let mut coef = Vec::with_capacity(compact.num_support_vectors());
@@ -913,12 +868,13 @@ impl AdmittanceClassifier {
             Model::Pegasos(m) => ModelState::Pegasos(m.weights().to_vec(), m.bias()),
         });
         ClassifierState {
-            phase: self.phase,
+            phase: self.serving.phase,
             samples: self.samples.clone(),
             pending: self.pending,
             observations: self.observations,
             retrain_count: self.retrain_count,
             scaler: self
+                .serving
                 .scaler
                 .as_ref()
                 .map(|s| (s.means().to_vec(), s.stds().to_vec())),
@@ -929,14 +885,14 @@ impl AdmittanceClassifier {
 
     /// Rebuild a classifier from a restored [`ClassifierState`]. The
     /// fault plan and backoff start fresh (they are runtime policy,
-    /// not learnt state); the decision cache starts cold.
+    /// not learnt state).
     pub(crate) fn import_state(
         cfg: AdmittanceConfig,
         state: ClassifierState,
         registry: &MetricsRegistry,
     ) -> Self {
         let mut ac = Self::with_registry(cfg, registry);
-        ac.phase = state.phase;
+        ac.serving.phase = state.phase;
         ac.index = state
             .samples
             .iter()
@@ -947,10 +903,10 @@ impl AdmittanceClassifier {
         ac.pending = state.pending;
         ac.observations = state.observations;
         ac.retrain_count = state.retrain_count;
-        ac.scaler = state
+        ac.serving.scaler = state
             .scaler
             .map(|(mean, std)| StandardScaler::from_parts(mean, std));
-        ac.model = state.model.map(|m| match m {
+        ac.serving.model = state.model.map(|m| match m {
             ModelState::Svm(model) => Model::Svm(model.compact()),
             ModelState::Logistic(w, b) => Model::Logistic(LogisticRegression::from_parts(w, b)),
             ModelState::Pegasos(w, b) => Model::Pegasos(LinearSvm::from_parts(w, b)),
@@ -962,46 +918,33 @@ impl AdmittanceClassifier {
     /// Signed distance-like score for the matrix that would result
     /// from an admission: positive ⇒ inside the learnt ExCR. `None`
     /// until a model exists (bootstrap before first training).
-    ///
-    /// Allocation-free: features and scaled features live in stack
-    /// arrays sized by [`TrafficMatrix::DIMS`].
+    /// Allocation-free.
     pub fn decision_value(&self, resulting: &TrafficMatrix) -> Option<f64> {
-        let scaler = self.scaler.as_ref()?;
-        let model = self.model.as_ref()?;
-        let mut raw = [0.0f64; TrafficMatrix::DIMS];
-        resulting.features_into(&mut raw);
-        let mut scaled = [0.0f64; TrafficMatrix::DIMS];
-        scaler.transform_into(&raw, &mut scaled);
-        Some(model.decision_value(&scaled))
+        self.serving.decision_value(resulting)
     }
 
-    /// Export the current serving view — phase plus, once trained, the
-    /// fitted scaler and model — for publication as an immutable
-    /// [`crate::gateway::ModelSnapshot`]. The clones are taken once
-    /// per retrain (off the packet path), never per decision.
-    pub fn serving_state(&self) -> (Phase, Option<(StandardScaler, ServingModel)>) {
-        let pair = match (&self.scaler, &self.model) {
-            (Some(s), Some(m)) => Some((s.clone(), ServingModel(m.clone()))),
-            _ => None,
-        };
-        (self.phase, pair)
+    /// The serving value a [`crate::gateway::ModelSnapshot`] clones —
+    /// once per publish (off the packet path), never per decision.
+    pub(crate) fn serving(&self) -> &Serving {
+        &self.serving
     }
 
-    /// Classify an arrival (by the matrix it would produce). During
-    /// bootstrap every flow is admissible by definition.
-    ///
-    /// Shared-reference and cache-free — safe to fan out across
-    /// threads. Callers holding `&mut self` that want the label *and*
-    /// the margin (or the memoised steady-state path) should use
-    /// [`AdmittanceClassifier::decide`] instead.
+    /// Whether [`AdmittanceConfig::monotone_guard`] is on.
+    pub(crate) fn monotone_guard(&self) -> bool {
+        self.cfg.monotone_guard
+    }
+
+    /// Classify an arrival (by the matrix it would produce): the label
+    /// of [`AdmittanceClassifier::decide`].
     pub fn classify(&self, resulting: &TrafficMatrix) -> Label {
-        self.decide_uncached(resulting).0
+        self.decide(resulting).0
     }
 
     /// Single-pass decision: label and margin from one model
-    /// evaluation, memoised in the matrix-keyed cache. The margin is
-    /// `None` until a model exists (bootstrap before first training) —
-    /// such decisions are never cached.
+    /// evaluation. During bootstrap every flow is admissible by
+    /// definition; the margin is `None` until a model exists. Online,
+    /// the optional monotonicity guard is consulted first and, where a
+    /// stored sample settles the query, overrides the margin's sign.
     ///
     /// # Examples
     ///
@@ -1009,81 +952,21 @@ impl AdmittanceClassifier {
     /// use exbox_core::prelude::*;
     /// use exbox_ml::Label;
     ///
-    /// let mut ac = AdmittanceClassifier::new(AdmittanceConfig::default());
+    /// let ac = AdmittanceClassifier::new(AdmittanceConfig::default());
     /// // Bootstrap: every matrix is admissible by definition, and
     /// // there is no model yet, hence no margin.
     /// let (label, margin) = ac.decide(&TrafficMatrix::empty());
     /// assert_eq!(label, Label::Pos);
     /// assert!(margin.is_none());
     /// ```
-    ///
-    /// Once online, repeated decisions on a recurring matrix are
-    /// served from the matrix-keyed cache with an identical margin:
-    ///
-    /// ```
-    /// use exbox_core::prelude::*;
-    /// use exbox_ml::Label;
-    /// use exbox_net::AppClass;
-    ///
-    /// let mut ac = AdmittanceClassifier::new(AdmittanceConfig {
-    ///     batch_size: 8,
-    ///     ..AdmittanceConfig::default()
-    /// });
-    /// for n in 0..80u32 {
-    ///     let total = n % 8;
-    ///     let mut m = TrafficMatrix::empty();
-    ///     for _ in 0..total {
-    ///         m.add(FlowKind::new(AppClass::Streaming, SnrLevel::High));
-    ///     }
-    ///     let y = if total <= 2 { Label::Pos } else { Label::Neg };
-    ///     ac.observe(m, y);
-    /// }
-    /// assert_eq!(ac.phase(), Phase::Online);
-    ///
-    /// let mut m = TrafficMatrix::empty();
-    /// m.add(FlowKind::new(AppClass::Streaming, SnrLevel::High));
-    /// let first = ac.decide(&m);
-    /// let again = ac.decide(&m); // cache hit — bit-identical
-    /// assert_eq!(first.0, Label::Pos);
-    /// assert_eq!(first.1.unwrap().to_bits(), again.1.unwrap().to_bits());
-    /// ```
-    pub fn decide(&mut self, resulting: &TrafficMatrix) -> (Label, Option<f64>) {
-        if self.model.is_none() {
-            return self.decide_uncached(resulting);
-        }
-        if let Some((label, margin)) = self.cache.get(resulting) {
-            self.metrics.cache_hits.inc();
-            return (label, Some(margin));
-        }
-        self.metrics.cache_misses.inc();
-        let (label, margin) = self.decide_uncached(resulting);
-        if let Some(m) = margin {
-            self.cache.insert(*resulting, label, m);
-        }
-        (label, margin)
-    }
-
-    /// The uncached decision: one margin evaluation, label derived
-    /// from its sign (after the phase rule and the optional
-    /// monotonicity guard).
-    fn decide_uncached(&self, resulting: &TrafficMatrix) -> (Label, Option<f64>) {
-        let margin = self.decision_value(resulting);
-        let label = match self.phase {
-            Phase::Bootstrap => Label::Pos,
-            Phase::Online => {
-                let guarded = if self.cfg.monotone_guard {
-                    self.dominance_label(resulting)
-                } else {
-                    None
-                };
-                match (guarded, margin) {
-                    (Some(l), _) => l,
-                    (None, Some(v)) => Label::from_signum(v),
-                    (None, None) => Label::Pos,
-                }
-            }
+    pub fn decide(&self, resulting: &TrafficMatrix) -> (Label, Option<f64>) {
+        let guarded = if self.cfg.monotone_guard && self.serving.phase == Phase::Online {
+            self.dominance_label(resulting)
+        } else {
+            None
         };
-        (label, margin)
+        let (label, margin) = self.serving.decide(resulting);
+        (guarded.unwrap_or(label), margin)
     }
 
     /// Downward-closure check against the stored samples: `Neg` when
@@ -1304,112 +1187,23 @@ mod tests {
     }
 
     #[test]
-    fn decide_caches_and_retrain_invalidates() {
-        let reg = MetricsRegistry::new();
-        let mut ac = AdmittanceClassifier::with_registry(AdmittanceConfig::default(), &reg);
-        feed_bootstrap(&mut ac);
-        let m = matrix(2, 1, 1);
-        let first = ac.decide(&m);
-        let counter = |reg: &MetricsRegistry, name: &str| reg.snapshot().counter(name).unwrap_or(0);
-        let misses_after_first = counter(&reg, "admittance.cache_misses");
-        assert!(misses_after_first >= 1);
-        assert_eq!(counter(&reg, "admittance.cache_hits"), 0);
-        // Repeat decisions hit the cache and return identical results.
-        for _ in 0..5 {
-            assert_eq!(ac.decide(&m), first);
-        }
-        assert_eq!(counter(&reg, "admittance.cache_hits"), 5);
-        assert_eq!(counter(&reg, "admittance.cache_misses"), misses_after_first);
-        // A retrain bumps the generation: same matrix misses again.
-        ac.retrain();
-        let again = ac.decide(&m);
-        assert_eq!(
-            counter(&reg, "admittance.cache_misses"),
-            misses_after_first + 1
-        );
-        // And the refreshed entry still agrees with the uncached path.
-        assert_eq!(again.0, ac.classify(&m));
-        assert_eq!(again.1, ac.decision_value(&m));
-    }
-
-    #[test]
-    fn bootstrap_decisions_are_not_cached() {
-        let reg = MetricsRegistry::new();
-        let mut ac = AdmittanceClassifier::with_registry(AdmittanceConfig::default(), &reg);
-        let m = matrix(3, 3, 3);
-        for _ in 0..3 {
-            assert_eq!(ac.decide(&m), (Label::Pos, None));
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("admittance.cache_hits").unwrap_or(0), 0);
-        assert_eq!(snap.counter("admittance.cache_misses").unwrap_or(0), 0);
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let reg = MetricsRegistry::new();
-        let mut ac = AdmittanceClassifier::with_registry(
-            AdmittanceConfig {
-                decision_cache_size: 0,
-                ..AdmittanceConfig::default()
-            },
-            &reg,
-        );
-        feed_bootstrap(&mut ac);
-        let m = matrix(1, 1, 1);
-        let first = ac.decide(&m);
-        for _ in 0..4 {
-            assert_eq!(ac.decide(&m), first);
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("admittance.cache_hits").unwrap_or(0), 0);
-        assert!(snap.counter("admittance.cache_misses").unwrap() >= 5);
-    }
-
-    #[test]
-    fn cache_stays_bounded_under_many_distinct_matrices() {
-        let mut ac = AdmittanceClassifier::new(AdmittanceConfig {
-            decision_cache_size: 8,
-            ..AdmittanceConfig::default()
-        });
-        feed_bootstrap(&mut ac);
-        for w in 0..10 {
-            for s in 0..10 {
-                let _ = ac.decide(&matrix(w, s, 2));
-            }
-        }
-        assert!(
-            ac.cache.map.len() <= 8,
-            "cache exceeded its bound: {}",
-            ac.cache.map.len()
-        );
-        // Bounded eviction must not corrupt verdicts.
-        let m = matrix(9, 9, 2);
-        assert_eq!(ac.decide(&m).0, ac.classify(&m));
-    }
-
-    #[test]
-    fn monotone_guard_observe_invalidates_cache() {
+    fn monotone_guard_observation_flips_verdict_without_retrain() {
         let mut ac = AdmittanceClassifier::new(AdmittanceConfig {
             monotone_guard: true,
             // Huge batch so the observes below never retrain — only
-            // the guard invalidation can keep the verdict fresh.
+            // the guard can move the verdict.
             batch_size: 100_000,
             ..AdmittanceConfig::default()
         });
         feed_bootstrap(&mut ac);
         let probe = matrix(2, 2, 2);
-        let (before, _) = ac.decide(&probe);
-        assert_eq!(before, ac.classify(&probe));
+        assert_eq!(ac.decide(&probe).0, Label::Pos);
         // A dominated inadmissible observation flips the guard verdict
         // for the probe without any retrain.
         ac.observe(matrix(1, 1, 1), Label::Neg);
-        assert_eq!(ac.classify(&probe), Label::Neg);
-        assert_eq!(
-            ac.decide(&probe).0,
-            Label::Neg,
-            "cached verdict survived a guard-relevant observation"
-        );
+        assert_eq!(ac.decide(&probe).0, Label::Neg);
+        // The guard overrides the label only; the margin is the model's.
+        assert_eq!(ac.decide(&probe).1, ac.decision_value(&probe));
     }
 
     #[test]
@@ -1793,8 +1587,7 @@ mod tests {
 
             /// Bounded-store invariants under arbitrary feeds: the
             /// store never exceeds the cap, identical feeds compact
-            /// bit-identically (no thread pool is ever consulted, so
-            /// `EXBOX_THREADS` cannot perturb it), every survivor is a
+            /// bit-identically, every survivor is a
             /// genuine observation carrying its latest label — which
             /// is what keeps monotone-guard verdicts sound — and both
             /// labels survive whenever the history produced both.

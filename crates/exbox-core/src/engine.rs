@@ -252,7 +252,7 @@ struct EngineMetrics {
     /// window open, sampled at each executed poll. A flow that sends
     /// fewer than `classify_window` packets and never departs (DNS, a
     /// scan) holds its window for good; this gauge is what reports
-    /// them. *Bounding* the table is ROADMAP item 5(b).
+    /// them. *Bounding* the table is ROADMAP item 4(c).
     classifying_flows: Arc<Gauge>,
     /// `recovery.fallback_decisions` — arrival decisions served by the
     /// occupancy baseline because no model was available.

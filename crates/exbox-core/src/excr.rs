@@ -38,12 +38,6 @@ pub struct RegionCell {
 /// Evaluate the learnt region over the grid
 /// `background + x·kind_x + y·kind_y` for `x ∈ 0..=max_x`,
 /// `y ∈ 0..=max_y`. Row-major (y outer) order.
-///
-/// Rows are evaluated concurrently on the
-/// [`exbox_par::ThreadPool::global`] pool (kernel-expansion SVM
-/// scoring dominates for RBF/poly models); results are spliced back
-/// in row order, so the returned grid is identical for every thread
-/// count.
 pub fn region_slice(
     classifier: &AdmittanceClassifier,
     background: &TrafficMatrix,
@@ -52,29 +46,23 @@ pub fn region_slice(
     kind_y: FlowKind,
     max_y: u32,
 ) -> Vec<RegionCell> {
-    let pool = exbox_par::ThreadPool::global();
-    let rows: Vec<Vec<RegionCell>> = pool.parallel_map((max_y + 1) as usize, |yi| {
-        let y = yi as u32;
-        let mut row_base = *background;
-        for _ in 0..y {
-            row_base.add(kind_y);
+    let mut cells = Vec::with_capacity((max_x as usize + 1) * (max_y as usize + 1));
+    let mut row_base = *background;
+    for y in 0..=max_y {
+        let mut m = row_base;
+        for x in 0..=max_x {
+            let (label, score) = classifier.decide(&m);
+            cells.push(RegionCell {
+                x,
+                y,
+                admissible: label == Label::Pos,
+                score,
+            });
+            m.add(kind_x);
         }
-        (0..=max_x)
-            .map(|x| {
-                let mut m = row_base;
-                for _ in 0..x {
-                    m.add(kind_x);
-                }
-                RegionCell {
-                    x,
-                    y,
-                    admissible: classifier.classify(&m) == Label::Pos,
-                    score: classifier.decision_value(&m),
-                }
-            })
-            .collect()
-    });
-    rows.into_iter().flatten().collect()
+        row_base.add(kind_y);
+    }
+    cells
 }
 
 /// The largest `n ≤ limit` such that `background + n·kind` is

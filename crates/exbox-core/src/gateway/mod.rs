@@ -118,9 +118,6 @@ pub struct GatewayConfig {
     /// Bound of the shard → trainer observation queue. A full queue
     /// drops observations (`gateway.obs_dropped`) instead of blocking.
     pub obs_queue: usize,
-    /// Capacity of each shard's epoch-keyed decision cache; 0 disables
-    /// caching.
-    pub decision_cache_size: usize,
     /// Pipeline ingress batch size (≥ 1): packets a worker drains per
     /// pass through [`GatewayShard`]'s batch path, and the dispatcher's
     /// ring-publish stride ([`pipeline`]).
@@ -133,7 +130,6 @@ impl Default for GatewayConfig {
             shards: 1,
             middlebox: MiddleboxConfig::default(),
             obs_queue: 256,
-            decision_cache_size: 4096,
             batch: 64,
         }
     }
@@ -199,6 +195,13 @@ impl ConcurrentGateway {
     /// and spawn its background trainer. The classifier's current
     /// serving state becomes the initial published snapshot (epoch 0);
     /// fault injection follows `EXBOX_FAULTS`.
+    ///
+    /// Shards decide from published snapshots, which do not carry the
+    /// classifier's sample store: a classifier configured with
+    /// [`AdmittanceConfig::monotone_guard`] keeps the guard for its own
+    /// `decide`, but every verdict this gateway serves is
+    /// [`ModelSnapshot::decide`] — unguarded. Construction says so
+    /// once on stderr.
     pub fn new(
         cfg: GatewayConfig,
         estimator: QoeEstimator,
@@ -274,6 +277,13 @@ impl ConcurrentGateway {
         recovering_now: bool,
     ) -> Self {
         cfg.shards = cfg.shards.max(1);
+        if classifier.as_ref().is_some_and(|c| c.monotone_guard()) {
+            eprintln!(
+                "exbox: monotone_guard is set on the classifier, but gateway shards \
+                 decide from model snapshots, which carry no sample store — \
+                 verdicts are served without the guard"
+            );
+        }
         let initial = match &classifier {
             Some(classifier) => ModelSnapshot::from_classifier(0, classifier),
             None => ModelSnapshot::initial(),
@@ -320,7 +330,6 @@ impl ConcurrentGateway {
                 Arc::clone(&shared),
                 obs_tx.clone(),
                 Arc::clone(&recovering),
-                cfg.decision_cache_size,
                 &reg,
             );
             shards.push(GatewayShard::new(id, engine, cell.reader(), link));

@@ -70,11 +70,10 @@ use std::sync::Arc;
 
 use exbox_net::Packet;
 use exbox_obs::Counter;
-use exbox_par::CachePadded;
 
 use crate::matrix::SnrLevel;
 use crate::middlebox::Action;
-use crate::sync::{thread, AtomicU64, Ordering};
+use crate::sync::{thread, AtomicU64, CachePadded, Ordering};
 
 use super::shard::GatewayShard;
 use super::spsc;

@@ -146,6 +146,11 @@ impl Hasher for FoldHasher {
     }
 }
 
+/// Distinct matrices a shard's decision memo holds before it clears.
+/// Matrices live on a small lattice and recur constantly under steady
+/// load; no caller ever asked for another size.
+const DECISION_CACHE_CAP: usize = 4096;
+
 /// Bounded decision memo keyed by `(snapshot epoch, resulting
 /// matrix)`. A new epoch clears the map lazily on first insert, so a
 /// snapshot publish costs the shard nothing until it actually decides
@@ -174,9 +179,6 @@ impl ShardDecisionCache {
     }
 
     fn insert(&mut self, epoch: u64, key: TrafficMatrix, label: Label, margin: f64) {
-        if self.cap == 0 {
-            return;
-        }
         if epoch != self.epoch {
             self.map.clear();
             self.epoch = epoch;
@@ -218,14 +220,13 @@ impl ShardLink {
         shared: Arc<SharedMatrix>,
         obs_tx: BoundedSender<TrainerMsg>,
         recovering: Arc<AtomicBool>,
-        decision_cache_size: usize,
         registry: &MetricsRegistry,
     ) -> Self {
         ShardLink {
             shared,
             obs_tx,
             recovering,
-            cache: ShardDecisionCache::new(decision_cache_size),
+            cache: ShardDecisionCache::new(DECISION_CACHE_CAP),
             obs_dropped: registry.counter("gateway.obs_dropped"),
             cache_hits: registry.counter("gateway.cache_hits"),
             cache_misses: registry.counter("gateway.cache_misses"),
@@ -573,6 +574,129 @@ impl GatewayShard {
         self.engine.poll_into(&mut src, now, out);
         if out.capacity() != cap_before {
             self.link.poll_buf_grows.inc();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::OnceLock;
+
+    use proptest::prelude::*;
+
+    use super::super::channel;
+    use super::*;
+    use crate::admittance::{AdmittanceClassifier, AdmittanceConfig};
+
+    /// Far fewer entries than the test's matrix lattice has points, so
+    /// every run overflows the memo.
+    const CAP: usize = 8;
+
+    /// Epoch 0 is the model-less initial snapshot; epochs 1.. alternate
+    /// between two classifiers trained on different capacity regions,
+    /// so consecutive epochs give one matrix different margin bits and
+    /// a verdict served across an epoch change cannot pass unnoticed.
+    fn snapshots() -> &'static [ModelSnapshot] {
+        static SNAPSHOTS: OnceLock<Vec<ModelSnapshot>> = OnceLock::new();
+        SNAPSHOTS.get_or_init(|| {
+            let trained = |limit: u32| {
+                let reg = MetricsRegistry::new();
+                let mut ac = AdmittanceClassifier::with_registry(AdmittanceConfig::default(), &reg);
+                for a in 0..4 {
+                    for b in 0..4 {
+                        for c in 0..4 {
+                            let m = TrafficMatrix::from_counts([a, b, c, 0, 0, 0]);
+                            let y = if m.total() <= limit {
+                                Label::Pos
+                            } else {
+                                Label::Neg
+                            };
+                            ac.observe(m, y);
+                        }
+                    }
+                }
+                assert_eq!(ac.phase(), Phase::Online);
+                ac
+            };
+            let models = [trained(6), trained(3)];
+            let mut snaps = vec![ModelSnapshot::initial()];
+            snaps.extend(
+                (1..=16u64).map(|e| ModelSnapshot::from_classifier(e, &models[e as usize % 2])),
+            );
+            snaps
+        })
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Decide(TrafficMatrix),
+        Publish,
+    }
+
+    /// One publication per eight operations or so.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u32..4, 0u32..4, 0u32..4, 0u32..8).prop_map(|(a, b, c, publish)| {
+            if publish == 0 {
+                Op::Publish
+            } else {
+                Op::Decide(TrafficMatrix::from_counts([a, b, c, 0, 0, 0]))
+            }
+        })
+    }
+
+    proptest! {
+        /// The shard's memo is invisible: through any interleaving of
+        /// decisions and epoch changes, with more distinct matrices
+        /// than the memo holds, `Pinned::decide` returns exactly what
+        /// `ModelSnapshot::decide` returns under the pinned epoch.
+        #[test]
+        fn cached_decisions_equal_the_pinned_snapshots(
+            ops in prop::collection::vec(op(), 1..200),
+        ) {
+            let snaps = snapshots();
+            let reg = MetricsRegistry::new();
+            let (obs_tx, _obs_rx) = channel::bounded(1);
+            let mut link = ShardLink::new(
+                Arc::new(SharedMatrix::new()),
+                obs_tx,
+                Arc::new(AtomicBool::new(false)),
+                &reg,
+            );
+            link.cache = ShardDecisionCache::new(CAP);
+            let counter = |name: &str| reg.snapshot().counter(name).unwrap_or(0);
+
+            let mut at = 0;
+            let mut with_model = 0u64;
+            let mut last: Option<TrafficMatrix> = None;
+            for op in &ops {
+                let m = match op {
+                    Op::Publish => {
+                        at = (at + 1).min(snaps.len() - 1);
+                        last = None;
+                        continue;
+                    }
+                    Op::Decide(m) => m,
+                };
+                let snapshot = &snaps[at];
+                let hits_before = counter("gateway.cache_hits");
+                let (label, margin) = Pinned { snapshot, link: &mut link }.decide(m);
+                let (want_label, want_margin) = snapshot.decide(m);
+                prop_assert_eq!(label, want_label);
+                prop_assert_eq!(margin.map(f64::to_bits), want_margin.map(f64::to_bits));
+                prop_assert!(link.cache.map.len() <= CAP, "memo outgrew its capacity");
+                with_model += u64::from(margin.is_some());
+                // Not vacuous: an immediate repeat under one epoch is
+                // served from the memo.
+                if margin.is_some() && last == Some(*m) {
+                    prop_assert_eq!(counter("gateway.cache_hits"), hits_before + 1);
+                }
+                last = Some(*m);
+            }
+            prop_assert_eq!(
+                counter("gateway.cache_hits") + counter("gateway.cache_misses"),
+                with_model,
+                "every decision that had a model is one hit or one miss"
+            );
         }
     }
 }

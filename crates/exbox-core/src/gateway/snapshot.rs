@@ -31,9 +31,9 @@ use std::sync::Arc;
 
 use crate::sync::{AtomicPtr, AtomicU64, Mutex, Ordering};
 
-use exbox_ml::{Label, StandardScaler};
+use exbox_ml::Label;
 
-use crate::admittance::{AdmittanceClassifier, Phase, ServingModel};
+use crate::admittance::{AdmittanceClassifier, Phase, Serving};
 use crate::matrix::TrafficMatrix;
 
 /// One immutable generation of learnt state, as published by the
@@ -87,9 +87,7 @@ use crate::matrix::TrafficMatrix;
 #[derive(Debug, Clone)]
 pub struct ModelSnapshot {
     epoch: u64,
-    phase: Phase,
-    scaler: Option<StandardScaler>,
-    model: Option<ServingModel>,
+    serving: Serving,
     scaler_epoch: u64,
     model_epoch: u64,
 }
@@ -99,9 +97,7 @@ impl ModelSnapshot {
     pub fn initial() -> Self {
         ModelSnapshot {
             epoch: 0,
-            phase: Phase::Bootstrap,
-            scaler: None,
-            model: None,
+            serving: Serving::bootstrap(),
             scaler_epoch: 0,
             model_epoch: 0,
         }
@@ -111,16 +107,9 @@ impl ModelSnapshot {
     /// Called by the trainer once per publish (phase change or
     /// successful retrain) — never on the packet path.
     pub fn from_classifier(epoch: u64, classifier: &AdmittanceClassifier) -> Self {
-        let (phase, pair) = classifier.serving_state();
-        let (scaler, model) = match pair {
-            Some((s, m)) => (Some(s), Some(m)),
-            None => (None, None),
-        };
         ModelSnapshot {
             epoch,
-            phase,
-            scaler,
-            model,
+            serving: classifier.serving().clone(),
             scaler_epoch: epoch,
             model_epoch: epoch,
         }
@@ -133,12 +122,12 @@ impl ModelSnapshot {
 
     /// The classifier phase at publish time.
     pub fn phase(&self) -> Phase {
-        self.phase
+        self.serving.phase()
     }
 
     /// Whether a scaler/model pair is servable.
     pub fn model_available(&self) -> bool {
-        self.scaler.is_some() && self.model.is_some()
+        self.serving.model_available()
     }
 
     /// True when the epoch stamps on the scaler and model both match
@@ -152,31 +141,25 @@ impl ModelSnapshot {
     /// admission; `None` until a model exists. Allocation-free and
     /// `&self` — many shards evaluate one snapshot concurrently.
     /// Bit-exact with [`AdmittanceClassifier::decision_value`] on the
-    /// same state (same scaler transform, same backend arithmetic).
+    /// same state: both run the one serving value's code.
+    #[inline]
     pub fn decision_value(&self, resulting: &TrafficMatrix) -> Option<f64> {
-        let scaler = self.scaler.as_ref()?;
-        let model = self.model.as_ref()?;
-        let mut raw = [0.0f64; TrafficMatrix::DIMS];
-        resulting.features_into(&mut raw);
-        let mut scaled = [0.0f64; TrafficMatrix::DIMS];
-        scaler.transform_into(&raw, &mut scaled);
-        Some(model.decision_value(&scaled))
+        self.serving.decision_value(resulting)
     }
 
-    /// Single-pass decision, mirroring the uncached
-    /// [`AdmittanceClassifier::decide`] semantics: admit everything in
-    /// bootstrap; online, the margin sign decides (admit when no model
-    /// exists — the degraded fallback gates that case upstream).
+    /// Single-pass decision: admit everything in bootstrap; online,
+    /// the margin sign decides (admit when no model exists — the
+    /// degraded fallback gates that case upstream).
+    ///
+    /// This is [`AdmittanceClassifier::decide`] **without the
+    /// monotonicity guard**: the guard reads the trainer's sample
+    /// store, which a snapshot does not carry, so a classifier built
+    /// with [`monotone_guard`](crate::admittance::AdmittanceConfig::monotone_guard)
+    /// can answer `Neg` where its snapshot answers `Pos` (and vice
+    /// versa).
+    #[inline]
     pub fn decide(&self, resulting: &TrafficMatrix) -> (Label, Option<f64>) {
-        let margin = self.decision_value(resulting);
-        let label = match self.phase {
-            Phase::Bootstrap => Label::Pos,
-            Phase::Online => match margin {
-                Some(v) => Label::from_signum(v),
-                None => Label::Pos,
-            },
-        };
-        (label, margin)
+        self.serving.decide(resulting)
     }
 }
 

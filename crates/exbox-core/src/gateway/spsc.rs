@@ -50,9 +50,7 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::Arc;
 
-use exbox_par::CachePadded;
-
-use crate::sync::{AtomicBool, AtomicU64, Ordering};
+use crate::sync::{AtomicBool, AtomicU64, CachePadded, Ordering};
 
 /// Shared state of one ring: the slot array and the two cursors.
 struct Shared<T> {

@@ -36,8 +36,9 @@
 //!
 //! * **inline** — [`Middlebox`]: an owned [`AdmittanceClassifier`] and
 //!   [`TrafficMatrix`]. Poll observations train the classifier on the
-//!   caller's thread, decisions go through its matrix-keyed cache and
-//!   monotone guard, `checkpoint()` runs where it is called.
+//!   caller's thread, decisions go through its (optional) monotone
+//!   guard and are not memoised, `checkpoint()` runs where it is
+//!   called.
 //! * **pinned** — [`GatewayShard`](crate::gateway::GatewayShard): the
 //!   lock-free published [`ModelSnapshot`](crate::gateway::ModelSnapshot)
 //!   and the cell-wide [`SharedMatrix`](crate::gateway::SharedMatrix).
@@ -49,8 +50,10 @@
 //! [`ConcurrentGateway`](crate::gateway::ConcurrentGateway) whose
 //! trainer runs inline — by construction, not by mirroring; what this
 //! module adds on top of the engine is the checkpoint/restore surface.
-//! The single-threaded API is *not* deprecated: the soak, the DES
-//! simulator and the figure pipeline keep using it.
+//! Today the `flow_scale_soak` binary, the `pcap_gateway` example and
+//! the test suites drive the single-threaded API; the DES simulator and
+//! the figure pipeline score [`ExBoxController`](crate::baselines::ExBoxController)
+//! and never touch the packet path.
 
 use std::io::{self, Read, Write};
 use std::path::Path;

@@ -32,3 +32,31 @@ pub(crate) use exbox_loom::sync::{
 };
 #[cfg(exbox_loom)]
 pub(crate) use exbox_loom::thread;
+
+/// Pads and aligns `T` to a 128-byte boundary so two neighbouring
+/// values never share a cache line (128 covers the spatial-prefetcher
+/// pairing on x86 and the 128-byte lines on some AArch64 parts).
+///
+/// Used by the gateway's SPSC ingress rings and order gate, where a
+/// producer-written index sitting next to a consumer-written index
+/// would otherwise ping-pong one line between cores on every packet.
+#[derive(Debug)]
+#[repr(align(128))]
+pub(crate) struct CachePadded<T> {
+    value: T,
+}
+
+impl<T> CachePadded<T> {
+    /// Wrap `value` in its own cache line.
+    pub(crate) const fn new(value: T) -> Self {
+        CachePadded { value }
+    }
+}
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}

@@ -162,54 +162,3 @@ proptest! {
         }
     }
 }
-
-// SVM training dominates these properties, so they run in their own
-// block with a reduced case count.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Decisions served through the matrix-keyed cache are identical —
-    /// label and bit-exact margin — to a cache-disabled twin fed the
-    /// same observation stream, across bootstrap exit and every
-    /// retrain, with and without the monotonicity guard.
-    #[test]
-    fn cached_decisions_match_uncached_across_retrains(
-        observed in prop::collection::vec(arb_matrix(), 25..60),
-        queries in prop::collection::vec(arb_matrix(), 1..5),
-        guard in any::<bool>(),
-    ) {
-        let cfg = AdmittanceConfig {
-            batch_size: 10,
-            bootstrap_min_samples: 15,
-            monotone_guard: guard,
-            decision_cache_size: 64,
-            ..AdmittanceConfig::default()
-        };
-        let mut cached = AdmittanceClassifier::new(cfg.clone());
-        let mut plain = AdmittanceClassifier::new(AdmittanceConfig {
-            decision_cache_size: 0,
-            ..cfg
-        });
-        for m in &observed {
-            // Learnable ground truth: small networks are admissible.
-            let y = if m.total() <= 8 { Label::Pos } else { Label::Neg };
-            cached.observe(*m, y);
-            plain.observe(*m, y);
-            // Query repeatedly so later rounds hit the cache.
-            for _ in 0..2 {
-                for q in &queries {
-                    let (label, margin) = cached.decide(q);
-                    prop_assert_eq!(label, plain.classify(q));
-                    match (margin, plain.decision_value(q)) {
-                        (Some(a), Some(b)) => prop_assert_eq!(a.to_bits(), b.to_bits()),
-                        (None, None) => {}
-                        (a, b) => prop_assert!(
-                            false,
-                            "margin presence diverged: {:?} vs {:?}", a, b
-                        ),
-                    }
-                }
-            }
-        }
-    }
-}

@@ -31,43 +31,24 @@ impl CvReport {
 
 /// Run deterministic `n`-fold cross-validation: shuffle with `seed`,
 /// split into `n` folds, train on `n−1` and evaluate on the held-out
-/// fold, pooling the confusion counts. Folds train on the
-/// [`exbox_par::ThreadPool::global`] pool; see
-/// [`cross_validate_pooled`] to pick the pool explicitly.
+/// fold, pooling the confusion counts.
 ///
 /// # Panics
 /// Panics if `n < 2` or the dataset has fewer than `n` samples.
-pub fn cross_validate<T>(trainer: &T, data: &Dataset, n: usize, seed: u64) -> CvReport
-where
-    T: TrainClassifier + Sync,
-{
-    cross_validate_pooled(trainer, data, n, seed, &exbox_par::ThreadPool::global())
-}
-
-/// [`cross_validate`] with an explicit thread pool: the `n` folds
-/// train concurrently (each fold's own training runs inline on its
-/// worker — nested parallel sections degrade to serial). Per-fold
-/// confusion counts are merged in fold order, so the report is
-/// identical for every thread count.
-///
-/// # Panics
-/// Panics if `n < 2` or the dataset has fewer than `n` samples.
-pub fn cross_validate_pooled<T>(
+pub fn cross_validate<T: TrainClassifier>(
     trainer: &T,
     data: &Dataset,
     n: usize,
     seed: u64,
-    pool: &exbox_par::ThreadPool,
-) -> CvReport
-where
-    T: TrainClassifier + Sync,
-{
+) -> CvReport {
     assert!(n >= 2, "cross-validation needs at least 2 folds");
     let mut shuffled = data.clone();
     shuffled.shuffle(seed);
     let folds = shuffled.fold_indices(n);
 
-    let per_fold: Vec<ConfusionMatrix> = pool.parallel_map(n, |held| {
+    let mut pooled = ConfusionMatrix::new();
+    let mut acc_sum = 0.0;
+    for held in 0..n {
         let mut train_idx = Vec::new();
         for (f, idxs) in folds.iter().enumerate() {
             if f != held {
@@ -81,14 +62,8 @@ where
         for (x, y) in test.iter() {
             cm.record(model.predict(x), y);
         }
-        cm
-    });
-
-    let mut pooled = ConfusionMatrix::new();
-    let mut acc_sum = 0.0;
-    for cm in &per_fold {
         acc_sum += cm.metrics().accuracy;
-        pooled.merge(cm);
+        pooled.merge(&cm);
     }
 
     CvReport {
@@ -155,38 +130,6 @@ mod tests {
         let a = cross_validate(&trainer, &data, 3, 42);
         let b = cross_validate(&trainer, &data, 3, 42);
         assert_eq!(a.confusion, b.confusion);
-    }
-
-    #[test]
-    fn cv_report_is_thread_count_invariant() {
-        // Fold parallelism must not change a single confusion count:
-        // reports with 1, 2 and 8 threads are identical bit-for-bit.
-        let mut ds = Dataset::new(2);
-        for a in 0..10 {
-            for b in 0..10 {
-                let y = if 2 * a + b <= 12 {
-                    Label::Pos
-                } else {
-                    Label::Neg
-                };
-                ds.push(vec![a as f64, b as f64], y);
-            }
-        }
-        let reports: Vec<CvReport> = [1usize, 2, 8]
-            .iter()
-            .map(|&t| {
-                let pool = exbox_par::ThreadPool::new(t);
-                let trainer = SvmTrainer::new(Kernel::rbf(0.2)).c(10.0).pool(pool);
-                cross_validate_pooled(&trainer, &ds, 5, 11, &pool)
-            })
-            .collect();
-        for r in &reports[1..] {
-            assert_eq!(reports[0].confusion, r.confusion);
-            assert_eq!(
-                reports[0].mean_accuracy.to_bits(),
-                r.mean_accuracy.to_bits()
-            );
-        }
     }
 
     #[test]

@@ -104,36 +104,28 @@ impl Kernel {
     }
 }
 
-/// Build the full `n × n` Gram matrix `G[i·n + j] = K(xᵢ, xⱼ)` with
-/// row blocks of the upper triangle computed in parallel on `pool`
-/// and mirrored. The per-cell arithmetic is identical for every
-/// thread count, so the result is byte-identical whether built
-/// serially or on 8 threads — the determinism guarantee the
-/// committed `results/*.csv` rely on.
-pub fn gram_matrix(
-    kernel: Kernel,
-    data: &crate::data::Dataset,
-    pool: &exbox_par::ThreadPool,
-) -> Vec<f64> {
+/// Build the full `n × n` Gram matrix `G[i·n + j] = K(xᵢ, xⱼ)`: the
+/// upper triangle is evaluated and mirrored in place.
+pub fn gram_matrix(kernel: Kernel, data: &crate::data::Dataset) -> Vec<f64> {
     let n = data.len();
     let norms = match kernel {
         Kernel::Rbf { .. } => data.squared_norms(),
         _ => Vec::new(),
     };
     let norm = |i: usize| norms.get(i).copied().unwrap_or(0.0);
-    // Upper-triangle rows (i..n); ragged lengths balance through the
-    // pool's dynamic chunking.
-    let rows: Vec<Vec<f64>> = pool.parallel_map(n, |i| {
+    // Capacity in whole 16-row steps. The folds of one cross-validation
+    // build and drop Grams a row apart in size; with exact-size buffers
+    // the hole one leaves is a few KB short for the next, the allocator
+    // grows the heap instead, and peak RSS comes to depend on how the
+    // fold sizes fall (measured on the ledger: 8.6 or 10.3 MB by seed).
+    // Equal capacities let one hole serve every fold.
+    let mut g = Vec::with_capacity(n.next_multiple_of(16).pow(2));
+    g.resize(n * n, 0.0);
+    for i in 0..n {
         let xi = data.x(i);
         let ni = norm(i);
-        (i..n)
-            .map(|j| kernel.eval_with_norms(xi, ni, data.x(j), norm(j)))
-            .collect()
-    });
-    let mut g = vec![0.0; n * n];
-    for (i, row) in rows.iter().enumerate() {
-        for (off, &v) in row.iter().enumerate() {
-            let j = i + off;
+        for j in i..n {
+            let v = kernel.eval_with_norms(xi, ni, data.x(j), norm(j));
             g[i * n + j] = v;
             g[j * n + i] = v;
         }
@@ -227,36 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn gram_matrix_is_thread_count_invariant() {
-        use crate::data::{Dataset, Label};
-        let mut ds = Dataset::new(3);
-        let mut state = 0x5EEDu64;
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        for i in 0..97 {
-            let x: Vec<f64> = (0..3).map(|_| (next() % 1000) as f64 / 100.0).collect();
-            let y = if i % 2 == 0 { Label::Pos } else { Label::Neg };
-            ds.push(x, y);
-        }
-        for kernel in [Kernel::Linear, Kernel::rbf(0.7), Kernel::poly(0.5, 1.0, 3)] {
-            let grams: Vec<Vec<f64>> = [1usize, 2, 8]
-                .iter()
-                .map(|&t| gram_matrix(kernel, &ds, &exbox_par::ThreadPool::new(t)))
-                .collect();
-            for g in &grams[1..] {
-                assert_eq!(grams[0].len(), g.len());
-                for (a, b) in grams[0].iter().zip(g) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "gram differs across threads");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn gram_matrix_matches_direct_eval() {
         use crate::data::{Dataset, Label};
         let mut ds = Dataset::new(2);
@@ -264,7 +226,7 @@ mod tests {
         ds.push(vec![2.0, -1.0], Label::Neg);
         ds.push(vec![-3.0, 0.5], Label::Pos);
         let k = Kernel::rbf(0.4);
-        let g = gram_matrix(k, &ds, &exbox_par::ThreadPool::serial());
+        let g = gram_matrix(k, &ds);
         for i in 0..3 {
             for j in 0..3 {
                 let direct = k.eval(ds.x(i), ds.x(j));

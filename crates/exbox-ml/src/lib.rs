@@ -58,7 +58,7 @@ pub mod scale;
 pub mod svm;
 
 pub use compact::CompactSvm;
-pub use cv::{cross_validate, cross_validate_pooled, CvReport};
+pub use cv::{cross_validate, CvReport};
 pub use data::{Dataset, Label};
 pub use kernel::{gram_matrix, Kernel};
 pub use linear::{LinearSvm, LinearSvmTrainer};
@@ -114,7 +114,7 @@ pub trait TrainClassifier {
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::compact::CompactSvm;
-    pub use crate::cv::{cross_validate, cross_validate_pooled, CvReport};
+    pub use crate::cv::{cross_validate, CvReport};
     pub use crate::data::{Dataset, Label};
     pub use crate::kernel::Kernel;
     pub use crate::linear::{LinearSvm, LinearSvmTrainer};

@@ -8,8 +8,6 @@
 //!
 //! * an incrementally-maintained error cache (`E_i = f(x_i) − y_i`),
 //! * an optional precomputed Gram matrix for small/medium datasets,
-//!   built in parallel row blocks on an [`exbox_par::ThreadPool`]
-//!   (byte-identical for every thread count),
 //! * a bounded LRU kernel-**row** cache for the `n > gram_limit`
 //!   regime, sized to the same memory envelope as a full Gram at the
 //!   limit,
@@ -25,15 +23,12 @@
 //!   passes drop out of the working set; before convergence is
 //!   declared their errors are reconstructed and the full problem is
 //!   re-verified,
-//! * per-class cost weighting to handle the class imbalance typical of
-//!   admission datasets (most observed traffic matrices are
-//!   admissible until the network saturates),
 //! * deterministic, seedable index selection.
 //!
 //! The dual problem solved is
 //!
 //! ```text
-//! max Σαᵢ − ½ ΣΣ αᵢαⱼ yᵢyⱼ K(xᵢ,xⱼ)   s.t. 0 ≤ αᵢ ≤ Cᵢ, Σαᵢyᵢ = 0
+//! max Σαᵢ − ½ ΣΣ αᵢαⱼ yᵢyⱼ K(xᵢ,xⱼ)   s.t. 0 ≤ αᵢ ≤ C, Σαᵢyᵢ = 0
 //! ```
 
 use std::cell::RefCell;
@@ -41,9 +36,7 @@ use std::collections::HashMap;
 use std::ops::Deref;
 use std::rc::Rc;
 
-use exbox_par::ThreadPool;
-
-use crate::data::{Dataset, Label};
+use crate::data::Dataset;
 use crate::kernel::{dot, gram_matrix, Kernel};
 use crate::{Classifier, TrainClassifier};
 
@@ -52,40 +45,33 @@ use crate::{Classifier, TrainClassifier};
 const SHRINK_AFTER: u8 = 3;
 /// Problem size below which shrinking bookkeeping is not worth it.
 const SHRINK_MIN_SAMPLES: usize = 128;
+/// KKT violation tolerance.
+const TOL: f64 = 1e-3;
+/// Consecutive full passes without any α update before training stops.
+const MAX_PASSES: u32 = 5;
 
 /// Hyper-parameters and driver for SMO training.
 #[derive(Debug, Clone)]
 pub struct SvmTrainer {
     kernel: Kernel,
     c: f64,
-    pos_weight: f64,
-    neg_weight: f64,
-    tol: f64,
-    max_passes: u32,
     max_iters: u64,
     gram_limit: usize,
     shrinking: bool,
-    pool: Option<ThreadPool>,
     seed: u64,
 }
 
 impl SvmTrainer {
     /// Create a trainer with the given kernel and defaults:
-    /// `C = 1.0`, tolerance `1e-3`, 5 quiescent passes, balanced class
-    /// weights, Gram matrix cached for up to 4096 samples, shrinking
-    /// on, threads from [`ThreadPool::global`].
+    /// `C = 1.0`, Gram matrix cached for up to 4096 samples, shrinking
+    /// on.
     pub fn new(kernel: Kernel) -> Self {
         SvmTrainer {
             kernel,
             c: 1.0,
-            pos_weight: 1.0,
-            neg_weight: 1.0,
-            tol: 1e-3,
-            max_passes: 5,
             max_iters: 2_000_000,
             gram_limit: 4096,
             shrinking: true,
-            pool: None,
             seed: 0xE5B0,
         }
     }
@@ -98,35 +84,6 @@ impl SvmTrainer {
     pub fn c(mut self, c: f64) -> Self {
         assert!(c > 0.0 && c.is_finite(), "C must be positive");
         self.c = c;
-        self
-    }
-
-    /// Multiply the cost for positive / negative samples, i.e. the
-    /// effective costs become `C·w⁺` and `C·w⁻`. Useful when
-    /// inadmissible samples are rare but expensive to misclassify.
-    ///
-    /// # Panics
-    /// Panics unless both weights are positive and finite.
-    pub fn class_weights(mut self, pos: f64, neg: f64) -> Self {
-        assert!(pos > 0.0 && pos.is_finite(), "pos weight must be positive");
-        assert!(neg > 0.0 && neg.is_finite(), "neg weight must be positive");
-        self.pos_weight = pos;
-        self.neg_weight = neg;
-        self
-    }
-
-    /// KKT violation tolerance (default `1e-3`).
-    pub fn tolerance(mut self, tol: f64) -> Self {
-        assert!(tol > 0.0 && tol.is_finite(), "tolerance must be positive");
-        self.tol = tol;
-        self
-    }
-
-    /// Number of consecutive full passes without any α update before
-    /// training stops (default 5).
-    pub fn max_passes(mut self, passes: u32) -> Self {
-        assert!(passes > 0, "max_passes must be positive");
-        self.max_passes = passes;
         self
     }
 
@@ -155,15 +112,6 @@ impl SvmTrainer {
         self
     }
 
-    /// Thread pool for the parallelisable stages (Gram construction,
-    /// warm-start error rebuild). Defaults to [`ThreadPool::global`],
-    /// i.e. `EXBOX_THREADS` / available cores. Results are
-    /// byte-identical for every setting.
-    pub fn pool(mut self, pool: ThreadPool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Seed for the deterministic second-index selection stream.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -178,18 +126,11 @@ impl SvmTrainer {
         self.fit(data)
     }
 
-    fn cost_for(&self, y: Label) -> f64 {
-        match y {
-            Label::Pos => self.c * self.pos_weight,
-            Label::Neg => self.c * self.neg_weight,
-        }
-    }
-
     /// Train with an optional warm start: `warm` carries the α vector
     /// and bias of a previous fit, aligned by sample index (shorter or
     /// longer α vectors are fine — extra entries are ignored, missing
     /// ones start at zero). Carried values are clamped into the new
-    /// box `[0, Cᵢ]` and the equality constraint `Σαᵢyᵢ = 0` is
+    /// box `[0, C]` and the equality constraint `Σαᵢyᵢ = 0` is
     /// repaired before optimisation, so any α vector is a legal hint.
     ///
     /// Returns the full [`SvmFit`], whose [`SvmFit::warm_start`] feeds
@@ -202,9 +143,8 @@ impl SvmTrainer {
         if let Some(fit) = self.one_class_fit(data) {
             return fit;
         }
-        let pool = self.pool.unwrap_or_else(ThreadPool::global);
-        let cache = KernelCache::new(self.kernel, data, self.gram_limit, &pool);
-        self.smo_optimize(data, warm, &cache, &pool)
+        let cache = KernelCache::new(self.kernel, data, self.gram_limit);
+        self.smo_optimize(data, warm, &cache)
     }
 
     /// [`SvmTrainer::fit_warm`] backed by a [`PersistentKernelCache`]
@@ -237,10 +177,9 @@ impl SvmTrainer {
             cache.invalidate();
             return self.fit_warm(data, warm);
         }
-        let pool = self.pool.unwrap_or_else(ThreadPool::global);
-        cache.sync(self.kernel, data, &pool);
+        cache.sync(self.kernel, data);
         let kc = KernelCache::from_persistent(self.kernel, data, cache);
-        self.smo_optimize(data, warm, &kc, &pool)
+        self.smo_optimize(data, warm, &kc)
     }
 
     /// Degenerate one-class datasets: return a constant classifier
@@ -276,19 +215,18 @@ impl SvmTrainer {
         data: &Dataset,
         warm: Option<WarmStart<'_>>,
         cache: &KernelCache<'_>,
-        pool: &ThreadPool,
     ) -> SvmFit {
         let n = data.len();
         let dims = data.dims();
         let ys: Vec<f64> = (0..n).map(|i| data.y(i).signum()).collect();
-        let costs: Vec<f64> = (0..n).map(|i| self.cost_for(data.y(i))).collect();
+        let c = self.c;
 
         // ---- α initialisation (warm start) -------------------------
         let mut alpha = vec![0.0f64; n];
         if let Some(init) = warm {
             let init = init.alpha;
             for i in 0..n.min(init.len()) {
-                let a = init[i].clamp(0.0, costs[i]);
+                let a = init[i].clamp(0.0, c);
                 if a > 1e-12 {
                     alpha[i] = a;
                 }
@@ -318,7 +256,7 @@ impl SvmTrainer {
         // ---- bias + error-cache initialisation ---------------------
         // With all α = 0 and b = 0: f(x) = 0, so err[t] = −y_t. On a
         // warm start we resume the previous (α, b) state verbatim:
-        // rebuild f₀(x_t) = Σ αᵢyᵢK(i,t) in parallel and set
+        // rebuild f₀(x_t) = Σ αᵢyᵢK(i,t) and set
         // err[t] = f₀(t) + b − y_t. The error cache is then exactly
         // consistent with the carried decision function, so an
         // unchanged dataset replays the previous quiescent state
@@ -329,7 +267,7 @@ impl SvmTrainer {
         let mut err: Vec<f64>;
         if warm_carried > 0 {
             let targets: Vec<usize> = (0..n).collect();
-            let f0 = cache.decision_sums(&alpha, &ys, &targets, pool);
+            let f0 = cache.decision_sums(&alpha, &ys, &targets);
             err = (0..n).map(|t| f0[t] + b - ys[t]).collect();
         } else {
             err = ys.iter().map(|y| b - y).collect();
@@ -366,10 +304,9 @@ impl SvmTrainer {
                 let i = active[pos];
                 let ei = err[i];
                 let yi = ys[i];
-                let ci = costs[i];
                 let r = yi * ei;
                 // KKT check with tolerance.
-                if !((r < -self.tol && alpha[i] < ci) || (r > self.tol && alpha[i] > 0.0)) {
+                if !((r < -TOL && alpha[i] < c) || (r > TOL && alpha[i] > 0.0)) {
                     continue;
                 }
 
@@ -383,14 +320,13 @@ impl SvmTrainer {
                         let ei = err[i];
                         let ej = err[j];
                         let yj = ys[j];
-                        let cj = costs[j];
                         let (ai_old, aj_old) = (alpha[i], alpha[j]);
 
                         // Feasible segment for α_j.
                         let (lo, hi) = if yi != yj {
-                            ((aj_old - ai_old).max(0.0), (cj + aj_old - ai_old).min(cj))
+                            ((aj_old - ai_old).max(0.0), (c + aj_old - ai_old).min(c))
                         } else {
-                            ((ai_old + aj_old - ci).max(0.0), (ai_old + aj_old).min(cj))
+                            ((ai_old + aj_old - c).max(0.0), (ai_old + aj_old).min(c))
                         };
                         let eta = 2.0 * cache.pair(i, j) - cache.diag(i) - cache.diag(j);
                         // Degenerate segment or non-negative curvature:
@@ -416,9 +352,9 @@ impl SvmTrainer {
                                     - ej
                                     - yi * (ai_new - ai_old) * kij
                                     - yj * (aj_new - aj_old) * kjj;
-                                let b_new = if ai_new > 0.0 && ai_new < ci {
+                                let b_new = if ai_new > 0.0 && ai_new < c {
                                     b1
-                                } else if aj_new > 0.0 && aj_new < cj {
+                                } else if aj_new > 0.0 && aj_new < c {
                                     b2
                                 } else {
                                     0.5 * (b1 + b2)
@@ -462,7 +398,7 @@ impl SvmTrainer {
                 {
                     let mut best = -1.0;
                     for &cand in &active {
-                        if cand != i && alpha[cand] > 0.0 && alpha[cand] < costs[cand] {
+                        if cand != i && alpha[cand] > 0.0 && alpha[cand] < c {
                             let gap = (ei - err[cand]).abs();
                             if gap > best {
                                 best = gap;
@@ -478,11 +414,7 @@ impl SvmTrainer {
                     let offset = (next_rand() % active.len() as u64) as usize;
                     for k in 0..active.len() {
                         let cand = active[(offset + k) % active.len()];
-                        if cand == i
-                            || cand == best_j
-                            || alpha[cand] <= 0.0
-                            || alpha[cand] >= costs[cand]
-                        {
+                        if cand == i || cand == best_j || alpha[cand] <= 0.0 || alpha[cand] >= c {
                             continue;
                         }
                         if try_step!(cand) {
@@ -495,7 +427,7 @@ impl SvmTrainer {
                     let offset = (next_rand() % active.len() as u64) as usize;
                     for k in 0..active.len() {
                         let cand = active[(offset + k) % active.len()];
-                        if cand == i || (alpha[cand] > 0.0 && alpha[cand] < costs[cand]) {
+                        if cand == i || (alpha[cand] > 0.0 && alpha[cand] < c) {
                             continue;
                         }
                         if try_step!(cand) {
@@ -516,20 +448,20 @@ impl SvmTrainer {
                 quiescent = 0;
             }
 
-            if quiescent >= self.max_passes {
+            if quiescent >= MAX_PASSES {
                 if active.len() < n {
                     // Quiescent on the shrunk problem: reconstruct the
                     // stale errors, reactivate everything and demand
                     // one more clean pass over the full set.
                     let targets: Vec<usize> = (0..n).filter(|&t| shrunk[t]).collect();
-                    let sums = cache.decision_sums(&alpha, &ys, &targets, pool);
+                    let sums = cache.decision_sums(&alpha, &ys, &targets);
                     for (k, &t) in targets.iter().enumerate() {
                         err[t] = sums[k] + b - ys[t];
                     }
                     shrunk.iter_mut().for_each(|s| *s = false);
                     streak.iter_mut().for_each(|s| *s = 0);
                     active = (0..n).collect();
-                    quiescent = self.max_passes.saturating_sub(1);
+                    quiescent = MAX_PASSES - 1;
                 } else {
                     break;
                 }
@@ -539,8 +471,8 @@ impl SvmTrainer {
                 let mut any = false;
                 for &i in &active {
                     let r = ys[i] * err[i];
-                    let locked_lo = alpha[i] <= 0.0 && r > self.tol;
-                    let locked_hi = alpha[i] >= costs[i] && r < -self.tol;
+                    let locked_lo = alpha[i] <= 0.0 && r > TOL;
+                    let locked_hi = alpha[i] >= c && r < -TOL;
                     if locked_lo || locked_hi {
                         streak[i] = streak[i].saturating_add(1);
                         if streak[i] >= SHRINK_AFTER {
@@ -574,7 +506,7 @@ impl SvmTrainer {
             // A capped run can exit mid-shrink with stale errors;
             // reconstruct them so f₀ below is exact.
             let targets: Vec<usize> = (0..n).filter(|&t| shrunk[t]).collect();
-            let sums = cache.decision_sums(&alpha, &ys, &targets, pool);
+            let sums = cache.decision_sums(&alpha, &ys, &targets);
             for (k, &t) in targets.iter().enumerate() {
                 err[t] = sums[k] + b - ys[t];
             }
@@ -588,7 +520,7 @@ impl SvmTrainer {
                                                   // ~1e-17 residues that must not masquerade as free
                                                   // multipliers (a free multiplier pins b exactly).
             let at_lower = alpha[i] <= 1e-8;
-            let at_upper = alpha[i] >= costs[i] - 1e-8;
+            let at_upper = alpha[i] >= c - 1e-8;
             if (at_lower && ys[i] > 0.0) || (at_upper && ys[i] < 0.0) || (!at_lower && !at_upper) {
                 b_lo = b_lo.max(v);
             }
@@ -596,7 +528,7 @@ impl SvmTrainer {
                 b_hi = b_hi.min(v);
             }
         }
-        if !(b >= b_lo - self.tol && b <= b_hi + self.tol) {
+        if !(b >= b_lo - TOL && b <= b_hi + TOL) {
             b = if b_lo.is_finite() && b_hi.is_finite() {
                 0.5 * (b_lo + b_hi)
             } else if b_lo.is_finite() {
@@ -609,7 +541,7 @@ impl SvmTrainer {
         }
         // Even the best bias cannot satisfy contradictory bounds; that
         // means true KKT violations remain despite pairwise quiescence.
-        let kkt_ok = b_lo <= b_hi + 2.0 * self.tol;
+        let kkt_ok = b_lo <= b_hi + 2.0 * TOL;
 
         // Extract support vectors.
         let mut support = Vec::new();
@@ -817,9 +749,8 @@ impl PersistentKernelCache {
     /// rows bit-exactly against the dataset prefix, reuse what
     /// matches, evaluate what doesn't (see the type docs for the
     /// reuse/invalidate rules). Returns the number of Gram rows
-    /// evaluated. Deterministic and thread-count-invariant like every
-    /// other training stage.
-    pub fn sync(&mut self, kernel: Kernel, data: &Dataset, pool: &ThreadPool) -> usize {
+    /// evaluated.
+    pub fn sync(&mut self, kernel: Kernel, data: &Dataset) -> usize {
         let n = data.len();
         let dims = data.dims();
         let prefix_ok = self.kernel == Some(kernel) && self.dims == dims && {
@@ -853,7 +784,7 @@ impl PersistentKernelCache {
         self.n = n;
         if n0 == 0 {
             // Full rebuild: the triangular builder halves the work.
-            self.gram = gram_matrix(kernel, data, pool);
+            self.gram = gram_matrix(kernel, data);
             return n;
         }
         // Incremental append: grow the matrix by a strided copy of the
@@ -868,26 +799,21 @@ impl PersistentKernelCache {
         for i in 0..n0 {
             g[i * n..i * n + n0].copy_from_slice(&self.gram[i * n0..(i + 1) * n0]);
         }
-        let fresh = n - n0;
         let norms = &self.norms;
         let norm = |i: usize| norms.get(i).copied().unwrap_or(0.0);
-        let new_rows: Vec<Vec<f64>> = pool.parallel_map(fresh, |k| {
-            let i = n0 + k;
+        for i in n0..n {
             let xi = data.x(i);
             let ni = norm(i);
-            (0..n)
-                .map(|j| kernel.eval_with_norms(xi, ni, data.x(j), norm(j)))
-                .collect()
-        });
-        for (k, row) in new_rows.iter().enumerate() {
-            let i = n0 + k;
-            g[i * n..(i + 1) * n].copy_from_slice(row);
-            for (j, &v) in row.iter().enumerate().take(i) {
-                g[j * n + i] = v;
+            for j in 0..n {
+                let v = kernel.eval_with_norms(xi, ni, data.x(j), norm(j));
+                g[i * n + j] = v;
+                if j < i {
+                    g[j * n + i] = v;
+                }
             }
         }
         self.gram = g;
-        fresh
+        n - n0
     }
 }
 
@@ -948,7 +874,7 @@ impl RowCache {
 /// limit (owned, or borrowed from a [`PersistentKernelCache`]),
 /// LRU-cached rows above it, RBF norms precomputed either way. All
 /// evaluations route through [`Kernel::eval_with_norms`], so the
-/// regimes and every thread count agree bit-for-bit.
+/// regimes agree bit-for-bit.
 struct KernelCache<'a> {
     kernel: Kernel,
     data: &'a Dataset,
@@ -959,13 +885,13 @@ struct KernelCache<'a> {
 }
 
 impl<'a> KernelCache<'a> {
-    fn new(kernel: Kernel, data: &'a Dataset, gram_limit: usize, pool: &ThreadPool) -> Self {
+    fn new(kernel: Kernel, data: &'a Dataset, gram_limit: usize) -> Self {
         let n = data.len();
         let norms = match kernel {
             Kernel::Rbf { .. } => data.squared_norms(),
             _ => Vec::new(),
         };
-        let gram = (n <= gram_limit).then(|| GramRef::Owned(gram_matrix(kernel, data, pool)));
+        let gram = (n <= gram_limit).then(|| GramRef::Owned(gram_matrix(kernel, data)));
         let diag: Vec<f64> = match &gram {
             Some(g) => (0..n).map(|i| g[i * n + i]).collect(),
             None => (0..n)
@@ -1075,45 +1001,31 @@ impl<'a> KernelCache<'a> {
         }
     }
 
-    /// `Σᵢ αᵢyᵢK(i, t)` for each `t` in `targets`, computed in
-    /// parallel over targets with a fixed serial summation order per
-    /// target — deterministic for every thread count. Used to rebuild
-    /// the error cache on warm starts and un-shrinks.
-    fn decision_sums(
-        &self,
-        alpha: &[f64],
-        ys: &[f64],
-        targets: &[usize],
-        pool: &ThreadPool,
-    ) -> Vec<f64> {
+    /// `Σᵢ αᵢyᵢK(i, t)` for each `t` in `targets`, summed in index
+    /// order. Used to rebuild the error cache on warm starts and
+    /// un-shrinks.
+    fn decision_sums(&self, alpha: &[f64], ys: &[f64], targets: &[usize]) -> Vec<f64> {
         let sv: Vec<usize> = (0..alpha.len()).filter(|&i| alpha[i] > 0.0).collect();
-        // Capture plain slices (the RefCell row cache is not Sync).
-        let kernel = self.kernel;
-        let data = self.data;
-        let norms = &self.norms;
-        let gram = self.gram.as_deref();
-        let n = data.len();
-        let norm = |i: usize| norms.get(i).copied().unwrap_or(0.0);
-        pool.parallel_map(targets.len(), |k| {
-            let t = targets[k];
-            let mut sum = 0.0;
-            match gram {
-                Some(g) => {
-                    for &i in &sv {
-                        sum += alpha[i] * ys[i] * g[i * n + t];
+        let n = self.data.len();
+        targets
+            .iter()
+            .map(|&t| {
+                let mut sum = 0.0;
+                match self.gram.as_deref() {
+                    Some(g) => {
+                        for &i in &sv {
+                            sum += alpha[i] * ys[i] * g[i * n + t];
+                        }
+                    }
+                    None => {
+                        for &i in &sv {
+                            sum += alpha[i] * ys[i] * self.eval_idx(i, t);
+                        }
                     }
                 }
-                None => {
-                    let xt = data.x(t);
-                    let nt = norm(t);
-                    for &i in &sv {
-                        sum +=
-                            alpha[i] * ys[i] * kernel.eval_with_norms(data.x(i), norm(i), xt, nt);
-                    }
-                }
-            }
-            sum
-        })
+                sum
+            })
+            .collect()
     }
 }
 
@@ -1250,6 +1162,7 @@ impl Classifier for SvmModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::Label;
 
     fn linearly_separable() -> Dataset {
         // Two well-separated clusters on the x-axis.
@@ -1521,30 +1434,6 @@ mod tests {
     }
 
     #[test]
-    fn fit_is_thread_count_invariant() {
-        let ds = capacity_region(200);
-        let fits: Vec<SvmModel> = [1usize, 2, 8]
-            .iter()
-            .map(|&t| {
-                SvmTrainer::new(Kernel::rbf(0.2))
-                    .c(5.0)
-                    .pool(ThreadPool::new(t))
-                    .train(&ds)
-            })
-            .collect();
-        for m in &fits[1..] {
-            assert_eq!(fits[0].bias().to_bits(), m.bias().to_bits());
-            assert_eq!(fits[0].num_support_vectors(), m.num_support_vectors());
-            for x in [[0.0, 0.0, 0.0], [4.0, 4.0, 4.0], [9.0, 1.0, 2.0]] {
-                assert_eq!(
-                    fits[0].decision_value(&x).to_bits(),
-                    m.decision_value(&x).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn linear_weights_reconstruction() {
         let model = SvmTrainer::new(Kernel::Linear)
             .c(10.0)
@@ -1565,29 +1454,6 @@ mod tests {
     fn rbf_weights_are_none() {
         let model = SvmTrainer::new(Kernel::rbf(1.0)).train(&linearly_separable());
         assert!(model.linear_weights().is_none());
-    }
-
-    #[test]
-    fn class_weighting_shifts_boundary_toward_minority() {
-        // 1 negative vs many positives with overlap; upweighting the
-        // negative class must recover its neighbourhood.
-        let mut ds = Dataset::new(1);
-        for i in 0..20 {
-            ds.push(vec![i as f64 * 0.1], Label::Pos);
-        }
-        ds.push(vec![2.5], Label::Neg);
-        ds.push(vec![2.6], Label::Neg);
-        let balanced = SvmTrainer::new(Kernel::rbf(2.0)).c(1.0).train(&ds);
-        let weighted = SvmTrainer::new(Kernel::rbf(2.0))
-            .c(1.0)
-            .class_weights(1.0, 10.0)
-            .train(&ds);
-        let dv_b = balanced.decision_value(&[2.55]);
-        let dv_w = weighted.decision_value(&[2.55]);
-        assert!(
-            dv_w < dv_b,
-            "upweighting negatives should push decision value down ({dv_w} !< {dv_b})"
-        );
     }
 
     #[test]
@@ -1643,15 +1509,14 @@ mod tests {
     #[test]
     fn persistent_cache_truncate_then_resync_is_incremental_and_exact() {
         let data = capacity_region(120);
-        let pool = ThreadPool::new(3);
         let kernel = Kernel::rbf(0.1);
         let mut cache = PersistentKernelCache::new();
-        cache.sync(kernel, &data, &pool);
+        cache.sync(kernel, &data);
         let full_gram = cache.gram.clone();
 
         cache.truncate(90);
         assert_eq!(cache.len(), 90);
-        let fresh = cache.sync(kernel, &data, &pool);
+        let fresh = cache.sync(kernel, &data);
         assert_eq!(fresh, 30, "resync after truncate recomputes only Δ");
         assert_eq!(cache.gram.len(), full_gram.len());
         for (a, b) in cache.gram.iter().zip(&full_gram) {
@@ -1666,15 +1531,10 @@ mod tests {
     #[test]
     fn persistent_cache_invalidates_on_changed_prefix_and_kernel() {
         let data = capacity_region(60);
-        let pool = ThreadPool::new(2);
         let kernel = Kernel::rbf(0.1);
         let mut cache = PersistentKernelCache::new();
-        cache.sync(kernel, &data, &pool);
-        assert_eq!(
-            cache.sync(kernel, &data, &pool),
-            0,
-            "unchanged store is free"
-        );
+        cache.sync(kernel, &data);
+        assert_eq!(cache.sync(kernel, &data), 0, "unchanged store is free");
 
         // A changed interior row (compaction, scaler refit) forces a
         // full rebuild.
@@ -1686,14 +1546,10 @@ mod tests {
             }
             changed.push(x, y);
         }
-        assert_eq!(
-            cache.sync(kernel, &changed, &pool),
-            60,
-            "changed prefix rebuilds"
-        );
+        assert_eq!(cache.sync(kernel, &changed), 60, "changed prefix rebuilds");
 
         // A kernel change also rebuilds.
-        assert_eq!(cache.sync(Kernel::rbf(0.2), &changed, &pool), 60);
+        assert_eq!(cache.sync(Kernel::rbf(0.2), &changed), 60);
         assert_eq!(cache.last_fresh_rows(), 60);
     }
 }

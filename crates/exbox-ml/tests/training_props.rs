@@ -6,7 +6,6 @@
 
 use exbox_ml::prelude::*;
 use exbox_ml::{gram_matrix, PersistentKernelCache};
-use exbox_par::ThreadPool;
 use proptest::prelude::*;
 
 const DIMS: usize = 4;
@@ -115,17 +114,16 @@ proptest! {
         kernel_idx in 0usize..5,
     ) {
         let kernel = kernels()[kernel_idx];
-        let pool = ThreadPool::new(2);
         let mut cache = PersistentKernelCache::new();
         let mut store: Vec<(Vec<f64>, Label)> = Vec::new();
         apply(&mut store, &Op::Append(initial));
-        cache.sync(kernel, &dataset(&store), &pool);
+        cache.sync(kernel, &dataset(&store));
 
         for op in &ops {
             let before = store.len();
             apply(&mut store, op);
             let ds = dataset(&store);
-            let fresh = cache.sync(kernel, &ds, &pool);
+            let fresh = cache.sync(kernel, &ds);
             match op {
                 Op::Flip(_) => prop_assert_eq!(
                     fresh, 0,
@@ -141,7 +139,7 @@ proptest! {
                 ),
             }
             prop_assert!(store.len() <= before || matches!(op, Op::Append(_)));
-            let reference = gram_matrix(kernel, &ds, &pool);
+            let reference = gram_matrix(kernel, &ds);
             prop_assert_eq!(cache.gram().len(), reference.len());
             for (a, b) in cache.gram().iter().zip(&reference) {
                 prop_assert_eq!(

@@ -164,6 +164,51 @@ fn verdicts_are_shard_count_invariant() {
     }
 }
 
+/// The monotonicity guard reads the trainer's sample store, which a
+/// published snapshot does not carry: a gateway built around a
+/// guard-on classifier serves `ModelSnapshot::decide`, not the
+/// classifier's guarded verdict. Pinned so the gap stays documented
+/// behaviour rather than a surprise.
+#[test]
+fn gateway_serves_snapshot_verdicts_without_the_monotone_guard() {
+    let reg = MetricsRegistry::new();
+    let mut ac = classifier_admitting(
+        5,
+        AdmittanceConfig {
+            monotone_guard: true,
+            // No retrain after the bootstrap exit: the relabelling
+            // below reaches the guard's store but never the model.
+            batch_size: 100_000,
+            ..AdmittanceConfig::default()
+        },
+        &reg,
+    );
+    let streaming = FlowKind::new(AppClass::Streaming, SnrLevel::High);
+    let mut one = TrafficMatrix::empty();
+    one.add(streaming);
+    ac.observe(one, Label::Neg);
+    let mut two = one;
+    two.add(streaming);
+
+    // The query dominates a stored `Neg`: the classifier refuses it,
+    // its own snapshot (same model, no store) admits it.
+    assert_eq!(ac.decide(&two).0, Label::Neg);
+    let snapshot = ModelSnapshot::from_classifier(0, &ac);
+    assert_eq!(snapshot.decide(&two).0, Label::Pos);
+    assert_eq!(snapshot.decide(&two).1, ac.decide(&two).1);
+
+    let mut gw = ConcurrentGateway::new(GatewayConfig::default(), estimator(), ac);
+    for id in [1u32, 2] {
+        let verdict = streaming_pkts(flow_key(id), 12)
+            .iter()
+            .map(|p| gw.process_packet(p, SnrLevel::High))
+            .last()
+            .unwrap();
+        assert_eq!(verdict, Action::Forward, "flow {id}");
+    }
+    assert_eq!(gw.matrix(), two);
+}
+
 /// A 1-shard gateway *is* the single-threaded middlebox with the
 /// trainer moved off-thread: on the same trace — packets, QoS reports,
 /// polls, departures — serving the same (static) model, every verdict,
