@@ -222,12 +222,11 @@ fn main() {
         let learnt = reg.snapshot();
         let retrains = learnt.counter("admittance.retrains").unwrap_or(0);
         let compactions = learnt.counter("admittance.store_compactions").unwrap_or(0);
-        let guard = reader.pin();
+        let snapshot = reader.pin();
         let correct = probes
             .iter()
-            .filter(|m| guard.decide(m).0 == truth(m, truth_cap))
+            .filter(|m| snapshot.decide(m).0 == truth(m, truth_cap))
             .count();
-        drop(guard);
         let accuracy = correct as f64 / probes.len() as f64;
         println!(
             "{round},{truth_cap},{observations},{},{staleness:.0},{},{retrains},{compactions},{}",

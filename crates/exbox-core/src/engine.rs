@@ -162,7 +162,7 @@ pub struct MiddleboxConfig {
     /// (minimum 1).
     pub fallback_max_flows: u32,
     /// Incremental polling: flows carry a next-evaluation deadline in
-    /// a hierarchical timer wheel and a poll evaluates only the flows
+    /// the [`TimerWheel`] due list and a poll evaluates only the flows
     /// whose meters saw traffic since their last window — O(due), not
     /// O(all flows). `false` selects the full scan, the reference the
     /// wheel is property-tested against (`tests/flowtable_props.rs`).

@@ -32,11 +32,12 @@
 //! skipped by stamp mismatch, never searched for) with occupancy and
 //! capacity-pressure reporting.
 //!
-//! [`TimerWheel`] is a hierarchical timer wheel over poll ticks:
-//! flows carry a next-evaluation deadline, so an incremental poll
-//! visits only the flows due this window — O(due), not O(all). The
-//! ledger's `flash_state` workload (`bench/`) measures it end to end
-//! — each step is an executed poll over ≈3 × 10⁴ live flows — and the
+//! [`TimerWheel`] is the due list over poll ticks (a flat `Vec`; the
+//! name is the one `bench/` imports): flows carry a next-evaluation
+//! deadline, so an incremental poll visits only the flows due this
+//! window — O(due), not O(all). The ledger's `flash_state` workload
+//! (`bench/`) measures it end to end — each step is an executed poll
+//! over ≈3 × 10⁴ live flows — and the
 //! `core.flowtable.wheel_schedule_ns` / `wheel_advance_ns_per_due`
 //! probes give the per-layer cost.
 
@@ -593,43 +594,23 @@ impl RejectedRing {
     }
 }
 
-/// Buckets per wheel level (64 ⇒ 6 bits of tick per level).
-const WHEEL_BITS: u32 = 6;
-const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
-/// Levels: 64⁴ ≈ 16.7 M ticks of horizon; with one tick per executed
-/// poll (2 s default) that is a year of deadlines. Later deadlines
-/// park in the top level and re-cascade.
-const WHEEL_LEVELS: usize = 4;
-
-/// Hierarchical timer wheel over poll ticks. One tick = one executed
-/// poll; level `l` buckets cover `64^l` ticks each, and entries
-/// cascade down as time advances, so [`TimerWheel::advance`] is O(new
-/// due entries) amortised. Entries are [`FlowSlot`]s — a departed
-/// flow's entry goes stale (generation mismatch) and the poll skips
-/// it, so nothing ever cancels a timer.
-#[derive(Debug)]
+/// Due list over poll ticks. One tick = one executed poll. The engine
+/// only ever schedules for the next tick and advances one tick per
+/// poll, so a plain list in schedule order is already in deadline
+/// order; any other deadline is honoured by sorting at `advance`.
+/// Entries are [`FlowSlot`]s — a departed flow's entry goes stale
+/// (generation mismatch) and the poll skips it, so nothing ever
+/// cancels a timer.
+#[derive(Debug, Default)]
 pub struct TimerWheel {
-    levels: Vec<Vec<Vec<(FlowSlot, u64)>>>,
+    entries: Vec<(FlowSlot, u64)>,
     now: u64,
-    pending: usize,
-}
-
-impl Default for TimerWheel {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl TimerWheel {
     /// A wheel at tick 0 with nothing scheduled.
     pub fn new() -> Self {
-        TimerWheel {
-            levels: (0..WHEEL_LEVELS)
-                .map(|_| (0..WHEEL_SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            now: 0,
-            pending: 0,
-        }
+        Self::default()
     }
 
     /// The current tick.
@@ -639,7 +620,7 @@ impl TimerWheel {
 
     /// Scheduled entries (including stale ones not yet drained).
     pub fn pending(&self) -> usize {
-        self.pending
+        self.entries.len()
     }
 
     /// Schedule `flow` to come due at `deadline` (clamped to the next
@@ -647,63 +628,20 @@ impl TimerWheel {
     /// job to avoid — the flow-state layer keeps a next-deadline field
     /// per flow for exactly that.
     pub fn schedule(&mut self, flow: FlowSlot, deadline: u64) {
-        let deadline = deadline.max(self.now + 1);
-        let (level, slot) = self.place(deadline);
-        self.levels[level][slot].push((flow, deadline));
-        self.pending += 1;
-    }
-
-    /// Bucket coordinates for a deadline, relative to `self.now`.
-    fn place(&self, deadline: u64) -> (usize, usize) {
-        let delta = deadline - self.now;
-        for level in 0..WHEEL_LEVELS {
-            let span = 1u64 << (WHEEL_BITS * (level as u32 + 1));
-            if delta < span || level == WHEEL_LEVELS - 1 {
-                let slot = (deadline >> (WHEEL_BITS * level as u32)) as usize & (WHEEL_SLOTS - 1);
-                return (level, slot);
-            }
-        }
-        unreachable!("last level accepts any delta");
+        self.entries.push((flow, deadline.max(self.now + 1)));
     }
 
     /// Advance to tick `to`, appending every due entry (deadline ≤
     /// `to`) to `due` in deadline order (FIFO within a tick).
     pub fn advance(&mut self, to: u64, due: &mut Vec<FlowSlot>) {
-        while self.now < to {
-            if self.pending == 0 {
-                // Nothing scheduled anywhere: jump, don't spin.
-                self.now = to;
-                return;
-            }
-            self.now += 1;
-            let t = self.now;
-            // Level-0 bucket: everything here is due exactly now.
-            let slot0 = t as usize & (WHEEL_SLOTS - 1);
-            for (flow, _) in self.levels[0][slot0].drain(..) {
-                self.pending -= 1;
-                due.push(flow);
-            }
-            // Cascade higher levels whenever their cycle boundary is
-            // crossed: re-place still-future entries, emit due ones.
-            for level in 1..WHEEL_LEVELS {
-                let shift = WHEEL_BITS * level as u32;
-                if t & ((1u64 << shift) - 1) != 0 {
-                    break;
-                }
-                let slot = (t >> shift) as usize & (WHEEL_SLOTS - 1);
-                let entries = std::mem::take(&mut self.levels[level][slot]);
-                for (flow, deadline) in entries {
-                    self.pending -= 1;
-                    if deadline <= t {
-                        due.push(flow);
-                    } else {
-                        let (l, s) = self.place(deadline);
-                        self.levels[l][s].push((flow, deadline));
-                        self.pending += 1;
-                    }
-                }
-            }
+        self.now = self.now.max(to);
+        // Checked first because the stable sort allocates its merge
+        // buffer even for one sorted run — the engine's every poll.
+        if !self.entries.is_sorted_by_key(|&(_, at)| at) {
+            self.entries.sort_by_key(|&(_, at)| at);
         }
+        let n = self.entries.partition_point(|&(_, at)| at <= to);
+        due.extend(self.entries.drain(..n).map(|(flow, _)| flow));
     }
 }
 
@@ -848,7 +786,7 @@ mod tests {
         let s3 = m.insert(key(3), 3);
         w.schedule(s1, 1);
         w.schedule(s2, 3);
-        w.schedule(s3, 200); // level-1 territory
+        w.schedule(s3, 200);
         let mut due = Vec::new();
         w.advance(1, &mut due);
         assert_eq!(due, vec![s1]);
@@ -878,11 +816,11 @@ mod tests {
     }
 
     #[test]
-    fn wheel_far_deadlines_cascade() {
+    fn wheel_far_deadlines_fire_in_their_window() {
         let mut w = TimerWheel::new();
         let mut m: FlowMap<u32> = FlowMap::new();
         let mut due = Vec::new();
-        // One deadline per level span, plus one past the horizon.
+        // Deadlines spread over seven orders of magnitude.
         let deadlines = [63u64, 64, 4_095, 4_096, 262_143, 20_000_000];
         let slots: Vec<FlowSlot> = deadlines
             .iter()

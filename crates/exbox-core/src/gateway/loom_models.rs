@@ -4,25 +4,25 @@
 //! Only built under `--cfg exbox_loom`; run with
 //! `RUSTFLAGS='--cfg exbox_loom' cargo test -p exbox-core --lib`
 //! (or `scripts/loom_check.sh`). Every test here checks a *property*,
-//! not just "no crash": eventual snapshot visibility, no
-//! use-after-retire under a pinned guard (the `SnapshotGuard::deref`
-//! canary), retired-list quiescence, channel no-loss/no-duplication,
-//! exact `try_send` backpressure accounting, a lossless trainer
-//! shutdown drain, and the pipeline's SPSC ring: lossless in-order
-//! transfer with atomic batch publication, fresh values out of reused
-//! slots across wraparound, and the close-after-publish protocol that
-//! lets a worker exit without stranding packets.
+//! not just "no crash": a snapshot reader's view only moves forward in
+//! publish order and a finished publish is visible to the next pin, a
+//! visible publish count never runs ahead of its value, channel
+//! no-loss/no-duplication, exact `try_send` backpressure accounting, a
+//! lossless trainer shutdown drain, and the pipeline's SPSC ring:
+//! lossless in-order transfer with atomic batch publication, fresh
+//! values out of reused slots across wraparound, and the
+//! close-after-publish protocol that lets a worker exit without
+//! stranding packets.
 //!
 //! Bounds: every model runs under the explorer's default preemption
 //! bound of 2 (documented in `DESIGN.md` §9) unless it passes an
 //! explicit [`Config`]; `EXBOX_LOOM_EXHAUSTIVE=1` lifts the bound for
 //! the nightly CI leg. Counterexamples dump replayable traces to
-//! `EXBOX_LOOM_TRACE_DIR`; regression traces live in
-//! `tests/loom-traces/` and are replayed against the fixed code below.
+//! `EXBOX_LOOM_TRACE_DIR`.
 
 use std::sync::Arc;
 
-use exbox_loom::{explore, model, replay, thread, Config};
+use exbox_loom::{explore, model, thread, Config};
 
 use exbox_net::AppClass;
 
@@ -33,16 +33,16 @@ use super::shard::SharedMatrix;
 use super::snapshot::SnapshotCell;
 use super::spsc;
 
-/// The ISSUE's acceptance model: ≥2 writers and ≥2 readers over one
-/// `SnapshotCell`, explored to exhaustion within the preemption bound.
+/// 2 writers × 2 readers over one `SnapshotCell`, explored to
+/// exhaustion within the preemption bound.
 ///
-/// Properties checked on every schedule:
-/// * a pinned guard's pointer is never freed under it (the
-///   `SnapshotGuard::deref` canary panics on use-after-retire);
-/// * a snapshot published before both writers joined is observed by a
-///   subsequent pin — the final pin never sees the initial value;
-/// * at quiescence (guards dropped, readers unregistered) the retired
-///   list is fully drained (also a `debug_assert` inside `reclaim`).
+/// The publish order is read back from the final state: the value the
+/// cell ends on was published second, the other one first. Properties
+/// checked on every schedule:
+/// * a reader's view never moves back in publish order (its second pin
+///   is not older than its first);
+/// * a pin after both writers joined never serves the initial value —
+///   every reader, old or fresh, then pins the last publish.
 #[test]
 fn snapshot_two_writers_two_readers_exhaustive() {
     let report = explore(Config::default(), || {
@@ -56,27 +56,32 @@ fn snapshot_two_writers_two_readers_exhaustive() {
         for _ in 0..2 {
             let mut reader = cell.reader();
             readers.push(thread::spawn(move || {
-                // Deref exercises the use-after-retire canary; the
-                // value is one of the published states.
                 let first = *reader.pin();
                 let second = *reader.pin();
-                assert!(first <= 2 && second <= 2);
+                (first, second, reader)
             }));
         }
         for w in writers {
             w.join().unwrap();
         }
-        for r in readers {
-            r.join().unwrap();
-        }
-        // Both publishes retired their predecessors; with every reader
-        // gone the grace period has passed for all of them.
-        assert_eq!(cell.retired_len(), 0, "retired list leaked");
-        // Eventual visibility: a fresh pin after both writers joined
-        // must see one of the published snapshots, never epoch 0.
-        let mut late = cell.reader();
-        assert_ne!(*late.pin(), 0, "published snapshot never became visible");
         assert_eq!(cell.publish_count(), 2);
+        let last = *cell.load();
+        assert_ne!(last, 0, "published snapshot never became visible");
+        // Position in publish order: initial, first publish, last.
+        let rank = |v: u64| match v {
+            0 => 0,
+            v if v == last => 2,
+            _ => 1,
+        };
+        for r in readers {
+            let (first, second, mut reader) = r.join().unwrap();
+            assert!(
+                rank(first) <= rank(second),
+                "view moved back: {first} then {second} (last publish {last})"
+            );
+            assert_eq!(*reader.pin(), last, "reader stuck on an old generation");
+        }
+        assert_eq!(*cell.reader().pin(), last);
     })
     .unwrap_or_else(|cex| {
         panic!(
@@ -90,64 +95,29 @@ fn snapshot_two_writers_two_readers_exhaustive() {
     );
 }
 
-/// Regression model for the PR-9 reader-leak fix: a reader that pins
-/// across a publish and then *goes away* must release the retirements
-/// its pin was holding back — before the fix, `SnapshotReader::drop`
-/// left its slot registered, so the retired list stayed pinned until
-/// some later publish (forever, if that publish was the run's last).
+/// A visible count never runs ahead of its value: the writer stores
+/// the count after the value, under the same lock, so a reader that
+/// saw count `c` and then pins is served publish `c` or a later one.
+/// Publish `n` carries the value `n`.
 #[test]
-fn reader_drop_releases_retired() {
+fn snapshot_count_never_runs_ahead_of_value() {
     model(|| {
         let cell = SnapshotCell::new(0u64);
         let writer = {
             let cell = Arc::clone(&cell);
-            thread::spawn(move || cell.publish(1))
+            thread::spawn(move || {
+                cell.publish(1);
+                cell.publish(2);
+            })
         };
         let mut reader = cell.reader();
-        {
-            let guard = reader.pin();
-            assert!(*guard <= 1);
+        for _ in 0..2 {
+            let count = cell.publish_count();
+            let value = *reader.pin();
+            assert!(value >= count, "count {count} visible before its value");
         }
-        drop(reader); // must unregister + reclaim
         writer.join().unwrap();
-        // No publish happens after the reader leaves: only the drop
-        // path can drain what its pin retained.
-        assert_eq!(
-            cell.retired_len(),
-            0,
-            "dropped reader still pins the retired list"
-        );
     });
-}
-
-/// Replays the checked-in counterexample trace recorded when
-/// `reader_drop_releases_retired` first failed (pre-fix drop left the
-/// slot registered). The exact schedule that exposed the leak must now
-/// pass against the fixed code.
-#[test]
-fn replay_reader_drop_regression_trace() {
-    let trace = exbox_loom::read_trace_file(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/loom-traces/reader_drop_releases_retired.trace"
-    ))
-    .expect("regression trace missing");
-    assert!(!trace.is_empty(), "regression trace file is empty");
-    replay(&trace, || {
-        let cell = SnapshotCell::new(0u64);
-        let writer = {
-            let cell = Arc::clone(&cell);
-            thread::spawn(move || cell.publish(1))
-        };
-        let mut reader = cell.reader();
-        {
-            let guard = reader.pin();
-            assert!(*guard <= 1);
-        }
-        drop(reader);
-        writer.join().unwrap();
-        assert_eq!(cell.retired_len(), 0);
-    })
-    .unwrap_or_else(|cex| panic!("regression resurfaced: {}", cex.message));
 }
 
 /// Two senders racing one receiver on the bounded observation channel:

@@ -1,5 +1,5 @@
-//! Concurrent sharded gateway: lock-free model snapshots, off-path
-//! retraining, multi-core packet serving.
+//! Concurrent sharded gateway: `Arc`-published model snapshots,
+//! off-path retraining, multi-core packet serving.
 //!
 //! The single-threaded [`Middlebox`](crate::middlebox::Middlebox)
 //! interleaves serving and learning in one loop; this module splits
@@ -12,10 +12,10 @@
 //!   │ RSS  │─▶│ GatewayShard 1│──────────────────────▶│   trainer   │
 //!   │      │─▶│      ...      │──────────────────────▶│   thread    │
 //!   └──────┘  └───────┬───────┘                       └──────┬──────┘
-//!                     │ pin (never blocks)                   │ publish
+//!                     │ pin (one atomic load)                │ publish
 //!                     ▼                                      ▼
 //!              ┌─────────────────────────────────────────────────┐
-//!              │ SnapshotCell<ModelSnapshot>  (epoch-stamped RCU)│
+//!              │ SnapshotCell<ModelSnapshot>  (epoch-stamped Arc)│
 //!              └─────────────────────────────────────────────────┘
 //! ```
 //!
@@ -28,10 +28,11 @@
 //!   cross-shard lock and bounces no shared cache line.
 //! - **Snapshots.** Learnt state (scaler + compacted model + phase)
 //!   is published as an immutable epoch-stamped
-//!   [`ModelSnapshot`] behind a [`SnapshotCell`]: readers pin
-//!   lock-free, the writer swaps atomically and retires the old
-//!   snapshot only after every in-flight reader moved on (quiescent-
-//!   state reclamation — see [`snapshot`]).
+//!   [`ModelSnapshot`] behind a [`SnapshotCell`]: each reader keeps
+//!   its own `Arc` of the generation it last saw, so a pin between
+//!   publishes is one atomic load; the writer swaps the current `Arc`
+//!   under a short lock, and an old generation is freed by whichever
+//!   holder lets go last (see [`snapshot`]).
 //! - **Off-path training.** Observations travel a *bounded* MPSC
 //!   channel to one background trainer thread that owns the full
 //!   [`AdmittanceClassifier`]; retrains, checkpoints and recovery
@@ -81,7 +82,7 @@ use crate::recovery::FaultPlan;
 pub use pipeline::PipelineHandle;
 use shard::ShardLink;
 pub use shard::{GatewayShard, SharedMatrix};
-pub use snapshot::{ModelSnapshot, SnapshotCell, SnapshotGuard, SnapshotReader};
+pub use snapshot::{ModelSnapshot, SnapshotCell, SnapshotReader};
 
 use trainer::{TrainerHandle, TrainerMetrics, TrainerMsg};
 
@@ -168,7 +169,6 @@ pub struct ConcurrentGateway {
     pipeline_registry: MetricsRegistry,
     shared: Arc<SharedMatrix>,
     cell: Arc<SnapshotCell<ModelSnapshot>>,
-    control: SnapshotReader<ModelSnapshot>,
     recovering: Arc<AtomicBool>,
     obs_tx: channel::BoundedSender<TrainerMsg>,
     trainer: Option<TrainerHandle>,
@@ -289,7 +289,6 @@ impl ConcurrentGateway {
             None => ModelSnapshot::initial(),
         };
         let cell = SnapshotCell::new(initial);
-        let control = cell.reader();
         let shared = Arc::new(SharedMatrix::new());
         let recovering = Arc::new(AtomicBool::new(recovering_now));
         let (obs_tx, obs_rx) = channel::bounded(cfg.obs_queue.max(1));
@@ -310,7 +309,6 @@ impl ConcurrentGateway {
                     staleness: trainer_registry.gauge("gateway.snapshot_staleness"),
                     dropped_results: trainer_registry.counter("trainer.dropped_results"),
                     stamp_mismatch: trainer_registry.counter("gateway.stamp_mismatch"),
-                    snapshot_retired: trainer_registry.gauge("gateway.snapshot_retired"),
                 },
                 obs_rx,
                 obs_tx.clone(),
@@ -344,7 +342,6 @@ impl ConcurrentGateway {
             pipeline_registry: MetricsRegistry::new(),
             shared,
             cell,
-            control,
             recovering,
             obs_tx,
             trainer,
@@ -521,8 +518,8 @@ impl ConcurrentGateway {
     }
 
     /// Epoch of the currently published snapshot.
-    pub fn snapshot_epoch(&mut self) -> u64 {
-        self.control.pin().epoch()
+    pub fn snapshot_epoch(&self) -> u64 {
+        self.cell.load().epoch()
     }
 
     /// Number of snapshots published since construction (including the
@@ -549,10 +546,10 @@ impl ConcurrentGateway {
     /// True while admissions are served by the occupancy fallback —
     /// same rule as [`Middlebox::is_degraded`](crate::middlebox::Middlebox::is_degraded),
     /// evaluated against the published snapshot.
-    pub fn is_degraded(&mut self) -> bool {
+    pub fn is_degraded(&self) -> bool {
         let recovering = self.recovering.load(Ordering::SeqCst);
-        let guard = self.control.pin();
-        is_degraded(guard.model_available(), guard.phase(), recovering)
+        let snapshot = self.cell.load();
+        is_degraded(snapshot.model_available(), snapshot.phase(), recovering)
     }
 
     /// True while the gateway is recovering from a failed restore and

@@ -7,8 +7,8 @@
 //! touches no cross-shard locks and increments no shared counters. The
 //! only cross-shard state a decision reads is the [`SharedMatrix`]
 //! (the cell-wide traffic matrix, six atomic counters) and the
-//! published [`ModelSnapshot`] (pinned lock-free): together they are
-//! the engine's *pinned* model source.
+//! published [`ModelSnapshot`] (a pin is one atomic load between
+//! publishes): together they are the engine's *pinned* model source.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -317,7 +317,7 @@ pub struct GatewayShard {
     engine: FlowEngine,
     reader: SnapshotReader<ModelSnapshot>,
     /// The cell `reader` pins, held beside it so the batch loop can
-    /// watch the publish count while a guard borrows the reader.
+    /// watch the publish count while a pin borrows the reader.
     cell: Arc<SnapshotCell<ModelSnapshot>>,
     link: ShardLink,
 }
@@ -363,10 +363,10 @@ impl GatewayShard {
     /// the trainer already left bootstrap or the gateway is recovering
     /// from a failed restore. Same rule as
     /// [`crate::middlebox::Middlebox::is_degraded`].
-    pub fn is_degraded(&mut self) -> bool {
+    pub fn is_degraded(&self) -> bool {
         let recovering = self.link.recovering.load(Ordering::SeqCst);
-        let guard = self.reader.pin();
-        is_degraded(guard.model_available(), guard.phase(), recovering)
+        let snapshot = self.cell.load();
+        is_degraded(snapshot.model_available(), snapshot.phase(), recovering)
     }
 
     /// Process one packet of this shard's partition: the engine's
@@ -377,9 +377,8 @@ impl GatewayShard {
         let action = match self.engine.probe(&mut run, pkt) {
             Probe::Done(action) => action,
             Probe::Classified(class) => {
-                let guard = self.reader.pin();
                 let mut src = Pinned {
-                    snapshot: &guard,
+                    snapshot: self.reader.pin(),
                     link: &mut self.link,
                 };
                 self.engine.decide(&mut run, &mut src, pkt, snr, class)
@@ -395,7 +394,7 @@ impl GatewayShard {
     /// Verdict-equivalent to calling [`GatewayShard::process_packet`]
     /// for each element in order:
     ///
-    /// - The snapshot guard is re-pinned whenever the cell's
+    /// - The snapshot is re-pinned whenever the cell's
     ///   [`SnapshotCell::publish_count`](super::SnapshotCell::publish_count)
     ///   moves, so a publication landing mid-batch takes effect at
     ///   exactly the packet where per-packet pinning would have
@@ -458,18 +457,12 @@ impl GatewayShard {
         let mut pending: Option<AppClass> = None;
         let mut idx = 0;
         while idx < pkts.len() {
-            // Pin-verify: tag the guard with a publish count known to
-            // match it, so staleness is detectable without re-pinning.
-            let (at, guard) = loop {
-                let at = cell.publish_count();
-                let guard = self.reader.pin();
-                if cell.publish_count() == at {
-                    break (at, guard);
-                }
-                drop(guard);
-            };
+            // Count first, then pin: the pin serves generation `at` or
+            // a newer one, and in the second case the count has moved,
+            // which the staleness check below answers by re-pinning.
+            let at = cell.publish_count();
             let mut src = Pinned {
-                snapshot: &guard,
+                snapshot: self.reader.pin(),
                 link: &mut self.link,
             };
             // Serve packets under this pin until a publication lands.
@@ -545,10 +538,13 @@ impl GatewayShard {
     /// Sharded-observation semantics: the label is the conjunction
     /// over *this shard's* flows against the *global* matrix. With one
     /// shard this is exactly the single-threaded middlebox feed; with
-    /// many, each shard contributes a partial conjunction (a `Neg`
-    /// from any shard still marks the matrix inadmissible — the
-    /// conjunction distributes over the partition; shards report
-    /// `Pos` only for flow subsets that are all acceptable).
+    /// many, each shard sends its own partial conjunction and the
+    /// trainer does **not** combine them:
+    /// [`AdmittanceClassifier::observe`](crate::admittance::AdmittanceClassifier::observe)
+    /// keeps the *last* label per matrix, so a later shard's `Pos`
+    /// replaces an earlier shard's `Neg` for the same matrix. That is
+    /// not the paper's network-wide label; ROADMAP item 3(a) is the
+    /// fix (one `Neg`-wins label per poll round).
     pub fn poll(&mut self, now: Instant) -> Vec<(FlowKey, PollVerdict)> {
         let mut verdicts = Vec::new();
         self.poll_into(now, &mut verdicts);
@@ -566,9 +562,8 @@ impl GatewayShard {
             return;
         }
         let cap_before = out.capacity();
-        let guard = self.reader.pin();
         let mut src = Pinned {
-            snapshot: &guard,
+            snapshot: self.reader.pin(),
             link: &mut self.link,
         };
         self.engine.poll_into(&mut src, now, out);

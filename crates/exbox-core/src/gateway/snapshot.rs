@@ -1,35 +1,28 @@
-//! Epoch-stamped model snapshots and the lock-free cell that
-//! publishes them.
+//! Epoch-stamped model snapshots and the cell that publishes them.
 //!
-//! The serving problem: shards must read the learnt state (scaler +
-//! model + phase) on every admission decision, while the background
-//! trainer replaces that state after every retrain. A lock — even a
-//! reader/writer lock — would put every packet behind a contended
-//! atomic RMW on the reader side and let a publishing writer stall
-//! the decision path. Instead the gateway uses an RCU-style
-//! [`SnapshotCell`]:
+//! The serving problem: shards read the learnt state (scaler + model +
+//! phase) on every admission decision, while the background trainer
+//! replaces it once per retrain — one refit per batch of observations,
+//! one observation per poll, against a pin per arrival. Publishes are
+//! rare and reads constant, so [`SnapshotCell`] makes the read cheap
+//! and lets the publish take a lock:
 //!
-//! * the current [`ModelSnapshot`] lives behind one `AtomicPtr`;
-//!   **readers never take a lock** — pinning is two `SeqCst` loads and
-//!   one store on a reader-private epoch slot, with no RMW on any
-//!   shared cache line,
-//! * the writer swaps in a freshly boxed snapshot and **retires** the
-//!   old pointer instead of freeing it; retired snapshots are
-//!   reclaimed only after a grace period — once every registered
-//!   reader has been observed past the retiring epoch (quiescent-state
-//!   reclamation),
-//! * snapshots are immutable once published, so a reader that pinned
-//!   an older epoch simply keeps serving the older (still coherent)
-//!   model until its next pin.
+//! * the current [`ModelSnapshot`] is an `Arc` kept beside the publish
+//!   count under one short mutex, and the count is mirrored in an
+//!   atomic;
+//! * each [`SnapshotReader`] keeps its own `Arc` and the count it was
+//!   loaded at: **between publishes a pin is one atomic load and a
+//!   compare** — no lock, no RMW, no shared cache line written. Only
+//!   the first pin after a publish takes the lock, for one `Arc` clone;
+//! * snapshots are immutable once published, and an old generation is
+//!   freed by whichever holder lets go of it last — the writer, or a
+//!   reader at its next pin or drop.
 //!
-//! This module and the pipeline's SPSC ring (`super::spsc`) hold
-//! the only `unsafe` in the workspace; the invariant this one rests
-//! on is spelled out at the private `SnapshotCell::reclaim` method,
-//! the ring's in its module-level Safety section.
+//! All of it is safe Rust over `Arc`, one mutex and one atomic.
 
 use std::sync::Arc;
 
-use crate::sync::{AtomicPtr, AtomicU64, Mutex, Ordering};
+use crate::sync::{AtomicU64, Mutex, Ordering};
 
 use exbox_ml::Label;
 
@@ -163,321 +156,105 @@ impl ModelSnapshot {
     }
 }
 
-/// A reader's pin slot: the epoch it is currently pinned at, or
-/// [`IDLE`] when not inside a read-side critical section.
+/// Single-slot publication cell: one current `Arc<T>` and a publish
+/// count, many readers that each cache the generation they last saw.
+///
+/// * [`SnapshotReader::pin`] is one atomic load and a compare while no
+///   publish has landed since the reader's last pin; after one, the
+///   reader takes the cell's lock for a single `Arc` clone.
+/// * [`SnapshotCell::publish`] holds that lock for a pointer swap and a
+///   counter bump only: the new value is allocated before it, the old
+///   one released after it.
 #[derive(Debug)]
-struct ReaderSlot {
-    pinned: AtomicU64,
-}
-
-/// Sentinel for "not pinned".
-const IDLE: u64 = u64::MAX;
-
-/// A retired pointer waiting for its grace period: the cell epoch at
-/// the moment of retirement, and the boxed value it replaced.
-struct Retired<T> {
-    tag: u64,
-    ptr: *mut T,
-}
-
-/// Lock-free single-writer/multi-reader publication cell (RCU with
-/// quiescent-state-based reclamation), built on `std::sync::atomic`
-/// only.
-///
-/// * [`SnapshotReader::pin`] gives wait-free read access to the
-///   current value — no locks, no shared-line RMW.
-/// * [`SnapshotCell::publish`] swaps in a new boxed value, retires the
-///   old pointer, and frees retirements whose grace period has passed
-///   (no reader still pinned at or before their tag).
-///
-/// Values must be `Send + Sync`: readers on any thread dereference
-/// the shared pointer, and retired boxes are dropped on the writer's
-/// thread.
 pub struct SnapshotCell<T> {
-    current: AtomicPtr<T>,
-    /// Publish counter; also the clock retirement tags and reader pins
-    /// are measured against.
-    epoch: AtomicU64,
-    readers: Mutex<Vec<Arc<ReaderSlot>>>,
-    retired: Mutex<Vec<Retired<T>>>,
-    /// Model-checking canary: addresses freed by `reclaim` and not yet
-    /// reused by a later `publish`. Guards assert their pointer is not
-    /// in this set before dereferencing, turning a protocol bug
-    /// (use-after-retire) into a deterministic panic with a replayable
-    /// trace instead of UB. Plain `std::sync::Mutex` on purpose — it is
-    /// checker bookkeeping, not part of the modelled protocol, and is
-    /// never held across a switch point.
-    #[cfg(exbox_loom)]
-    freed: std::sync::Mutex<std::collections::HashSet<usize>>,
+    /// The current generation and the number of publishes behind it.
+    current: Mutex<(Arc<T>, u64)>,
+    /// Mirror of the count in `current`, stored while the lock is held:
+    /// monotone, and never ahead of the value it counts.
+    count: AtomicU64,
 }
 
-// SAFETY: the raw pointers inside `current`/`retired` all originate
-// from `Box<T>` and are only dereferenced (readers) or dropped
-// (writer, after the grace period) under the protocol proven at
-// `reclaim`. With `T: Send + Sync`, sharing the cell across threads
-// shares `&T` (needs `Sync`) and drops boxes on another thread (needs
-// `Send`).
-unsafe impl<T: Send + Sync> Send for SnapshotCell<T> {}
-unsafe impl<T: Send + Sync> Sync for SnapshotCell<T> {}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for SnapshotCell<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotCell")
-            .field("epoch", &self.epoch.load(Ordering::SeqCst))
-            .field(
-                "retired",
-                &self.retired.lock().expect("retired list poisoned").len(),
-            )
-            .finish()
-    }
-}
-
-impl<T: Send + Sync> SnapshotCell<T> {
-    /// A cell initially holding `value` at epoch 0.
+impl<T> SnapshotCell<T> {
+    /// A cell initially holding `value` at publish count 0.
     pub fn new(value: T) -> Arc<Self> {
         Arc::new(SnapshotCell {
-            current: AtomicPtr::new(Box::into_raw(Box::new(value))),
-            epoch: AtomicU64::new(0),
-            readers: Mutex::new(Vec::new()),
-            retired: Mutex::new(Vec::new()),
-            #[cfg(exbox_loom)]
-            freed: std::sync::Mutex::new(std::collections::HashSet::new()),
+            current: Mutex::new((Arc::new(value), 0)),
+            count: AtomicU64::new(0),
         })
     }
 
-    /// Register a reader. Each shard holds exactly one; the slot is
-    /// garbage-collected after the reader is dropped.
+    /// A reader starting at the current generation. Each shard holds
+    /// exactly one.
     pub fn reader(self: &Arc<Self>) -> SnapshotReader<T> {
-        let slot = Arc::new(ReaderSlot {
-            pinned: AtomicU64::new(IDLE),
-        });
-        self.readers
-            .lock()
-            .expect("reader list poisoned")
-            .push(Arc::clone(&slot));
+        let (value, seen) = self.load_counted();
         SnapshotReader {
             cell: Arc::clone(self),
-            slot,
+            value,
+            seen,
         }
     }
 
     /// Number of publishes so far.
     pub fn publish_count(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+        self.count.load(Ordering::SeqCst)
     }
 
-    /// Retired values still waiting for their grace period (test and
-    /// debugging aid).
-    pub fn retired_len(&self) -> usize {
-        self.retired.lock().expect("retired list poisoned").len()
+    /// The current generation, shared — for control-plane reads that
+    /// have no reader of their own. Takes the lock; the packet path
+    /// pins through a [`SnapshotReader`] instead.
+    pub fn load(&self) -> Arc<T> {
+        self.load_counted().0
     }
 
-    /// Publish `value` as the new current snapshot. The old snapshot
-    /// is retired, not freed: readers pinned on it keep serving it,
-    /// and it is reclaimed on a later publish once no reader can still
-    /// hold it. Publishers are expected to be a single trainer thread,
-    /// but concurrent publishes are safe (the swap linearises them).
+    /// The current generation and the publish count it belongs to.
+    fn load_counted(&self) -> (Arc<T>, u64) {
+        let current = self.current.lock().expect("snapshot cell poisoned");
+        (Arc::clone(&current.0), current.1)
+    }
+
+    /// Publish `value` as the new current generation. Readers still
+    /// holding the old one keep serving it until their next pin; it is
+    /// freed when the last of them (or this call) lets go. Publishers
+    /// are expected to be a single trainer thread, but concurrent
+    /// publishes are safe (the lock orders them).
     pub fn publish(&self, value: T) {
-        let fresh = Box::into_raw(Box::new(value));
-        // The allocator may hand back an address reclaimed earlier;
-        // it is live again now, so it leaves the canary set.
-        #[cfg(exbox_loom)]
-        self.freed
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&(fresh as usize));
-        let old = self.current.swap(fresh, Ordering::SeqCst);
-        // The tag is the epoch *before* the bump: any reader that
-        // could have loaded `old` re-checked the epoch at a value
-        // <= tag while its pin was already visible (see `pin`).
-        let tag = self.epoch.fetch_add(1, Ordering::SeqCst);
-        self.retired
-            .lock()
-            .expect("retired list poisoned")
-            .push(Retired { tag, ptr: old });
-        self.reclaim();
+        let new = Arc::new(value);
+        let old = {
+            let mut current = self.current.lock().expect("snapshot cell poisoned");
+            let old = std::mem::replace(&mut current.0, new);
+            current.1 += 1;
+            self.count.store(current.1, Ordering::SeqCst);
+            old
+        };
+        // Released outside the lock, so a free never runs under it.
+        drop(old);
     }
 }
 
-// Reclamation is unbounded by `T: Send + Sync` so `SnapshotReader`'s
-// `Drop` (which has no bounds) can call it; sharing the cell across
-// threads still requires the bounds via the `Sync` impl above.
-impl<T> SnapshotCell<T> {
-    /// Free retired values whose grace period has passed.
-    ///
-    /// Invariant: a reader pinned at epoch `e` can only be holding a
-    /// pointer that was current at some epoch `>= e`; such a pointer,
-    /// if retired at all, is retired with `tag >= e`. Proof sketch of
-    /// why the writer always observes the pin: the reader stores
-    /// `pinned = e` (`SeqCst`) *before* re-checking `epoch == e`
-    /// (`SeqCst`), and only then loads the pointer. The writer swaps
-    /// the pointer, *then* bumps the epoch (`SeqCst`), *then* reads
-    /// the pin slots here. If the reader's re-check saw `e`, it
-    /// happened before the writer's bump in the total `SeqCst` order,
-    /// so the reader's earlier `pinned = e` store is visible to the
-    /// writer's later pin load. Therefore freeing only retirements
-    /// with `tag < min(pinned)` never frees a pointer a reader can
-    /// still dereference.
-    fn reclaim(&self) {
-        let readers = self.readers.lock().expect("reader list poisoned");
-        // Every slot in the list belongs to a live reader:
-        // `SnapshotReader::drop` unregisters its slot (and re-runs
-        // reclamation), so a departed reader can never pin the retired
-        // list forever.
-        let min_pinned = readers
-            .iter()
-            .map(|slot| slot.pinned.load(Ordering::SeqCst))
-            .min()
-            .unwrap_or(IDLE);
-        drop(readers);
-        let mut retired = self.retired.lock().expect("retired list poisoned");
-        retired.retain(|r| {
-            if r.tag < min_pinned {
-                #[cfg(exbox_loom)]
-                self.freed
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(r.ptr as usize);
-                // SAFETY: `r.ptr` came from `Box::into_raw` in
-                // `publish` (or `new`), was swapped out exactly once,
-                // and by the invariant above no reader can still hold
-                // it; it is removed from the list here, so it is
-                // dropped exactly once.
-                drop(unsafe { Box::from_raw(r.ptr) });
-                false
-            } else {
-                true
-            }
-        });
-        // Quiescence bound (PR-9 reclamation sweep): with no reader
-        // pinned, nothing may remain retired. A long-pinned reader can
-        // legitimately hold many retirements, so the bound is
-        // conditional on quiescence — exactly what the model checks.
-        debug_assert!(
-            min_pinned != IDLE || retired.is_empty(),
-            "retired list not drained at quiescence ({} left)",
-            retired.len()
-        );
-    }
-
-    /// Remove `slot` from the reader list (reader drop path) and
-    /// reclaim anything its pin was holding back.
-    fn unregister(&self, slot: &Arc<ReaderSlot>) {
-        slot.pinned.store(IDLE, Ordering::SeqCst);
-        let mut readers = self.readers.lock().expect("reader list poisoned");
-        readers.retain(|s| !Arc::ptr_eq(s, slot));
-        drop(readers);
-        self.reclaim();
-    }
-}
-
-impl<T> Drop for SnapshotCell<T> {
-    fn drop(&mut self) {
-        // No readers can exist: every `SnapshotReader` holds an `Arc`
-        // to the cell, so `drop` implies zero readers remain.
-        let current = *self.current.get_mut();
-        // SAFETY: sole owner at this point; `current` and every
-        // retired pointer are live `Box<T>` allocations, each dropped
-        // exactly once.
-        unsafe {
-            drop(Box::from_raw(current));
-            for r in self.retired.get_mut().expect("retired list poisoned") {
-                drop(Box::from_raw(r.ptr));
-            }
-        }
-    }
-}
-
-/// One reader's handle to a [`SnapshotCell`]. Not cloneable and pins
-/// through `&mut self`, so at most one [`SnapshotGuard`] per reader
-/// exists at a time — the property the pin slot relies on.
+/// One reader's handle to a [`SnapshotCell`]: the generation it last
+/// pinned and the publish count that generation was loaded at.
 #[derive(Debug)]
 pub struct SnapshotReader<T> {
     cell: Arc<SnapshotCell<T>>,
-    slot: Arc<ReaderSlot>,
+    value: Arc<T>,
+    seen: u64,
 }
 
-impl<T: Send + Sync> SnapshotReader<T> {
-    /// Enter a read-side critical section and return a guard
-    /// dereferencing the current snapshot. Lock-free: two `SeqCst`
-    /// epoch loads and one store on this reader's private slot; the
-    /// retry loop only spins if a publish lands between them (publishes
-    /// are per-retrain, i.e. rare).
-    pub fn pin(&mut self) -> SnapshotGuard<'_, T> {
-        loop {
-            let e = self.cell.epoch.load(Ordering::SeqCst);
-            self.slot.pinned.store(e, Ordering::SeqCst);
-            if self.cell.epoch.load(Ordering::SeqCst) == e {
-                let ptr = self.cell.current.load(Ordering::SeqCst);
-                return SnapshotGuard {
-                    ptr,
-                    slot: &self.slot,
-                    #[cfg(exbox_loom)]
-                    freed: &self.cell.freed,
-                };
-            }
-            // A publish raced the pin; un-pin and retry so the writer
-            // is never blocked on a stale pin value.
-            self.slot.pinned.store(IDLE, Ordering::SeqCst);
+impl<T> SnapshotReader<T> {
+    /// The current snapshot. One atomic load and a compare unless a
+    /// publish landed since this reader's last pin; then one locked
+    /// `Arc` clone, which yields that publish's value or a newer one
+    /// (the count is stored after the value, under the same lock).
+    pub fn pin(&mut self) -> &T {
+        if self.cell.publish_count() != self.seen {
+            (self.value, self.seen) = self.cell.load_counted();
         }
+        &self.value
     }
 
-    /// The cell this reader is registered with.
+    /// The cell this reader reads.
     pub fn cell(&self) -> &Arc<SnapshotCell<T>> {
         &self.cell
-    }
-}
-
-impl<T> Drop for SnapshotReader<T> {
-    fn drop(&mut self) {
-        // A guard cannot outlive the reader (it borrows it), so the
-        // slot is idle here. Unregister it and reclaim: before PR 9 a
-        // dropped reader's slot lingered until the *next* publish, so
-        // a reader pinned during the final publish of a run pinned the
-        // retired list forever (found by the `reader_drop_releases_
-        // retired` model; regression trace checked in).
-        self.cell.unregister(&self.slot);
-    }
-}
-
-/// RAII read-side critical section: dereferences the pinned snapshot;
-/// dropping it un-pins the reader, allowing the snapshot's eventual
-/// reclamation.
-#[derive(Debug)]
-pub struct SnapshotGuard<'a, T> {
-    ptr: *const T,
-    slot: &'a Arc<ReaderSlot>,
-    /// Use-after-retire canary (see [`SnapshotCell`]'s `freed` field).
-    #[cfg(exbox_loom)]
-    freed: &'a std::sync::Mutex<std::collections::HashSet<usize>>,
-}
-
-impl<T> std::ops::Deref for SnapshotGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // Model builds verify the invariant the SAFETY comment claims:
-        // a pinned guard's pointer is never reclaimed under it.
-        #[cfg(exbox_loom)]
-        assert!(
-            !self
-                .freed
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .contains(&(self.ptr as usize)),
-            "use-after-retire: pinned snapshot was reclaimed"
-        );
-        // SAFETY: `ptr` was the current snapshot while this reader's
-        // pin was visible (see `SnapshotReader::pin`); the pin blocks
-        // reclamation (`SnapshotCell::reclaim` invariant) until this
-        // guard drops, and published snapshots are never mutated.
-        unsafe { &*self.ptr }
-    }
-}
-
-impl<T> Drop for SnapshotGuard<'_, T> {
-    fn drop(&mut self) {
-        self.slot.pinned.store(IDLE, Ordering::SeqCst);
     }
 }
 
@@ -496,32 +273,39 @@ mod tests {
         assert_eq!(cell.publish_count(), 1);
     }
 
+    /// A generation outlives its replacement while any reader still
+    /// holds it, and is freed exactly once when the last holder pins
+    /// again or goes away.
     #[test]
-    fn pinned_reader_blocks_reclamation_until_unpin() {
-        let cell = SnapshotCell::new(10u64);
-        let mut reader = cell.reader();
-        let guard = reader.pin();
-        cell.publish(20);
-        // The old value is retired but must not be freed while the
-        // guard is live — and the guard must still read it coherently.
-        assert_eq!(cell.retired_len(), 1);
-        assert_eq!(*guard, 10);
-        drop(guard);
-        cell.publish(30);
-        assert_eq!(cell.retired_len(), 0, "old epochs reclaimed after unpin");
-        assert_eq!(*reader.pin(), 30);
-    }
+    fn old_generation_lives_until_its_last_reader_lets_go() {
+        use std::sync::atomic::AtomicUsize;
 
-    #[test]
-    fn dropped_readers_are_garbage_collected() {
-        let cell = SnapshotCell::new(0u64);
-        let reader = cell.reader();
-        drop(reader);
-        cell.publish(1);
-        cell.publish(2);
-        // With no readers left, nothing can block reclamation past
-        // the most recent retirement.
-        assert_eq!(cell.retired_len(), 0);
+        struct Counted(u64, Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.1.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let drops = Arc::new(AtomicUsize::new(0));
+        let value = |v| Counted(v, Arc::clone(&drops));
+        let dropped = || drops.load(Ordering::SeqCst);
+
+        let cell = SnapshotCell::new(value(10));
+        let mut pins_again = cell.reader();
+        let goes_away = cell.reader();
+        cell.publish(value(20));
+        assert_eq!(dropped(), 0, "freed under the readers still holding it");
+        assert_eq!(goes_away.value.0, 10, "an unpinned reader keeps its view");
+        assert_eq!(pins_again.pin().0, 20);
+        assert_eq!(dropped(), 0, "one reader still holds generation 10");
+        drop(goes_away);
+        assert_eq!(dropped(), 1, "last holder gone: freed, once");
+        // With no reader on it, a replaced generation goes at the publish.
+        drop(pins_again);
+        cell.publish(value(30));
+        assert_eq!(dropped(), 2);
+        drop(cell);
+        assert_eq!(dropped(), 3, "each generation freed exactly once");
     }
 
     #[test]

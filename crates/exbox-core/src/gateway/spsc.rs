@@ -28,9 +28,8 @@
 //!
 //! # Safety
 //!
-//! This module contains `unsafe` (the only other instance in the
-//! workspace is the QSBR [`snapshot`](super::snapshot) cell). The
-//! invariants it rests on:
+//! This module contains `unsafe` — the only instance in the
+//! workspace. The invariants it rests on:
 //!
 //! 1. Exactly one [`Producer`] and one [`Consumer`] exist per ring
 //!    (enforced by construction — [`ring`] returns each endpoint by

@@ -79,14 +79,9 @@ pub(crate) struct TrainerMetrics {
     /// unless the export path is broken; checked here (debug-assert +
     /// counter), not just in tests.
     pub(crate) stamp_mismatch: Arc<exbox_obs::Counter>,
-    /// `gateway.snapshot_retired` — retired snapshots awaiting their
-    /// grace period, sampled after each publish. Bounded by the number
-    /// of concurrently pinned readers; growth means a reader leak.
-    pub(crate) snapshot_retired: Arc<exbox_obs::Gauge>,
 }
 
-/// Publish `snap`, enforcing the stamp invariant at the publish site
-/// and sampling the retired-list gauge right after reclamation ran.
+/// Publish `snap`, enforcing the stamp invariant at the publish site.
 fn publish_checked(
     cell: &SnapshotCell<ModelSnapshot>,
     metrics: &TrainerMetrics,
@@ -102,7 +97,6 @@ fn publish_checked(
         metrics.stamp_mismatch.inc();
     }
     cell.publish(snap);
-    metrics.snapshot_retired.set(cell.retired_len() as f64);
 }
 
 /// Handle to the running trainer thread.

@@ -35,13 +35,13 @@
 //!   `EXBOX_FAULTS` knob) and the bounded retrain backoff behind the
 //!   middlebox's degraded-mode policy.
 //! * [`gateway`] — the concurrent serving layer: flow-hash sharding
-//!   (`GatewayConfig::shards`), lock-free epoch-stamped model
+//!   (`GatewayConfig::shards`), `Arc`-published epoch-stamped model
 //!   snapshots, and a background trainer that keeps retraining and
 //!   checkpointing off the packet path.
 //! * [`flowtable`] — the million-flow state layer: slab-backed
 //!   [`flowtable::FlowMap`] with stable slots and insertion-order
 //!   iteration, the generation-stamped [`flowtable::RejectedRing`],
-//!   and the hierarchical [`flowtable::TimerWheel`] behind incremental
+//!   and the [`flowtable::TimerWheel`] due list behind incremental
 //!   polling.
 //!
 //! ## Quick start

@@ -40,7 +40,7 @@
 //!   guard and are not memoised, `checkpoint()` runs where it is
 //!   called.
 //! * **pinned** — [`GatewayShard`](crate::gateway::GatewayShard): the
-//!   lock-free published [`ModelSnapshot`](crate::gateway::ModelSnapshot)
+//!   published [`ModelSnapshot`](crate::gateway::ModelSnapshot)
 //!   and the cell-wide [`SharedMatrix`](crate::gateway::SharedMatrix).
 //!   Observations travel the bounded channel to the background
 //!   trainer, arrival decisions go through the shard's epoch-keyed

@@ -1,7 +1,7 @@
 //! cfg-selected synchronisation layer.
 //!
 //! Every concurrency primitive on the gateway's modelled paths — the
-//! QSBR [`SnapshotCell`](crate::gateway::SnapshotCell), the bounded
+//! [`SnapshotCell`](crate::gateway::SnapshotCell), the bounded
 //! trainer channel, the [`SharedMatrix`](crate::gateway::SharedMatrix)
 //! occupancy cell — imports its atomics, locks and threads from here
 //! instead of `std::sync` directly:
@@ -20,16 +20,14 @@
 //! weaker orderings without revisiting that argument.
 
 #[cfg(not(exbox_loom))]
-pub(crate) use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
+pub(crate) use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 #[cfg(not(exbox_loom))]
 pub(crate) use std::sync::{Condvar, Mutex};
 #[cfg(not(exbox_loom))]
 pub(crate) use std::thread;
 
 #[cfg(exbox_loom)]
-pub(crate) use exbox_loom::sync::{
-    AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Condvar, Mutex, Ordering,
-};
+pub(crate) use exbox_loom::sync::{AtomicBool, AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
 #[cfg(exbox_loom)]
 pub(crate) use exbox_loom::thread;
 

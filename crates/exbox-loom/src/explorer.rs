@@ -29,12 +29,11 @@
 //!
 //! **State-hash pruning**: before recording a new branch the explorer
 //! fingerprints the scheduler-visible state — per-thread rolling
-//! operation hashes, a canonical map of shared-object values (pointer
-//! values renamed to first-seen logical ids so fingerprints are stable
-//! across executions), thread statuses, and the preemption budget
-//! already spent. A revisited fingerprint means every schedule suffix
-//! from here was (or will be) explored from the first visit with at
-//! least as much remaining budget, so the execution stops branching.
+//! operation hashes, a canonical map of shared-object values, thread
+//! statuses, and the preemption budget already spent. A revisited
+//! fingerprint means every schedule suffix from here was (or will be)
+//! explored from the first visit with at least as much remaining
+//! budget, so the execution stops branching.
 //! Pruning only ever skips *recording* new branches — replayed
 //! prefixes are never pruned — so a reported counterexample trace is
 //! always a real schedule.
@@ -205,10 +204,6 @@ struct Sched {
     replay: Option<Vec<usize>>,
     /// Canonical shared-object value map (object id → value hash).
     objects: HashMap<u64, u64>,
-    /// Raw pointer address → first-seen logical name, for
-    /// execution-stable hashing of `AtomicPtr` values.
-    ptr_names: HashMap<usize, u64>,
-    next_ptr_name: u64,
     /// Mutex object id → owning tid.
     mutex_owner: HashMap<u64, usize>,
     next_ticket: u64,
@@ -269,8 +264,6 @@ impl Explorer {
                 schedule: Vec::new(),
                 replay: None,
                 objects: HashMap::new(),
-                ptr_names: HashMap::new(),
-                next_ptr_name: 0,
                 mutex_owner: HashMap::new(),
                 next_ticket: 0,
                 preemptions: 0,
@@ -518,18 +511,6 @@ impl Explorer {
         if wrote {
             s.objects.insert(obj, val);
         }
-    }
-
-    /// Execution-stable name for a raw pointer value.
-    pub(crate) fn ptr_name(&self, addr: usize) -> u64 {
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(n) = s.ptr_names.get(&addr) {
-            return *n;
-        }
-        s.next_ptr_name += 1;
-        let n = s.next_ptr_name;
-        s.ptr_names.insert(addr, n);
-        n
     }
 
     /// Allocate an execution-stable object id: hash of the creating
@@ -853,8 +834,6 @@ impl Explorer {
             s.schedule.clear();
             s.replay = replay;
             s.objects.clear();
-            s.ptr_names.clear();
-            s.next_ptr_name = 0;
             s.mutex_owner.clear();
             s.next_ticket = 0;
             s.preemptions = 0;

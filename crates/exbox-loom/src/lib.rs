@@ -45,9 +45,9 @@
 //! thread id at each switch point). [`model`] additionally writes the
 //! trace to `EXBOX_LOOM_TRACE_DIR` (default `target/loom-traces`) and
 //! panics with replay instructions. [`replay`] pins a single execution
-//! to a trace; decoding is tolerant, so a checked-in regression trace
-//! keeps working (degrading toward the default schedule) as the code
-//! under test evolves.
+//! to a trace; decoding is tolerant, so a saved trace keeps working
+//! (degrading toward the default schedule) as the code under test
+//! evolves.
 //!
 //! ## Environment knobs
 //!
@@ -278,16 +278,4 @@ fn dump_trace(cex: &Counterexample) -> Option<std::path::PathBuf> {
     );
     std::fs::write(&path, body).ok()?;
     Some(path)
-}
-
-/// Read a trace string back from a file written by [`model`] (comment
-/// lines starting with `#` are skipped). Regression tests check traces
-/// in and feed them to [`replay`].
-pub fn read_trace_file(path: impl AsRef<std::path::Path>) -> std::io::Result<String> {
-    let text = std::fs::read_to_string(path)?;
-    Ok(text
-        .lines()
-        .find(|l| !l.trim_start().starts_with('#') && !l.trim().is_empty())
-        .unwrap_or("")
-        .to_string())
 }

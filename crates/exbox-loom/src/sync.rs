@@ -323,107 +323,6 @@ impl std::fmt::Debug for AtomicBool {
     }
 }
 
-/// Model-aware drop-in for `std::sync::atomic::AtomicPtr<T>`.
-///
-/// Pointer values are hashed through the explorer's first-seen renaming
-/// table, so fingerprints are stable even though allocator addresses
-/// differ between executions.
-pub struct AtomicPtr<T> {
-    inner: std::sync::atomic::AtomicPtr<T>,
-    id: ObjId,
-}
-
-impl<T> AtomicPtr<T> {
-    pub const fn new(p: *mut T) -> Self {
-        AtomicPtr {
-            inner: std::sync::atomic::AtomicPtr::new(p),
-            id: ObjId::new(),
-        }
-    }
-
-    #[inline]
-    fn hooked<R>(
-        &self,
-        op: u64,
-        f: impl FnOnce(&std::sync::atomic::AtomicPtr<T>) -> R,
-        obs: impl Fn(&Explorer, &R) -> u64,
-        wrote: bool,
-    ) -> R {
-        match ctx() {
-            None => f(&self.inner),
-            Some((ex, tid)) => {
-                let _ = ex.switch_point(tid);
-                let r = f(&self.inner);
-                let id = self.id.get(&ex, tid);
-                let v = obs(&ex, &r);
-                ex.note(tid, id, op, v, wrote);
-                r
-            }
-        }
-    }
-
-    pub fn load(&self, _o: Ordering) -> *mut T {
-        self.hooked(
-            OP_LOAD,
-            |a| a.load(Ordering::SeqCst),
-            |ex, p| ex.ptr_name(*p as usize),
-            false,
-        )
-    }
-
-    pub fn store(&self, p: *mut T, _o: Ordering) {
-        self.hooked(
-            OP_STORE,
-            |a| a.store(p, Ordering::SeqCst),
-            |ex, _| ex.ptr_name(p as usize),
-            true,
-        )
-    }
-
-    pub fn swap(&self, p: *mut T, _o: Ordering) -> *mut T {
-        self.hooked(
-            OP_RMW,
-            |a| a.swap(p, Ordering::SeqCst),
-            |ex, old| mix(ex.ptr_name(*old as usize), ex.ptr_name(p as usize)),
-            true,
-        )
-    }
-
-    pub fn compare_exchange(
-        &self,
-        current: *mut T,
-        new: *mut T,
-        _s: Ordering,
-        _f: Ordering,
-    ) -> Result<*mut T, *mut T> {
-        self.hooked(
-            OP_CAS,
-            |a| a.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst),
-            |ex, r| match r {
-                Ok(_) => mix(1, ex.ptr_name(new as usize)),
-                Err(seen) => mix(2, ex.ptr_name(*seen as usize)),
-            },
-            true,
-        )
-    }
-
-    pub fn get_mut(&mut self) -> &mut *mut T {
-        self.inner.get_mut()
-    }
-}
-
-impl<T> Default for AtomicPtr<T> {
-    fn default() -> Self {
-        Self::new(std::ptr::null_mut())
-    }
-}
-
-impl<T> std::fmt::Debug for AtomicPtr<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(&self.inner, f)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Mutex / Condvar
 // ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@
 use std::sync::mpsc;
 
 use exbox_loom::sync::{
-    Arc, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering,
+    Arc, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering,
 };
 use exbox_loom::Config;
 
@@ -108,15 +108,6 @@ fn atomic_misc_passthrough_matches_std() {
     let z = AtomicUsize::new(1);
     assert_eq!(z.fetch_sub(1, Ordering::SeqCst), 1);
     assert_eq!(z.load(Ordering::SeqCst), 0);
-    // ptr
-    let mut x = 5i32;
-    let p: AtomicPtr<i32> = AtomicPtr::new(std::ptr::null_mut());
-    assert!(p.load(Ordering::SeqCst).is_null());
-    p.store(&mut x as *mut i32, Ordering::SeqCst);
-    assert_eq!(
-        p.swap(std::ptr::null_mut(), Ordering::SeqCst),
-        &mut x as *mut i32
-    );
 }
 
 #[test]

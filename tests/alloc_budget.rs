@@ -1,11 +1,11 @@
 //! The arrival path's allocation budget, counted by an allocator hook.
 //!
 //! Once a gateway's tables, its rejected ring, the classifier's window
-//! pool and every level-0 timer-wheel bucket have reached their size,
-//! serving a new flow — classification window, decision, delivery
-//! reports, a poll, its departure — allocates exactly once per
-//! `process_packets` call: the `Vec<Action>` the call returns. Nothing
-//! else on the path touches the heap, per packet or per flow.
+//! pool and the poll due list have reached their size, serving a new
+//! flow — classification window, decision, delivery reports, a poll,
+//! its departure — allocates exactly once per `process_packets` call:
+//! the `Vec<Action>` the call returns. Nothing else on the path touches
+//! the heap, per packet or per flow.
 //!
 //! The hook counts per thread and only around gateway calls, so
 //! neither the test harness's threads nor the driving code below show
