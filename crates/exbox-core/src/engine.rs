@@ -223,6 +223,13 @@ pub(crate) trait ModelSource {
 /// flow a poll left admitted (kept flows are counted in bulk, not
 /// returned). A shard binds its own registry, so the increments land
 /// on shard-private cache lines.
+///
+/// What the per-event path carries is deliberately this little: packet
+/// and drop tallies batched per call ([`FlowEngine::flush`]), one
+/// relaxed add per decision, and an owned push into the decision ring
+/// — no clock read, no histogram, no process-global counter. The
+/// decision count is `admits + rejects`; a per-decision timer would
+/// cost more than the cheapest decisions it times.
 #[derive(Debug)]
 struct EngineMetrics {
     /// `middlebox.packets` — packets probed.
@@ -260,9 +267,9 @@ struct EngineMetrics {
     /// `recovery.poll_errors` — polls whose QoE-estimation pass failed
     /// (injected or real); the observation feed is skipped.
     poll_errors: Arc<Counter>,
-    /// `middlebox.decision_latency_ns` — time to decide one arrival.
-    decision_latency_ns: Arc<Histogram>,
-    /// `middlebox.poll_latency_ns` — time per executed poll.
+    /// `middlebox.poll_latency_ns` — time per executed poll. The only
+    /// clock the engine reads: a poll costs microseconds and runs once
+    /// per interval, so two clock reads are noise beside it.
     poll_latency_ns: Arc<Histogram>,
 }
 
@@ -282,8 +289,6 @@ impl EngineMetrics {
             classifying_flows: reg.gauge("middlebox.classifying_flows"),
             fallback_decisions: reg.counter("recovery.fallback_decisions"),
             poll_errors: reg.counter("recovery.poll_errors"),
-            decision_latency_ns: reg
-                .histogram("middlebox.decision_latency_ns", &buckets::latency_ns()),
             poll_latency_ns: reg.histogram("middlebox.poll_latency_ns", &buckets::latency_ns()),
         }
     }
@@ -439,15 +444,12 @@ impl FlowEngine {
         let resulting = matrix.with_arrival(kind);
         let phase = src.phase();
         let degraded = is_degraded(src.model_available(), phase, src.recovering());
-        let ((label, margin), decide_ns) = exbox_obs::time_ns(|| {
-            if degraded {
-                let below_cap = matrix.total() < self.cfg.fallback_max_flows.max(1);
-                (if below_cap { Label::Pos } else { Label::Neg }, None)
-            } else {
-                src.decide(&resulting)
-            }
-        });
-        self.metrics.decision_latency_ns.record(decide_ns);
+        let (label, margin) = if degraded {
+            let below_cap = matrix.total() < self.cfg.fallback_max_flows.max(1);
+            (if below_cap { Label::Pos } else { Label::Neg }, None)
+        } else {
+            src.decide(&resulting)
+        };
         let reason = if degraded {
             self.metrics.fallback_decisions.inc();
             DecisionReason::DegradedFallback

@@ -432,9 +432,23 @@ impl ConcurrentGateway {
     /// never reorder packets, so the shared matrix and every shard's
     /// flow state evolve exactly as under per-packet driving, while
     /// each run amortises the snapshot pin and counter updates via
-    /// [`GatewayShard::process_packets`]. Every run appends to the one
-    /// `Vec` returned — the call's only allocation.
+    /// [`GatewayShard::process_packets`]. The returned `Vec` is the
+    /// call's only allocation; [`process_packets_into`](Self::process_packets_into)
+    /// avoids even that.
     pub fn process_packets(&mut self, pkts: &[(Packet, SnrLevel)]) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.process_packets_into(pkts, &mut out);
+        out
+    }
+
+    /// [`process_packets`](Self::process_packets) appending one verdict
+    /// per packet to the caller's buffer: once `out` (and the gateway's
+    /// tables) have reached their size, a call touches no heap at all.
+    // Inlined so `process_packets` compiles to the loop over its own
+    // local `Vec`: called out of line, the wrapper cost `day_serve`
+    // ≈ 3.5 % on `step_p50_us` in alternated ledger pairs.
+    #[inline]
+    pub fn process_packets_into(&mut self, pkts: &[(Packet, SnrLevel)], out: &mut Vec<Action>) {
         assert!(
             !self.shards.is_empty(),
             "gateway shards were taken; drive them directly"
@@ -445,7 +459,7 @@ impl ConcurrentGateway {
         self.route_scratch.clear();
         self.route_scratch
             .extend(pkts.iter().map(|(pkt, _)| route(&pkt.flow, shards) as u32));
-        let mut out = Vec::with_capacity(pkts.len());
+        out.reserve(pkts.len());
         let mut i = 0;
         while i < pkts.len() {
             let idx = self.route_scratch[i];
@@ -453,10 +467,9 @@ impl ConcurrentGateway {
             while j < pkts.len() && self.route_scratch[j] == idx {
                 j += 1;
             }
-            self.shards[idx as usize].process_packets_into(&pkts[i..j], &mut out);
+            self.shards[idx as usize].process_packets_into(&pkts[i..j], out);
             i = j;
         }
-        out
     }
 
     /// Sequential driver: poll every shard (shard order), concatenating

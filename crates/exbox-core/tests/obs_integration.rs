@@ -188,10 +188,13 @@ fn counters_match_returned_verdicts_exactly() {
     assert_eq!(snap.counter("middlebox.polls"), Some(2));
     assert_eq!(snap.counter("middlebox.departures"), Some(1));
 
-    // One latency observation per arrival decision, one per executed
-    // poll.
-    let decide = snap.histogram("middlebox.decision_latency_ns").unwrap();
-    assert_eq!(decide.count, admits + rejected_flows);
+    // One decision-log event per arrival decision and revocation (the
+    // decision path reads no clock); one latency observation per
+    // executed poll.
+    assert_eq!(
+        mb.decision_log().total_pushed(),
+        admits + rejected_flows + revokes
+    );
     assert_eq!(
         snap.histogram("middlebox.poll_latency_ns").unwrap().count,
         2

@@ -34,26 +34,6 @@ use std::hash::BuildHasher;
 use std::net::Ipv4Addr;
 
 use crate::packet::{Direction, FlowKey, Packet};
-
-/// Lazily-bound global counters (classification fires once per flow,
-/// so a relaxed atomic behind a `OnceLock` is plenty).
-mod metrics {
-    use std::sync::{Arc, OnceLock};
-
-    use exbox_obs::Counter;
-
-    /// `net.flows_classified` — flows that received a class.
-    pub fn classified() -> &'static Arc<Counter> {
-        static C: OnceLock<Arc<Counter>> = OnceLock::new();
-        C.get_or_init(|| exbox_obs::global().counter("net.flows_classified"))
-    }
-
-    /// `net.hint_classified` — flows classified via the endpoint prior.
-    pub fn hint_classified() -> &'static Arc<Counter> {
-        static C: OnceLock<Arc<Counter>> = OnceLock::new();
-        C.get_or_init(|| exbox_obs::global().counter("net.hint_classified"))
-    }
-}
 use crate::time::Instant;
 
 /// Application classes used throughout the reproduction — the three
@@ -312,6 +292,9 @@ impl Windows {
 /// Early flow classifier: buffers the first `window` packets of each
 /// flow, classifies on the packet that completes the window and hands
 /// the flow over — see [`EarlyClassifier::observe`] for the contract.
+/// It writes nothing outside itself: how many flows it classified is
+/// the caller's to count (the gateway's `middlebox.admits` /
+/// `middlebox.rejects`).
 #[derive(Debug)]
 pub struct EarlyClassifier {
     window: usize,
@@ -420,8 +403,6 @@ impl EarlyClassifier {
         if let Some(&class) = self.server_hints.get(&pkt.flow.server_ip) {
             // A window opened before the hint was learnt ends here.
             self.forget(&pkt.flow);
-            metrics::hint_classified().inc();
-            metrics::classified().inc();
             return Some(class);
         }
         let (bucket, buf) = self.windows.open(pkt.flow, self.window);
@@ -431,7 +412,6 @@ impl EarlyClassifier {
         }
         let feats = FlowFeatures::from_packets(buf);
         self.windows.close(bucket);
-        metrics::classified().inc();
         Some(self.classify_features(&feats))
     }
 

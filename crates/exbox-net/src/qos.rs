@@ -9,26 +9,6 @@
 
 use crate::time::{Duration, Instant};
 
-/// Lazily-bound global counters for the per-packet metering path: a
-/// `OnceLock` read plus one relaxed atomic add per event.
-mod metrics {
-    use std::sync::{Arc, OnceLock};
-
-    use exbox_obs::Counter;
-
-    /// `net.deliveries` — packets metered as delivered, all flows.
-    pub fn deliveries() -> &'static Arc<Counter> {
-        static C: OnceLock<Arc<Counter>> = OnceLock::new();
-        C.get_or_init(|| exbox_obs::global().counter("net.deliveries"))
-    }
-
-    /// `net.drops` — packets metered as dropped, all flows.
-    pub fn drops() -> &'static Arc<Counter> {
-        static C: OnceLock<Arc<Counter>> = OnceLock::new();
-        C.get_or_init(|| exbox_obs::global().counter("net.drops"))
-    }
-}
-
 /// Snapshot of a flow's QoS over an observation window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosSample {
@@ -74,6 +54,10 @@ impl QosSample {
 /// client and [`QosMeter::drop_packet`] for each loss; snapshot with
 /// [`QosMeter::sample`]. `reset()` begins a fresh window, which the
 /// middlebox does at each periodic poll.
+///
+/// A plain value with no side effects: a report touches only the
+/// meter, and the sample depends only on the *set* of reports in the
+/// window, not the order they arrived in.
 #[derive(Debug, Clone)]
 pub struct QosMeter {
     window_start: Option<Instant>,
@@ -106,27 +90,22 @@ impl QosMeter {
     /// Record a delivered packet: `sent` / `received` timestamps at
     /// the two ends of the measured segment, `size` bytes on the wire.
     ///
-    /// The throughput window opens at the first *send* time so a
-    /// single packet still has a meaningful (transmission-delay-long)
-    /// window.
+    /// The throughput window opens at the earliest *send* time seen so
+    /// a single packet still has a meaningful (transmission-delay-long)
+    /// window, and closes at the latest receive time — so reports
+    /// arriving out of order (normal for an AP's tx-status feed)
+    /// neither shrink the span nor inflate the throughput.
     pub fn deliver(&mut self, sent: Instant, received: Instant, size: u32) {
-        if self.window_start.is_none() {
-            self.window_start = Some(sent);
-        }
-        self.last_delivery = Some(match self.last_delivery {
-            Some(prev) => prev.max(received),
-            None => received,
-        });
+        self.window_start = Some(self.window_start.map_or(sent, |start| start.min(sent)));
+        self.last_delivery = Some(self.last_delivery.map_or(received, |end| end.max(received)));
         self.bytes += size as u64;
         self.delivered += 1;
         self.delay_sum += received.saturating_since(sent);
-        metrics::deliveries().inc();
     }
 
     /// Record a dropped packet.
     pub fn drop_packet(&mut self) {
         self.dropped += 1;
-        metrics::drops().inc();
     }
 
     /// Number of delivered packets in the current window.
@@ -266,5 +245,12 @@ mod tests {
         let s = m.sample();
         // Window stays [0, 100ms].
         assert!((s.throughput_bps - 200.0 * 8.0 / 0.1).abs() < 1e-6);
+
+        // The same two reports the other way round: the window opens at
+        // the earliest send, not at the first report's 10 ms.
+        let mut m = QosMeter::new();
+        m.deliver(Instant::from_millis(10), Instant::from_millis(50), 100);
+        m.deliver(Instant::ZERO, Instant::from_millis(100), 100);
+        assert_eq!(m.sample(), s);
     }
 }

@@ -122,6 +122,41 @@ proptest! {
         prop_assert!((s.loss_ratio - expect).abs() < 1e-12);
     }
 
+    /// A QoS sample depends on the set of reports in the window, not
+    /// on the order an AP's tx-status feed delivered them: any
+    /// permutation of the same deliver / drop reports samples
+    /// bit-identically. Exact, because bytes, counts and the delay sum
+    /// are integers and the span is a min and a max. Send times come
+    /// from a 40-value grid, so ties and late reports are the rule.
+    #[test]
+    fn qos_sample_is_order_independent(
+        reports in prop::collection::vec(
+            (0u64..40, 0u64..200_000, 40u32..1600, 0u8..5, any::<u64>()),
+            1..120,
+        ),
+    ) {
+        let sample = |order: &[&(u64, u64, u32, u8, u64)]| {
+            let mut m = QosMeter::new();
+            for &&(tick, delay_us, size, kind, _) in order {
+                if kind == 0 {
+                    m.drop_packet();
+                } else {
+                    let sent = Instant::from_millis(25 * tick);
+                    m.deliver(sent, sent + Duration::from_micros(delay_us), size);
+                }
+            }
+            let s = m.sample();
+            (s.throughput_bps.to_bits(), s.mean_delay, s.loss_ratio.to_bits())
+        };
+        let arrived: Vec<_> = reports.iter().collect();
+        let mut shuffled = arrived.clone();
+        shuffled.sort_by_key(|r| r.4);
+        let mut reversed = arrived.clone();
+        reversed.reverse();
+        prop_assert_eq!(sample(&arrived), sample(&shuffled));
+        prop_assert_eq!(sample(&arrived), sample(&reversed));
+    }
+
     /// Flow keys constructed from the synthetic helper always put the
     /// client in 10.0.0.0/8 — the invariant the pcap reader's
     /// direction heuristic relies on.

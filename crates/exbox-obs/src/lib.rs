@@ -16,7 +16,8 @@
 //!   bucket layouts: exponential latency ladders, linear grids).
 //! * [`EventRing`] — a bounded ring-buffer event log that keeps the
 //!   most recent `N` structured events and counts what it evicted
-//!   (the middlebox's admission-decision audit trail lives in one).
+//!   (the middlebox's admission-decision audit trail lives in one);
+//!   an owned value, pushed through `&mut`, with no lock.
 //! * [`MetricsRegistry`] — names the above, hands out shared handles,
 //!   and exports point-in-time [`MetricsSnapshot`]s as JSON, CSV, or
 //!   aligned text. A process-wide registry is available via
@@ -35,12 +36,12 @@
 //!
 //! let reg = MetricsRegistry::new();
 //! let admits = reg.counter("middlebox.admitted");
-//! let lat = reg.histogram("middlebox.decision_latency_ns", &buckets::latency_ns());
+//! let lat = reg.histogram("middlebox.poll_latency_ns", &buckets::latency_ns());
 //! admits.inc();
 //! lat.record(12_500.0);
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.counter("middlebox.admitted"), Some(1));
-//! assert!(snap.to_json().contains("decision_latency_ns"));
+//! assert!(snap.to_json().contains("poll_latency_ns"));
 //! ```
 
 mod hist;

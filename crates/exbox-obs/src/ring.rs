@@ -1,7 +1,6 @@
 //! Bounded ring-buffer event log.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// A bounded event log keeping the most recent `capacity` events.
 ///
@@ -9,15 +8,13 @@ use std::sync::Mutex;
 /// dropped, so the log can answer both "what happened recently" and
 /// "how much history did I lose". The middlebox's admission-decision
 /// audit trail is an `EventRing<DecisionEvent>`.
+///
+/// A plain owned value: the one writer holds it by `&mut`, readers
+/// borrow it, and nothing on the push path locks.
 #[derive(Debug)]
 pub struct EventRing<T> {
-    inner: Mutex<RingInner<T>>,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct RingInner<T> {
     buf: VecDeque<T>,
+    capacity: usize,
     evicted: u64,
     pushed: u64,
 }
@@ -30,40 +27,36 @@ impl<T: Clone> EventRing<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "event ring capacity must be positive");
         EventRing {
-            inner: Mutex::new(RingInner {
-                buf: VecDeque::with_capacity(capacity),
-                evicted: 0,
-                pushed: 0,
-            }),
+            buf: VecDeque::with_capacity(capacity),
             capacity,
+            evicted: 0,
+            pushed: 0,
         }
     }
 
     /// Append an event, evicting the oldest when full.
-    pub fn push(&self, event: T) {
-        let mut g = self.inner.lock().expect("event ring poisoned");
-        if g.buf.len() == self.capacity {
-            g.buf.pop_front();
-            g.evicted += 1;
+    pub fn push(&mut self, event: T) {
+        if self.buf.len() == self.capacity {
+            self.buf.pop_front();
+            self.evicted += 1;
         }
-        g.buf.push_back(event);
-        g.pushed += 1;
+        self.buf.push_back(event);
+        self.pushed += 1;
     }
 
     /// Oldest-to-newest copy of the retained events.
     pub fn snapshot(&self) -> Vec<T> {
-        let g = self.inner.lock().expect("event ring poisoned");
-        g.buf.iter().cloned().collect()
+        self.buf.iter().cloned().collect()
     }
 
     /// Events currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("event ring poisoned").buf.len()
+        self.buf.len()
     }
 
     /// `true` when nothing has been retained.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.buf.is_empty()
     }
 
     /// Maximum retained events.
@@ -73,12 +66,12 @@ impl<T: Clone> EventRing<T> {
 
     /// Events evicted to make room (total history lost).
     pub fn evicted(&self) -> u64 {
-        self.inner.lock().expect("event ring poisoned").evicted
+        self.evicted
     }
 
     /// Total events ever pushed.
     pub fn total_pushed(&self) -> u64 {
-        self.inner.lock().expect("event ring poisoned").pushed
+        self.pushed
     }
 }
 
@@ -88,7 +81,7 @@ mod tests {
 
     #[test]
     fn keeps_most_recent() {
-        let r = EventRing::new(3);
+        let mut r = EventRing::new(3);
         for i in 0..5 {
             r.push(i);
         }
@@ -100,11 +93,13 @@ mod tests {
 
     #[test]
     fn under_capacity_keeps_everything() {
-        let r = EventRing::new(8);
+        let mut r = EventRing::new(8);
+        assert!(r.is_empty());
         r.push("a");
         r.push("b");
         assert_eq!(r.snapshot(), vec!["a", "b"]);
         assert_eq!(r.evicted(), 0);
+        assert_eq!(r.total_pushed(), 2);
         assert!(!r.is_empty());
         assert_eq!(r.capacity(), 8);
     }

@@ -7,9 +7,10 @@
 //! shared state: a gateway model that increments `gateway.obs_dropped`
 //! from two shards explores the increments' interleavings too, and the
 //! differential suite proves the shims behave identically to `std`
-//! outside a model. `MetricsRegistry` and `EventRing` stay on plain
-//! `std` locks — they are registration/export bookkeeping, never part
-//! of a modelled protocol.
+//! outside a model. `MetricsRegistry` stays on a plain `std` lock —
+//! it is registration/export bookkeeping, never part of a modelled
+//! protocol — and `EventRing` has no shared state at all: its one
+//! writer owns it.
 
 #[cfg(not(exbox_loom))]
 pub(crate) use std::sync::atomic::{AtomicU64, Ordering};

@@ -5,7 +5,8 @@
 //! flow — classification window, decision, delivery reports, a poll,
 //! its departure — allocates exactly once per `process_packets` call:
 //! the `Vec<Action>` the call returns. Nothing else on the path touches
-//! the heap, per packet or per flow.
+//! the heap, per packet or per flow, so `process_packets_into` with a
+//! warm verdict buffer allocates nothing at all.
 //!
 //! The hook counts per thread and only around gateway calls, so
 //! neither the test harness's threads nor the driving code below show
@@ -120,8 +121,39 @@ struct Budget {
     depart: u64,
 }
 
-#[test]
-fn arrival_path_allocates_once_per_process_packets_call() {
+/// The two batch entry points the budget is measured through.
+#[derive(Clone, Copy)]
+enum Ingest {
+    /// `process_packets`: returns a fresh `Vec` per call.
+    Returned,
+    /// `process_packets_into`: appends to one reused buffer.
+    Into,
+}
+
+/// Serve `pkts` through `entry`, leaving the verdicts in `out`; the
+/// heap requests the gateway call made.
+fn ingest(
+    gw: &mut ConcurrentGateway,
+    entry: Ingest,
+    pkts: &[(Packet, SnrLevel)],
+    out: &mut Vec<Action>,
+) -> u64 {
+    match entry {
+        Ingest::Returned => {
+            let (n, verdicts) = counted(|| gw.process_packets(pkts));
+            *out = verdicts;
+            n
+        }
+        Ingest::Into => {
+            out.clear();
+            counted(|| gw.process_packets_into(pkts, out)).0
+        }
+    }
+}
+
+/// Warm a gateway up, then drive the measured rounds through `entry`
+/// and return their budget. Asserts the verdicts along the way.
+fn measured_budget(entry: Ingest) -> Budget {
     let cfg = GatewayConfig {
         middlebox: MiddleboxConfig {
             // Small enough that the warm-up rounds take the ring's
@@ -145,6 +177,7 @@ fn arrival_path_allocates_once_per_process_packets_call() {
     let mut budget = Budget::default();
     let (mut admitted, mut rejected) = (0u32, 0u32);
     let mut batch = Vec::new();
+    let mut verdicts = Vec::new();
     let mut polled = Vec::new();
     for round in 0..WARM_ROUNDS + MEASURED_ROUNDS {
         if round == WARM_ROUNDS {
@@ -161,26 +194,23 @@ fn arrival_path_allocates_once_per_process_packets_call() {
         for i in 0..window - 1 {
             batch.extend(ids.clone().map(|id| pkt(id, i, at)));
         }
-        let (n, verdicts) = counted(|| gw.process_packets(&batch));
-        assert!(verdicts.iter().all(|v| *v == Action::Forward));
-        budget.ingest += n;
+        budget.ingest += ingest(&mut gw, entry, &batch, &mut verdicts);
         budget.ingest_calls += 1;
+        assert!(verdicts.iter().all(|v| *v == Action::Forward));
         let mut served = Vec::new();
         for id in ids.clone() {
             let deciding = [pkt(id, window - 1, at)];
-            let (n, verdict) = counted(|| gw.process_packets(&deciding));
-            budget.ingest += n;
+            budget.ingest += ingest(&mut gw, entry, &deciding, &mut verdicts);
             budget.ingest_calls += 1;
-            if verdict[0] == Action::Forward {
+            if verdicts == [Action::Forward] {
                 admitted += 1;
                 served.push(id);
             } else {
                 rejected += 1;
                 let next = [pkt(id, window, at)];
-                let (n, verdict) = counted(|| gw.process_packets(&next));
-                assert_eq!(verdict[0], Action::Drop);
-                budget.ingest += n;
+                budget.ingest += ingest(&mut gw, entry, &next, &mut verdicts);
                 budget.ingest_calls += 1;
+                assert_eq!(verdicts, [Action::Drop]);
             }
         }
 
@@ -223,6 +253,12 @@ fn arrival_path_allocates_once_per_process_packets_call() {
         metrics.counter("middlebox.polls"),
         Some(u64::from(WARM_ROUNDS + MEASURED_ROUNDS))
     );
+    budget
+}
+
+#[test]
+fn arrival_path_allocates_once_per_process_packets_call() {
+    let budget = measured_budget(Ingest::Returned);
     assert_eq!(
         budget,
         Budget {
@@ -233,5 +269,18 @@ fn arrival_path_allocates_once_per_process_packets_call() {
             depart: 0,
         },
         "one allocation per process_packets call (the returned Vec) and none elsewhere"
+    );
+}
+
+#[test]
+fn arrival_path_allocates_nothing_through_process_packets_into() {
+    let budget = measured_budget(Ingest::Into);
+    assert_eq!(
+        budget,
+        Budget {
+            ingest_calls: budget.ingest_calls,
+            ..Budget::default()
+        },
+        "a warm verdict buffer leaves the arrival path nothing to allocate"
     );
 }

@@ -303,11 +303,36 @@ fn one_shard_gateway_matches_middlebox() {
         mine.gauge("middlebox.rejected_occupancy"),
         theirs.gauge("middlebox.rejected_occupancy")
     );
-    for name in ["middlebox.decision_latency_ns", "middlebox.poll_latency_ns"] {
-        let samples = |snap: &exbox_obs::MetricsSnapshot| snap.histogram(name).map(|h| h.count);
-        assert_eq!(samples(&mine), samples(&theirs), "{name}");
+    let polls_timed = |snap: &exbox_obs::MetricsSnapshot| {
+        snap.histogram("middlebox.poll_latency_ns").map(|h| h.count)
+    };
+    assert_eq!(polls_timed(&mine), polls_timed(&theirs));
+    assert_eq!(polls_timed(&mine), Some(polls));
+    let decisions = |snap: &exbox_obs::MetricsSnapshot| {
+        ["middlebox.admits", "middlebox.rejects", "middlebox.revokes"]
+            .iter()
+            .map(|name| snap.counter(name).unwrap())
+            .sum::<u64>()
+    };
+    // The watchers that left the event path stay gone: the poll timer
+    // is the engine's only histogram (no per-decision timer), and no
+    // `net.*` counter exists, process-global or otherwise.
+    let global = exbox_obs::global().snapshot();
+    for snap in [&theirs, &global] {
+        let csv = snap.to_csv();
+        for line in csv.lines() {
+            assert!(!line.starts_with("net."), "a net.* metric is back: {line}");
+            if line.starts_with("middlebox.") && line.contains(",histogram,") {
+                assert!(
+                    line.starts_with("middlebox.poll_latency_ns."),
+                    "an event-path histogram is back: {line}"
+                );
+            }
+        }
     }
     let shard = gw.take_shards().pop().unwrap();
+    assert_eq!(mb.decision_log().total_pushed(), decisions(&mine));
+    assert_eq!(shard.decision_log().total_pushed(), decisions(&theirs));
     assert_eq!(
         mb.decision_log().snapshot(),
         shard.decision_log().snapshot()
