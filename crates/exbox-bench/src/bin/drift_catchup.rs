@@ -1,4 +1,4 @@
-//! Staleness-bounded catch-up under capacity drift (ROADMAP item 4).
+//! Staleness-bounded catch-up under capacity drift.
 //!
 //! A [`ConcurrentGateway`] trainer is fed seeded observation rounds
 //! labelled by a synthetic capacity truth (`total flows <= cap`). Mid

@@ -1,6 +1,6 @@
 //! CI smoke for the streamed flow-state soak: drive a large-user
 //! [`exbox_traffic::ScaledWorkload`] flash-crowd stream through a
-//! `Middlebox` and assert the process peak RSS stayed under a
+//! one-shard gateway and assert the process peak RSS stayed under a
 //! ceiling. Guards the streaming contract — memory O(users +
 //! concurrent flows), never O(total events).
 //!
@@ -61,7 +61,7 @@ fn main() {
     }
 
     eprintln!(
-        "streaming {} users x {} day(s) through the middlebox...",
+        "streaming {} users x {} day(s) through a one-shard gateway...",
         cfg.users, cfg.days
     );
     let report = run_soak(cfg, estimator());

@@ -2,21 +2,20 @@
 //! `flow_scale_soak` CI binary).
 //!
 //! Drives a [`ScaledWorkload`] event stream — 10⁵–10⁶ users, never
-//! materialised — through a single [`Middlebox`]: every arrival
-//! becomes a synthetic flow classified by endpoint hint on its first
-//! packet, gets one delivery report (so polls have QoS evidence), and
-//! departs when its class's oldest open session ends. Memory must
-//! stay O(users + concurrent flows); the caller checks the process
-//! peak RSS ([`peak_rss_kb`]) against a ceiling to catch accidental
-//! materialisation of the trace or unbounded per-flow state.
+//! materialised — through a one-shard [`ConcurrentGateway`]: every
+//! arrival becomes a synthetic flow classified by endpoint hint on its
+//! first packet, gets one delivery report (so polls have QoS
+//! evidence), and departs when its class's oldest open session ends.
+//! Memory must stay O(users + concurrent flows); the caller checks the
+//! process peak RSS ([`peak_rss_kb`]) against a ceiling to catch
+//! accidental materialisation of the trace or unbounded per-flow state.
 
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
-use exbox_core::admittance::{AdmittanceClassifier, AdmittanceConfig};
 use exbox_core::matrix::SnrLevel;
-use exbox_core::middlebox::{Action, Middlebox, MiddleboxConfig};
 use exbox_core::qoe::QoeEstimator;
+use exbox_core::{Action, ConcurrentGateway, GatewayConfig, ModelSnapshot};
 use exbox_net::{AppClass, Direction, Duration, FlowKey, Packet, Protocol};
 use exbox_traffic::{LiveLabGenerator, Regime, ScaledWorkload, WorkloadEvent};
 
@@ -90,11 +89,11 @@ fn session_key(id: u64, class: AppClass) -> FlowKey {
     )
 }
 
-/// Run one soak: stream the workload through a fresh middlebox and
-/// report. The classifier is pinned in bootstrap (admit-everything)
-/// so the admitted set tracks the workload's session concurrency —
-/// the quantity the flow table must hold — rather than a learnt
-/// region's whims.
+/// Run one soak: stream the workload through a fresh gateway and
+/// report. The gateway serves the bootstrap snapshot with no trainer
+/// (admit-everything), so the admitted set tracks the workload's
+/// session concurrency — the quantity the flow table must hold —
+/// rather than a learnt region's whims.
 pub fn run_soak(cfg: SoakConfig, estimator: QoeEstimator) -> SoakReport {
     let workload = ScaledWorkload::new(
         LiveLabGenerator {
@@ -105,25 +104,15 @@ pub fn run_soak(cfg: SoakConfig, estimator: QoeEstimator) -> SoakReport {
         },
         cfg.regime,
     );
-    // Isolated registry: the poll count below must be this run's, not
-    // the process's.
-    let reg = exbox_obs::MetricsRegistry::new();
-    let mut mb = Middlebox::with_registry(
-        MiddleboxConfig::default(),
+    let mut gw = ConcurrentGateway::serving_only(
+        GatewayConfig::default(),
         estimator,
-        AdmittanceClassifier::with_registry(
-            AdmittanceConfig {
-                bootstrap_min_samples: usize::MAX,
-                ..AdmittanceConfig::default()
-            },
-            &reg,
-        ),
-        &reg,
+        ModelSnapshot::initial(),
     );
     // Endpoint hints classify every flow on its first packet, so one
     // packet per arrival exercises the full admission path.
     for class in AppClass::ALL {
-        mb.learn_server_hint(Ipv4Addr::new(192, 168, 1, class.index() as u8 + 1), class);
+        gw.learn_server_hint(Ipv4Addr::new(192, 168, 1, class.index() as u8 + 1), class);
     }
 
     // Departure events carry only the class; sessions of one class
@@ -146,26 +135,26 @@ pub fn run_soak(cfg: SoakConfig, estimator: QoeEstimator) -> SoakReport {
                 let key = session_key(next_id, class);
                 next_id += 1;
                 let pkt = Packet::new(t, 1200, key, Direction::Downlink, 0);
-                // The pinned-bootstrap classifier admits everything;
-                // the guard keeps the departure FIFOs honest anyway.
-                if mb.process_packet(&pkt, SnrLevel::High) == Action::Forward {
+                // The bootstrap snapshot admits everything; checking
+                // the verdict keeps the departure FIFOs honest anyway.
+                if gw.process_packet(&pkt, SnrLevel::High) == Action::Forward {
                     // One healthy delivery so the next poll has
                     // evidence for this flow (and the timer wheel a
                     // deadline).
-                    mb.record_delivery(&key, t, t + Duration::from_millis(5), 1200);
+                    gw.record_delivery(&key, t, t + Duration::from_millis(5), 1200);
                     open[class.index()].push_back(key);
                 }
             }
             WorkloadEvent::Departure(class) => {
                 if let Some(key) = open[class.index()].pop_front() {
-                    mb.flow_departed(&key);
+                    gw.flow_departed(&key);
                 }
             }
         }
-        report.peak_flows = report.peak_flows.max(mb.admitted_flows());
-        let _ = mb.poll(t);
+        report.peak_flows = report.peak_flows.max(gw.admitted_flows());
+        let _ = gw.poll(t);
     }
-    report.polls = reg.snapshot().counter("middlebox.polls").unwrap_or(0);
-    report.final_flows = mb.admitted_flows();
+    report.polls = gw.merged_metrics().counter("middlebox.polls").unwrap_or(0);
+    report.final_flows = gw.admitted_flows();
     report
 }

@@ -46,10 +46,10 @@
 //! 1. A trained [`SvmModel`] is converted into a [`CompactSvm`]
 //!    (flattened support vectors, pruned zero coefficients, linear
 //!    kernel collapsed to one dot product) after every retrain.
-//! 2. The decision rule — phase, scaler transform, one margin
-//!    evaluation, label from its sign — is written once, in the
-//!    serving value the classifier owns. [`AdmittanceClassifier::decide`]
-//!    runs it behind the optional monotonicity guard; a published
+//! 2. The decision rule — phase, the optional monotonicity guard,
+//!    scaler transform, one margin evaluation, label from its sign —
+//!    is written once, in the serving value the classifier owns.
+//!    [`AdmittanceClassifier::decide`] runs it; a published
 //!    [`ModelSnapshot`](crate::gateway::ModelSnapshot) carries a clone
 //!    and runs the same code, so the two cannot drift.
 //!
@@ -184,13 +184,13 @@ pub struct AdmittanceConfig {
     /// Applied before the model; makes the controller conservative
     /// under label noise (the `ablation_guard` bench quantifies it).
     ///
-    /// The guard reads the sample store, so only drivers that decide
-    /// through the classifier itself honour it:
-    /// [`Middlebox`](crate::middlebox::Middlebox) and
-    /// [`ExBoxController`](crate::baselines::ExBoxController). A
-    /// [`ConcurrentGateway`](crate::gateway::ConcurrentGateway) serves
-    /// from published snapshots, which carry no sample store, and so
-    /// decides **without** the guard (it says so once on stderr).
+    /// The guard lives in the serving value as the store's
+    /// Pareto-minimal `Neg` and Pareto-maximal `Pos` matrices, so every
+    /// driver honours it. The classifier refreshes them on every
+    /// observation; a [`ConcurrentGateway`](crate::gateway::ConcurrentGateway)
+    /// serves them from its published snapshot, so on the gateway the
+    /// guard updates **per publish** (a phase change or a successful
+    /// retrain), not per observation.
     pub monotone_guard: bool,
     /// Minimum samples before bootstrap exit is considered (paper:
     /// "bootstrapping can be done with ≈50 samples").
@@ -283,27 +283,71 @@ impl Model {
     }
 }
 
-/// The serving view of the learnt state — the phase and, once
-/// trained, the fitted scaler and model — and the one place the
-/// decision rule is written. The classifier owns one and decides
-/// through it; `ModelSnapshot::from_classifier` clones it, so every
-/// shard evaluates the very same code on the very same values
-/// (`Send + Sync`: the compact SVM, logistic and Pegasos forms are all
-/// plain owned data, read through `&self`).
+/// The serving view of the learnt state — the phase, the monotonicity
+/// guard's antichains and, once trained, the fitted scaler and model —
+/// and the one place the decision rule is written. The classifier owns
+/// one and decides through it; `ModelSnapshot::from_classifier` clones
+/// it, so every shard evaluates the very same code on the very same
+/// values (`Send + Sync`: the compact SVM, logistic and Pegasos forms
+/// are all plain owned data, read through `&self`).
 #[derive(Debug, Clone)]
 pub(crate) struct Serving {
     phase: Phase,
     scaler: Option<StandardScaler>,
     model: Option<Model>,
+    /// Pareto-minimal stored `Neg` matrices. Empty (no allocation)
+    /// while [`AdmittanceConfig::monotone_guard`] is off.
+    min_neg: Vec<TrafficMatrix>,
+    /// Pareto-maximal stored `Pos` matrices; empty with the guard off.
+    max_pos: Vec<TrafficMatrix>,
 }
 
 impl Serving {
-    /// The pre-training state: bootstrap phase, no model.
+    /// The pre-training state: bootstrap phase, no model, no guard.
     pub(crate) fn bootstrap() -> Self {
         Serving {
             phase: Phase::Bootstrap,
             scaler: None,
             model: None,
+            min_neg: Vec::new(),
+            max_pos: Vec::new(),
+        }
+    }
+
+    /// Rebuild the guard's antichains from a sample store. A matrix
+    /// dominates some stored `Neg` iff it dominates a minimal one (and
+    /// is dominated by some stored `Pos` iff by a maximal one), so the
+    /// antichains answer exactly what a scan of the whole store would.
+    fn set_guard(&mut self, samples: &[(TrafficMatrix, Label)]) {
+        let labelled = |label: Label| -> Vec<TrafficMatrix> {
+            samples
+                .iter()
+                .filter(|(_, y)| *y == label)
+                .map(|(m, _)| *m)
+                .collect()
+        };
+        // Ascending total: anything a `Neg` strictly dominates is
+        // visited before it. Descending for `Pos`, mirrored.
+        let mut neg = labelled(Label::Neg);
+        neg.sort_by_key(TrafficMatrix::total);
+        self.min_neg = antichain(neg, |kept, m| m.dominates(kept));
+        let mut pos = labelled(Label::Pos);
+        pos.sort_by_key(|m| std::cmp::Reverse(m.total()));
+        self.max_pos = antichain(pos, |kept, m| kept.dominates(m));
+    }
+
+    /// The guard's verdict: `Neg` when the query dominates a minimal
+    /// `Neg`, else `Pos` when a maximal `Pos` dominates it, else none.
+    /// Exact matches are covered by both rules (dominance is
+    /// reflexive), negatives winning ties.
+    #[inline]
+    fn guard(&self, query: &TrafficMatrix) -> Option<Label> {
+        if self.min_neg.iter().any(|n| query.dominates(n)) {
+            Some(Label::Neg)
+        } else if self.max_pos.iter().any(|p| p.dominates(query)) {
+            Some(Label::Pos)
+        } else {
+            None
         }
     }
 
@@ -333,22 +377,41 @@ impl Serving {
         Some(model.decision_value(&scaled))
     }
 
-    /// Single-pass decision: one margin evaluation, label from its
-    /// sign. Everything is admissible in bootstrap, and online while
-    /// no model exists (the degraded fallback gates that case
-    /// upstream).
+    /// Single-pass decision: one margin evaluation; online, the guard
+    /// settles the label where a stored sample does, the margin's sign
+    /// everywhere else. Everything is admissible in bootstrap, and
+    /// online while neither guard nor model answers (the degraded
+    /// fallback gates that case upstream). The margin is always the
+    /// model's.
     #[inline]
     pub(crate) fn decide(&self, resulting: &TrafficMatrix) -> (Label, Option<f64>) {
         let margin = self.decision_value(resulting);
         let label = match self.phase {
             Phase::Bootstrap => Label::Pos,
-            Phase::Online => match margin {
-                Some(v) => Label::from_signum(v),
-                None => Label::Pos,
+            Phase::Online => match (self.guard(resulting), margin) {
+                (Some(label), _) => label,
+                (None, Some(v)) => Label::from_signum(v),
+                (None, None) => Label::Pos,
             },
         };
         (label, margin)
     }
+}
+
+/// Keep each row that no previously kept row `covers` — one pass that
+/// yields an antichain when `rows` are ordered so a row comes after
+/// everything it covers.
+fn antichain(
+    rows: Vec<TrafficMatrix>,
+    covers: impl Fn(&TrafficMatrix, &TrafficMatrix) -> bool,
+) -> Vec<TrafficMatrix> {
+    let mut kept: Vec<TrafficMatrix> = Vec::new();
+    for m in rows {
+        if !kept.iter().any(|k| covers(k, &m)) {
+            kept.push(m);
+        }
+    }
+    kept
 }
 
 // The serving value must be shareable across shard threads.
@@ -475,8 +538,8 @@ impl AdmittanceClassifier {
     }
 
     /// Install a fault-injection plan (see [`FaultPlan`]); the default
-    /// is [`FaultPlan::disabled`]. The middlebox forwards its own plan
-    /// here so one `EXBOX_FAULTS` spec drives both components.
+    /// is [`FaultPlan::disabled`]. The gateway forwards its own plan
+    /// here so one `EXBOX_FAULTS` spec drives trainer and shards.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = plan;
     }
@@ -484,7 +547,7 @@ impl AdmittanceClassifier {
     /// `true` when a trained model (and its scaler) is loaded, i.e.
     /// [`AdmittanceClassifier::decision_value`] can produce a margin.
     /// `false` during bootstrap-before-first-train and after a failed
-    /// restore — the states the middlebox serves in degraded mode.
+    /// restore — the states the gateway serves in degraded mode.
     pub fn model_available(&self) -> bool {
         self.serving.model_available()
     }
@@ -531,6 +594,11 @@ impl AdmittanceClassifier {
                 self.samples.push((matrix, label));
                 self.maybe_compact();
             }
+        }
+        // A label flip or a compaction can change either antichain, so
+        // the guard is rebuilt from the store — only when it is on.
+        if self.cfg.monotone_guard {
+            self.serving.set_guard(&self.samples);
         }
         match self.serving.phase {
             Phase::Bootstrap => self.try_exit_bootstrap(),
@@ -912,6 +980,9 @@ impl AdmittanceClassifier {
             ModelState::Pegasos(w, b) => Model::Pegasos(LinearSvm::from_parts(w, b)),
         });
         ac.warm = state.warm.map(|(alphas, bias)| WarmState { alphas, bias });
+        if ac.cfg.monotone_guard {
+            ac.serving.set_guard(&ac.samples);
+        }
         ac
     }
 
@@ -929,11 +1000,6 @@ impl AdmittanceClassifier {
         &self.serving
     }
 
-    /// Whether [`AdmittanceConfig::monotone_guard`] is on.
-    pub(crate) fn monotone_guard(&self) -> bool {
-        self.cfg.monotone_guard
-    }
-
     /// Classify an arrival (by the matrix it would produce): the label
     /// of [`AdmittanceClassifier::decide`].
     pub fn classify(&self, resulting: &TrafficMatrix) -> Label {
@@ -941,10 +1007,12 @@ impl AdmittanceClassifier {
     }
 
     /// Single-pass decision: label and margin from one model
-    /// evaluation. During bootstrap every flow is admissible by
-    /// definition; the margin is `None` until a model exists. Online,
-    /// the optional monotonicity guard is consulted first and, where a
-    /// stored sample settles the query, overrides the margin's sign.
+    /// evaluation — the serving value's rule, the same one every
+    /// published snapshot runs. During bootstrap every flow is
+    /// admissible by definition; the margin is `None` until a model
+    /// exists. Online, the optional monotonicity guard is consulted
+    /// first and, where a stored sample settles the query, overrides
+    /// the margin's sign.
     ///
     /// # Examples
     ///
@@ -960,33 +1028,7 @@ impl AdmittanceClassifier {
     /// assert!(margin.is_none());
     /// ```
     pub fn decide(&self, resulting: &TrafficMatrix) -> (Label, Option<f64>) {
-        let guarded = if self.cfg.monotone_guard && self.serving.phase == Phase::Online {
-            self.dominance_label(resulting)
-        } else {
-            None
-        };
-        let (label, margin) = self.serving.decide(resulting);
-        (guarded.unwrap_or(label), margin)
-    }
-
-    /// Downward-closure check against the stored samples: `Neg` when
-    /// the query dominates a known-inadmissible matrix, `Pos` when a
-    /// known-admissible matrix dominates the query. Exact matches are
-    /// covered by both rules (dominance is reflexive), so a stored
-    /// matrix returns its stored label, negatives winning ties.
-    fn dominance_label(&self, query: &TrafficMatrix) -> Option<Label> {
-        let qf = query.features();
-        let dominates = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x >= y);
-        let mut dominated_by_pos = false;
-        for (m, y) in &self.samples {
-            let mf = m.features();
-            match y {
-                Label::Neg if dominates(&qf, &mf) => return Some(Label::Neg),
-                Label::Pos if dominates(&mf, &qf) => dominated_by_pos = true,
-                _ => {}
-            }
-        }
-        dominated_by_pos.then_some(Label::Pos)
+        self.serving.decide(resulting)
     }
 }
 
@@ -1526,8 +1568,117 @@ mod tests {
         // Guard verdicts only ever derive from retained samples, all
         // of which carry their observed labels — a dominated-by-Pos
         // query stays Pos, a dominating-a-Neg query stays Neg.
-        assert_eq!(ac.dominance_label(&matrix(0, 0, 0)), Some(Label::Pos));
-        assert_eq!(ac.dominance_label(&matrix(20, 20, 20)), Some(Label::Neg));
+        assert_eq!(ac.serving.guard(&matrix(0, 0, 0)), Some(Label::Pos));
+        assert_eq!(ac.serving.guard(&matrix(20, 20, 20)), Some(Label::Neg));
+    }
+
+    /// The guard as a scan of the whole sample store, per query: the
+    /// obviously correct reference the antichains are held to.
+    fn reference_guard(ac: &AdmittanceClassifier, query: &TrafficMatrix) -> Option<Label> {
+        let qf = query.features();
+        let dominates = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x >= y);
+        let mut dominated_by_pos = false;
+        for (m, y) in &ac.samples {
+            let mf = m.features();
+            match y {
+                Label::Neg if dominates(&qf, &mf) => return Some(Label::Neg),
+                Label::Pos if dominates(&mf, &qf) => dominated_by_pos = true,
+                _ => {}
+            }
+        }
+        dominated_by_pos.then_some(Label::Pos)
+    }
+
+    /// The decision rule over the store scan, then the margin's sign:
+    /// the reference for `Serving::decide`.
+    fn reference_decide(ac: &AdmittanceClassifier, query: &TrafficMatrix) -> (Label, Option<f64>) {
+        let margin = ac.decision_value(query);
+        let label = match ac.phase() {
+            Phase::Bootstrap => Label::Pos,
+            Phase::Online => {
+                let guarded = ac.cfg.monotone_guard.then(|| reference_guard(ac, query));
+                guarded
+                    .flatten()
+                    .unwrap_or(margin.map_or(Label::Pos, Label::from_signum))
+            }
+        };
+        (label, margin)
+    }
+
+    #[test]
+    fn checkpoint_roundtrip_rebuilds_the_same_guard() {
+        let cfg = AdmittanceConfig {
+            batch_size: 8,
+            max_samples: 40,
+            monotone_guard: true,
+            ..AdmittanceConfig::default()
+        };
+        let mut ac = AdmittanceClassifier::new(cfg.clone());
+        run_trace(&mut ac);
+        let guard = (&ac.serving.min_neg, &ac.serving.max_pos);
+        assert!(!guard.0.is_empty() && !guard.1.is_empty());
+
+        let mut buf = Vec::new();
+        crate::persist::save_checkpoint(&ac, &crate::engine::tests::estimator(), &mut buf).unwrap();
+        let reg = MetricsRegistry::new();
+        let (restored, _) = crate::persist::load_checkpoint(&buf[..], cfg, &reg).unwrap();
+        assert_eq!(
+            (&restored.serving.min_neg, &restored.serving.max_pos),
+            guard
+        );
+    }
+
+    mod guard_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The antichain guard is the full-store scan, exactly:
+            /// over stores built from noisy repeats (labels flip) and,
+            /// with a small cap, compactions, every query gets the
+            /// reference's label and the same margin bits. With the
+            /// guard off the antichains stay empty and unallocated.
+            #[test]
+            fn antichain_guard_equals_the_full_store_scan(
+                feed in prop::collection::vec((0u32..6, 0u32..6, 0u32..4, 0u8..6), 20..160),
+                queries in prop::collection::vec((0u32..8, 0u32..8, 0u32..6), 1..40),
+                cap_pick in 0usize..3,
+                guard in any::<bool>(),
+            ) {
+                let mut ac = AdmittanceClassifier::new(AdmittanceConfig {
+                    batch_size: 16,
+                    // Unbounded, or small enough that compaction runs.
+                    max_samples: [0, 24, 48][cap_pick],
+                    monotone_guard: guard,
+                    ..AdmittanceConfig::default()
+                });
+                feed_bootstrap(&mut ac);
+                let queries: Vec<TrafficMatrix> =
+                    queries.iter().map(|&(w, s, c)| matrix(w, s, c)).collect();
+                for &(w, s, c, noise) in &feed {
+                    let m = matrix(w, s, c);
+                    let y = if noise == 0 { truth(&m).flip() } else { truth(&m) };
+                    ac.observe(m, y);
+                    // Fresh after every observation, not just the last.
+                    for q in queries.iter().filter(|_| guard) {
+                        prop_assert_eq!(ac.serving.guard(q), reference_guard(&ac, q));
+                    }
+                }
+                prop_assert_eq!(ac.phase(), Phase::Online);
+                if !guard {
+                    prop_assert_eq!(ac.serving.min_neg.capacity(), 0);
+                    prop_assert_eq!(ac.serving.max_pos.capacity(), 0);
+                }
+                for q in &queries {
+                    let (label, margin) = ac.decide(q);
+                    let (want_label, want_margin) = reference_decide(&ac, q);
+                    prop_assert_eq!(label, want_label);
+                    prop_assert_eq!(margin.map(f64::to_bits), want_margin.map(f64::to_bits));
+                }
+            }
+        }
     }
 
     #[test]

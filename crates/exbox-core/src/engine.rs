@@ -1,21 +1,16 @@
-//! The flow state machine behind both drivers (paper Fig. 5): early
-//! classify → admit → meter → poll/revoke, written once.
+//! The flow state machine behind every gateway shard (paper Fig. 5):
+//! early classify → admit → meter → poll/revoke, written once.
 //!
 //! A [`FlowEngine`] owns one partition's serving state — admitted
 //! flows with their QoS meters, the bounded rejected set, the poll
 //! timer wheel, the early classifier, the decision audit ring and the
 //! `middlebox.*` / `recovery.*` metric handles — and the steps over
 //! it. What it does *not* own is the learnt model and the cell-wide
-//! occupancy: those live behind a [`ModelSource`], and the engine is
-//! generic (static dispatch) over the two places they can be:
-//!
-//! * **inline** — an owned [`AdmittanceClassifier`](crate::admittance::AdmittanceClassifier)
-//!   and [`TrafficMatrix`]: [`Middlebox`](crate::middlebox::Middlebox),
-//!   one partition whose trainer runs in the poll;
-//! * **pinned** — a published [`ModelSnapshot`](crate::gateway::ModelSnapshot)
-//!   and the [`SharedMatrix`](crate::gateway::SharedMatrix), with
-//!   observations shipped to the background trainer:
-//!   [`GatewayShard`](crate::gateway::GatewayShard).
+//! occupancy: those live behind a [`ModelSource`] — in production a
+//! [`GatewayShard`](crate::gateway::GatewayShard)'s pinned
+//! [`ModelSnapshot`](crate::gateway::ModelSnapshot) and the
+//! [`SharedMatrix`](crate::gateway::SharedMatrix), with observations
+//! shipped to the background trainer.
 //!
 //! ## The probe order
 //!
@@ -143,7 +138,7 @@ impl fmt::Display for DecisionEvent {
     }
 }
 
-/// Configuration for the middlebox shell.
+/// Configuration of one flow engine (every gateway shard runs one).
 #[derive(Debug, Clone)]
 pub struct MiddleboxConfig {
     /// Packets buffered before early classification fires.
@@ -190,9 +185,10 @@ pub(crate) fn is_degraded(model_available: bool, phase: Phase, recovering: bool)
     !model_available && (recovering || phase == Phase::Online)
 }
 
-/// Where the learnt model and the cell-wide occupancy live. The
-/// engine drives exactly two implementations: the middlebox's inline
-/// classifier and the shard's pinned snapshot.
+/// Where the learnt model and the cell-wide occupancy live. One
+/// production source implements it — the shard's pinned snapshot over
+/// the shared matrix — and the seam stays so the engine's tests can
+/// drive every path through a scripted fake instead of a trained SVM.
 pub(crate) trait ModelSource {
     /// The cell-wide traffic matrix right now.
     fn matrix(&self) -> TrafficMatrix;
@@ -259,7 +255,7 @@ struct EngineMetrics {
     /// window open, sampled at each executed poll. A flow that sends
     /// fewer than `classify_window` packets and never departs (DNS, a
     /// scan) holds its window for good; this gauge is what reports
-    /// them. *Bounding* the table is ROADMAP item 4(c).
+    /// them — the half-open table itself is not bounded.
     classifying_flows: Arc<Gauge>,
     /// `recovery.fallback_decisions` — arrival decisions served by the
     /// occupancy baseline because no model was available.
@@ -376,16 +372,8 @@ impl FlowEngine {
         }
     }
 
-    pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = plan;
-    }
-
     pub(crate) fn learn_server_hint(&mut self, server: std::net::Ipv4Addr, class: AppClass) {
         self.early.learn_server_hint(server, class);
-    }
-
-    pub(crate) fn estimator(&self) -> &QoeEstimator {
-        &self.estimator
     }
 
     pub(crate) fn admitted_flows(&self) -> usize {
@@ -489,22 +477,6 @@ impl FlowEngine {
         });
         run.last = Some((pkt.flow, action));
         action
-    }
-
-    /// [`probe`](Self::probe), then [`decide`](Self::decide) when a
-    /// decision is owed — for drivers whose model source needs no
-    /// preparation between the two.
-    pub(crate) fn step<S: ModelSource>(
-        &mut self,
-        run: &mut Run,
-        src: &mut S,
-        pkt: &Packet,
-        snr: SnrLevel,
-    ) -> Action {
-        match self.probe(run, pkt) {
-            Probe::Done(action) => action,
-            Probe::Classified(class) => self.decide(run, src, pkt, snr, class),
-        }
     }
 
     /// Fold a finished batch's counter deltas into the registry.
@@ -749,15 +721,46 @@ impl FlowEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     //! The engine driven through a scripted model source: `decide`
     //! answers from a closure, so every path — admit, reject, revoke,
     //! eviction, re-classification, degraded fallback, poll errors —
     //! is reachable without training an SVM per case.
 
     use super::*;
-    use crate::middlebox::tests::{estimator, streaming_pkts};
-    use exbox_net::Protocol;
+    use crate::qoe::{paper_directions, train_estimator, QosScale};
+    use exbox_net::{Direction, Protocol};
+
+    pub(crate) fn estimator() -> QoeEstimator {
+        let mk = |a: f64, b: f64, g: f64| -> Vec<(f64, f64)> {
+            (0..20)
+                .map(|i| {
+                    let q = i as f64 / 19.0;
+                    (q, a + b * (-g * q).exp())
+                })
+                .collect()
+        };
+        train_estimator(
+            &[mk(1.0, 11.0, 5.0), mk(2.0, 20.0, 6.0), mk(42.0, -30.0, 4.0)],
+            QoeEstimator::paper_thresholds(),
+            paper_directions(),
+            QosScale::new(1e3, 1e8),
+        )
+    }
+
+    fn streaming_pkts(key: FlowKey, n: usize) -> Vec<Packet> {
+        (0..n)
+            .map(|i| {
+                Packet::new(
+                    Instant::from_millis(2 * i as u64),
+                    1400,
+                    key,
+                    Direction::Downlink,
+                    i as u64,
+                )
+            })
+            .collect()
+    }
 
     struct Scripted {
         matrix: TrafficMatrix,
@@ -834,7 +837,10 @@ mod tests {
         let mut run = Run::default();
         let out = streaming_pkts(key(id), n)
             .iter()
-            .map(|p| e.step(&mut run, src, p, SnrLevel::High))
+            .map(|p| match e.probe(&mut run, p) {
+                Probe::Done(action) => action,
+                Probe::Classified(class) => e.decide(&mut run, src, p, SnrLevel::High, class),
+            })
             .collect();
         e.flush(run);
         out
@@ -919,6 +925,8 @@ mod tests {
         assert_eq!(count("middlebox.rejects"), 3);
         assert_eq!(count("middlebox.revokes"), 1);
         assert_eq!(count("middlebox.rejected_evictions"), 3);
+        // Three evictions later the ring still holds its one record.
+        assert_eq!(snap.gauge("middlebox.rejected_occupancy"), Some(1.0));
         // Packets after a flow's rejection; the deciding packet itself
         // is the reject. Flow 3 twice, flow 1 revoked, flow 1 re-decided.
         let after = |sent: u64| sent - window as u64;
@@ -1040,7 +1048,7 @@ mod tests {
 
         // Same engine, estimation pass healthy again: the window's
         // verdict on the standing matrix reaches the trainer.
-        e.set_fault_plan(FaultPlan::disabled());
+        e.faults = FaultPlan::disabled();
         send(&mut e, &mut src, 1, 1);
         e.record_delivery(
             &key(2),

@@ -1,9 +1,7 @@
-//! Concurrent sharded gateway: `Arc`-published model snapshots,
-//! off-path retraining, multi-core packet serving.
+//! The ExBox gateway (paper Fig. 5): `Arc`-published model snapshots,
+//! off-path retraining, sharded packet serving.
 //!
-//! The single-threaded [`Middlebox`](crate::middlebox::Middlebox)
-//! interleaves serving and learning in one loop; this module splits
-//! them so admission keeps scaling with cores while the SVM trains:
+//! Serving and learning are split so admission never waits on the SVM:
 //!
 //! ```text
 //!            packets (flow-hashed)                 observations
@@ -21,18 +19,17 @@
 //!
 //! - **Sharding.** [`ConcurrentGateway`] partitions flow state across
 //!   `N` [`GatewayShard`]s by flow hash ([`ConcurrentGateway::shard_for`]).
-//!   Each shard owns a flow engine — the same state machine the
-//!   single-threaded middlebox runs (see [`crate::middlebox`]): flow
-//!   table, early classifier, QoS meters, rejected set — plus its
-//!   decision cache and metrics registry, so the packet path takes no
-//!   cross-shard lock and bounces no shared cache line.
-//! - **Snapshots.** Learnt state (scaler + compacted model + phase)
-//!   is published as an immutable epoch-stamped
-//!   [`ModelSnapshot`] behind a [`SnapshotCell`]: each reader keeps
-//!   its own `Arc` of the generation it last saw, so a pin between
-//!   publishes is one atomic load; the writer swaps the current `Arc`
-//!   under a short lock, and an old generation is freed by whichever
-//!   holder lets go last (see [`snapshot`]).
+//!   Each shard owns a flow engine — flow table, early classifier, QoS
+//!   meters, rejected set — plus its decision cache and metrics
+//!   registry, so the packet path takes no cross-shard lock and
+//!   bounces no shared cache line.
+//! - **Snapshots.** Learnt state (scaler + compacted model + phase +
+//!   the monotonicity guard's antichains) is published as an immutable
+//!   epoch-stamped [`ModelSnapshot`] behind a [`SnapshotCell`]: each
+//!   reader keeps its own `Arc` of the generation it last saw, so a pin
+//!   between publishes is one atomic load; the writer swaps the current
+//!   `Arc` under a short lock, and an old generation is freed by
+//!   whichever holder lets go last (see [`snapshot`]).
 //! - **Off-path training.** Observations travel a *bounded* MPSC
 //!   channel to one background trainer thread that owns the full
 //!   [`AdmittanceClassifier`]; retrains, checkpoints and recovery
@@ -45,11 +42,10 @@
 //!   verdicts merged back into one globally-ordered stream that is
 //!   byte-identical to sequential driving (see [`pipeline`]).
 //!
-//! Shard count is the [`GatewayConfig::shards`] field. A
-//! 1-shard gateway *is* the single-threaded middlebox with the model
-//! pinned instead of owned: same verdicts, poll outputs, decision log
-//! and counters on the same trace (asserted in
-//! `tests/gateway_concurrent.rs`).
+//! Shard count is the [`GatewayConfig::shards`] field; a one-shard
+//! gateway driven sequentially is the single-threaded middlebox. Tests
+//! that need a poll's observation to be learnt before the next step
+//! call [`ConcurrentGateway::flush_trainer`] in between.
 
 pub(crate) mod channel;
 pub mod pipeline;
@@ -72,9 +68,8 @@ use exbox_net::{FlowKey, Instant, Packet};
 use exbox_obs::{MetricsRegistry, MetricsSnapshot};
 
 use crate::admittance::{AdmittanceClassifier, AdmittanceConfig};
-use crate::engine::{is_degraded, FlowEngine};
+use crate::engine::{is_degraded, Action, FlowEngine, MiddleboxConfig, PollVerdict};
 use crate::matrix::{SnrLevel, TrafficMatrix};
-use crate::middlebox::{Action, MiddleboxConfig, PollVerdict};
 use crate::persist;
 use crate::qoe::QoeEstimator;
 use crate::recovery::FaultPlan;
@@ -113,7 +108,7 @@ pub struct GatewayConfig {
     /// Number of serving shards (≥ 1). Each shard is independently
     /// drivable by one worker thread.
     pub shards: usize,
-    /// Per-shard middlebox knobs (classify window, poll interval,
+    /// Per-shard flow-engine knobs (classify window, poll interval,
     /// rejected-set capacity, fallback cap, …).
     pub middlebox: MiddleboxConfig,
     /// Bound of the shard → trainer observation queue. A full queue
@@ -196,12 +191,9 @@ impl ConcurrentGateway {
     /// serving state becomes the initial published snapshot (epoch 0);
     /// fault injection follows `EXBOX_FAULTS`.
     ///
-    /// Shards decide from published snapshots, which do not carry the
-    /// classifier's sample store: a classifier configured with
-    /// [`AdmittanceConfig::monotone_guard`] keeps the guard for its own
-    /// `decide`, but every verdict this gateway serves is
-    /// [`ModelSnapshot::decide`] — unguarded. Construction says so
-    /// once on stderr.
+    /// Every verdict is [`ModelSnapshot::decide`], the classifier's own
+    /// rule, [`AdmittanceConfig::monotone_guard`] included; the guard
+    /// moves with each publish.
     pub fn new(
         cfg: GatewayConfig,
         estimator: QoeEstimator,
@@ -239,14 +231,15 @@ impl ConcurrentGateway {
         gw
     }
 
-    /// Restore a gateway from a checkpoint file, degrading instead of
-    /// dying (the concurrent analogue of
-    /// [`Middlebox::recover_from_path`](crate::middlebox::Middlebox::recover_from_path)):
-    /// on any restore error a fresh gateway is assembled around
-    /// `fallback_estimator` with [`is_recovering`](Self::is_recovering)
-    /// set, so the occupancy fallback gates admissions on every shard
-    /// until the background trainer re-learns a model and publishes
-    /// it. The error, if any, is returned alongside for logging.
+    /// Restore a gateway from a checkpoint file (written by
+    /// [`checkpoint_to_path`](Self::checkpoint_to_path)), resuming with
+    /// the learnt region instead of re-entering bootstrap, and
+    /// degrading instead of dying: on any restore error a fresh gateway
+    /// is assembled around `fallback_estimator` with
+    /// [`is_recovering`](Self::is_recovering) set, so the occupancy
+    /// fallback gates admissions on every shard until the background
+    /// trainer re-learns a model and publishes it. The error, if any,
+    /// is returned alongside for logging.
     pub fn recover_from_path<P: AsRef<Path>>(
         cfg: GatewayConfig,
         acfg: AdmittanceConfig,
@@ -277,13 +270,6 @@ impl ConcurrentGateway {
         recovering_now: bool,
     ) -> Self {
         cfg.shards = cfg.shards.max(1);
-        if classifier.as_ref().is_some_and(|c| c.monotone_guard()) {
-            eprintln!(
-                "exbox: monotone_guard is set on the classifier, but gateway shards \
-                 decide from model snapshots, which carry no sample store — \
-                 verdicts are served without the guard"
-            );
-        }
         let initial = match &classifier {
             Some(classifier) => ModelSnapshot::from_classifier(0, classifier),
             None => ModelSnapshot::initial(),
@@ -514,6 +500,18 @@ impl ConcurrentGateway {
         self.shard_mut(idx).flow_departed(key);
     }
 
+    /// Register a known server endpoint with every shard's early
+    /// classifier (the DNS/SNI prior; see `exbox_net::EarlyClassifier`).
+    pub fn learn_server_hint(&mut self, server: std::net::Ipv4Addr, class: exbox_net::AppClass) {
+        assert!(
+            !self.shards.is_empty(),
+            "gateway shards were taken; drive them directly"
+        );
+        for shard in &mut self.shards {
+            shard.learn_server_hint(server, class);
+        }
+    }
+
     /// Flows currently admitted across all (non-taken) shards.
     pub fn admitted_flows(&self) -> usize {
         self.shards.iter().map(GatewayShard::admitted_flows).sum()
@@ -556,9 +554,11 @@ impl ConcurrentGateway {
         Arc::clone(&self.cell)
     }
 
-    /// True while admissions are served by the occupancy fallback —
-    /// same rule as [`Middlebox::is_degraded`](crate::middlebox::Middlebox::is_degraded),
-    /// evaluated against the published snapshot.
+    /// True while admissions are served by the occupancy fallback
+    /// instead of the learnt region: the published snapshot carries no
+    /// model and either the trainer already left bootstrap (it lost or
+    /// never regained its model) or the gateway is recovering from a
+    /// failed restore.
     pub fn is_degraded(&self) -> bool {
         let recovering = self.recovering.load(Ordering::SeqCst);
         let snapshot = self.cell.load();
@@ -634,9 +634,8 @@ impl ConcurrentGateway {
 
     /// One coherent metrics view across every shard and the trainer:
     /// counters summed, gauges maxed, histograms merged bucket-wise
-    /// (see [`MetricsSnapshot::merged`]). Counter names match the
-    /// single-threaded middlebox, so existing dashboards read a
-    /// gateway exactly like a middlebox.
+    /// (see [`MetricsSnapshot::merged`]). The engine's counters keep
+    /// their `middlebox.*` names whatever the shard count.
     pub fn merged_metrics(&self) -> MetricsSnapshot {
         let mut parts: Vec<MetricsSnapshot> = self
             .shard_registries

@@ -71,8 +71,8 @@ use std::sync::Arc;
 use exbox_net::Packet;
 use exbox_obs::Counter;
 
+use crate::engine::Action;
 use crate::matrix::SnrLevel;
-use crate::middlebox::Action;
 use crate::sync::{thread, AtomicU64, CachePadded, Ordering};
 
 use super::shard::GatewayShard;

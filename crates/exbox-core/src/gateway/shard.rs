@@ -2,13 +2,13 @@
 //!
 //! A [`GatewayShard`] is one flow-hash partition of the middlebox
 //! pipeline: its own flow engine (flow table, early classifier, QoS
-//! meters, rejected set, decision log — see [`crate::middlebox`]),
-//! decision cache and `exbox-obs` sub-registry — so the packet path
-//! touches no cross-shard locks and increments no shared counters. The
-//! only cross-shard state a decision reads is the [`SharedMatrix`]
-//! (the cell-wide traffic matrix, six atomic counters) and the
-//! published [`ModelSnapshot`] (a pin is one atomic load between
-//! publishes): together they are the engine's *pinned* model source.
+//! meters, rejected set, decision log), decision cache and `exbox-obs`
+//! sub-registry — so the packet path touches no cross-shard locks and
+//! increments no shared counters. The only cross-shard state a
+//! decision reads is the [`SharedMatrix`] (the cell-wide traffic
+//! matrix, six atomic counters) and the published [`ModelSnapshot`] (a
+//! pin is one atomic load between publishes): together they are the
+//! engine's model source.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -24,9 +24,10 @@ use exbox_net::{AppClass, FlowKey, Instant, Packet};
 use exbox_obs::{Counter, EventRing, MetricsRegistry};
 
 use crate::admittance::Phase;
-use crate::engine::{is_degraded, FlowEngine, ModelSource, Probe, Run};
+use crate::engine::{
+    is_degraded, Action, DecisionEvent, FlowEngine, ModelSource, PollVerdict, Probe, Run,
+};
 use crate::matrix::{FlowKind, SnrLevel, TrafficMatrix};
-use crate::middlebox::{Action, DecisionEvent, PollVerdict};
 
 use super::pipeline::OrderGate;
 use super::snapshot::{ModelSnapshot, SnapshotCell, SnapshotReader};
@@ -353,6 +354,12 @@ impl GatewayShard {
         self.engine.decision_log()
     }
 
+    /// Register a known server endpoint with this shard's early
+    /// classifier.
+    pub(super) fn learn_server_hint(&mut self, server: std::net::Ipv4Addr, class: AppClass) {
+        self.engine.learn_server_hint(server, class);
+    }
+
     /// The cell-wide traffic matrix as this shard reads it.
     pub fn matrix(&self) -> TrafficMatrix {
         self.link.shared.snapshot()
@@ -362,7 +369,7 @@ impl GatewayShard {
     /// fallback: the published snapshot carries no model and either
     /// the trainer already left bootstrap or the gateway is recovering
     /// from a failed restore. Same rule as
-    /// [`crate::middlebox::Middlebox::is_degraded`].
+    /// [`ConcurrentGateway::is_degraded`](super::ConcurrentGateway::is_degraded).
     pub fn is_degraded(&self) -> bool {
         let recovering = self.link.recovering.load(Ordering::SeqCst);
         let snapshot = self.cell.load();
@@ -537,14 +544,14 @@ impl GatewayShard {
     ///
     /// Sharded-observation semantics: the label is the conjunction
     /// over *this shard's* flows against the *global* matrix. With one
-    /// shard this is exactly the single-threaded middlebox feed; with
-    /// many, each shard sends its own partial conjunction and the
-    /// trainer does **not** combine them:
+    /// shard this is the paper's label; with many, each shard sends
+    /// its own partial conjunction and the trainer does **not** combine
+    /// them:
     /// [`AdmittanceClassifier::observe`](crate::admittance::AdmittanceClassifier::observe)
     /// keeps the *last* label per matrix, so a later shard's `Pos`
-    /// replaces an earlier shard's `Neg` for the same matrix. That is
-    /// not the paper's network-wide label; ROADMAP item 3(a) is the
-    /// fix (one `Neg`-wins label per poll round).
+    /// replaces an earlier shard's `Neg` for the same matrix. The label
+    /// is not network-wide until the trainer merges one `Neg`-wins
+    /// label per poll round.
     pub fn poll(&mut self, now: Instant) -> Vec<(FlowKey, PollVerdict)> {
         let mut verdicts = Vec::new();
         self.poll_into(now, &mut verdicts);

@@ -1,7 +1,7 @@
 //! Epoch-stamped model snapshots and the cell that publishes them.
 //!
 //! The serving problem: shards read the learnt state (scaler + model +
-//! phase) on every admission decision, while the background trainer
+//! phase + guard) on every admission decision, while the background trainer
 //! replaces it once per retrain — one refit per batch of observations,
 //! one observation per poll, against a pin per arrival. Publishes are
 //! rare and reads constant, so [`SnapshotCell`] makes the read cheap
@@ -141,15 +141,15 @@ impl ModelSnapshot {
     }
 
     /// Single-pass decision: admit everything in bootstrap; online,
-    /// the margin sign decides (admit when no model exists — the
-    /// degraded fallback gates that case upstream).
+    /// the [`monotone_guard`](crate::admittance::AdmittanceConfig::monotone_guard)
+    /// where a stored sample settles the query, else the margin sign
+    /// (admit when no model exists — the degraded fallback gates that
+    /// case upstream).
     ///
-    /// This is [`AdmittanceClassifier::decide`] **without the
-    /// monotonicity guard**: the guard reads the trainer's sample
-    /// store, which a snapshot does not carry, so a classifier built
-    /// with [`monotone_guard`](crate::admittance::AdmittanceConfig::monotone_guard)
-    /// can answer `Neg` where its snapshot answers `Pos` (and vice
-    /// versa).
+    /// This is [`AdmittanceClassifier::decide`] on the classifier's
+    /// state at publish time: the snapshot carries the guard's
+    /// antichains with the model, so between publishes the guard lags
+    /// the trainer's store exactly as the model does.
     #[inline]
     pub fn decide(&self, resulting: &TrafficMatrix) -> (Label, Option<f64>) {
         self.serving.decide(resulting)

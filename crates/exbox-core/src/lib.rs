@@ -20,10 +20,6 @@
 //!   trait as ExBox itself (paper §5.3).
 //! * [`selection`] — hyperplane-distance network selection across
 //!   multiple cells (paper §4.1).
-//! * [`middlebox`] — the packet-facing assembly: early
-//!   classification → admission → QoS metering → periodic
-//!   re-evaluation (paper Fig. 5, §4.3) — one flow engine, shared with
-//!   the [`gateway`]'s shards.
 //! * [`apps`] — app-based admission control (the paper's §4.5 future
 //!   work): subsidiary flows ride their app's dominant-flow decision.
 //! * [`excr`] — extract the learnt region as Fig.-2-style slices,
@@ -33,11 +29,12 @@
 //!   checkpoints for crash-safe restarts.
 //! * [`recovery`] — deterministic fault injection ([`FaultPlan`], the
 //!   `EXBOX_FAULTS` knob) and the bounded retrain backoff behind the
-//!   middlebox's degraded-mode policy.
-//! * [`gateway`] — the concurrent serving layer: flow-hash sharding
-//!   (`GatewayConfig::shards`), `Arc`-published epoch-stamped model
-//!   snapshots, and a background trainer that keeps retraining and
-//!   checkpointing off the packet path.
+//!   gateway's degraded-mode policy.
+//! * [`gateway`] — the packet-facing middlebox (paper Fig. 5, §4.3):
+//!   each flow-hash shard runs one flow engine — early classification
+//!   → admission → QoS metering → periodic re-evaluation — against
+//!   `Arc`-published epoch-stamped model snapshots, while a background
+//!   trainer keeps retraining and checkpointing off the packet path.
 //! * [`flowtable`] — the million-flow state layer: slab-backed
 //!   [`flowtable::FlowMap`] with stable slots and insertion-order
 //!   iteration, the generation-stamped [`flowtable::RejectedRing`],
@@ -76,7 +73,6 @@ pub mod flowtable;
 pub mod gateway;
 pub mod iqx;
 pub mod matrix;
-pub mod middlebox;
 pub mod persist;
 pub mod qoe;
 pub mod recovery;
@@ -88,6 +84,9 @@ pub use apps::{AppAdmission, AppKey};
 pub use baselines::{
     AdmissionController, Decision, ExBoxController, FlowRequest, MaxClient, RateBased,
 };
+pub use engine::{
+    Action, DecisionEvent, DecisionKind, DecisionReason, MiddleboxConfig, PollVerdict,
+};
 pub use excr::{boundary_points, max_admissible, region_slice, RegionCell};
 pub use flowtable::{FlowMap, FlowSlot, RejectedRing, TimerWheel};
 pub use gateway::{
@@ -96,9 +95,6 @@ pub use gateway::{
 };
 pub use iqx::IqxModel;
 pub use matrix::{FlowKind, SnrLevel, TrafficMatrix};
-pub use middlebox::{
-    Action, DecisionEvent, DecisionKind, DecisionReason, Middlebox, MiddleboxConfig, PollVerdict,
-};
 pub use persist::{
     load_checkpoint, load_checkpoint_from_path, load_estimator, save_checkpoint,
     save_checkpoint_to_path, save_estimator,
@@ -114,15 +110,14 @@ pub mod prelude {
     pub use crate::baselines::{
         AdmissionController, Decision, ExBoxController, FlowRequest, MaxClient, RateBased,
     };
+    pub use crate::engine::{
+        Action, DecisionEvent, DecisionKind, DecisionReason, MiddleboxConfig, PollVerdict,
+    };
     pub use crate::gateway::{
         ConcurrentGateway, GatewayConfig, GatewayShard, ModelSnapshot, PipelineHandle, SharedMatrix,
     };
     pub use crate::iqx::IqxModel;
     pub use crate::matrix::{FlowKind, SnrLevel, TrafficMatrix};
-    pub use crate::middlebox::{
-        Action, DecisionEvent, DecisionKind, DecisionReason, Middlebox, MiddleboxConfig,
-        PollVerdict,
-    };
     pub use crate::persist::{
         load_checkpoint, load_checkpoint_from_path, save_checkpoint, save_checkpoint_to_path,
     };

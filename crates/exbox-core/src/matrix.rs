@@ -140,6 +140,12 @@ impl TrafficMatrix {
         m
     }
 
+    /// Componentwise `≥`: every cell of `self` holds at least as many
+    /// flows as the same cell of `other` (reflexive).
+    pub(crate) fn dominates(&self, other: &TrafficMatrix) -> bool {
+        self.counts.iter().zip(&other.counts).all(|(a, b)| a >= b)
+    }
+
     /// Record an arrival in place.
     pub fn add(&mut self, kind: FlowKind) {
         self.counts[kind.flat_index()] += 1;

@@ -1,5 +1,5 @@
 //! Crash-safety support: deterministic fault injection and the
-//! retry/backoff policy the middlebox uses while its model is
+//! retry/backoff policy the gateway uses while its model is
 //! unavailable.
 //!
 //! The paper treats the Admittance Classifier as an always-on control
@@ -14,7 +14,7 @@
 //!   `EXBOX_FAULTS` environment knob
 //!   (e.g. `EXBOX_FAULTS="seed=7,retrain_fail=0.2,poll_error=0.1"`),
 //!   or pinned explicitly in tests via
-//!   [`crate::Middlebox::set_fault_plan`].
+//!   [`crate::ConcurrentGateway::with_fault_plan`].
 //! * [`RetryBackoff`] — bounded exponential backoff for retrain
 //!   attempts: after the n-th consecutive failure the classifier skips
 //!   `min(2^(n-1), max_skip)` retrain triggers before trying again, so
@@ -87,9 +87,9 @@ const SEED_FALLBACK: u64 = 0xE4B0_C5AF_E10D_5EED;
 
 /// A deterministic fault-injection schedule.
 ///
-/// Clones share the PRNG stream and the injected-fault counter, so the
-/// middlebox and the classifier it owns draw from one schedule: a plan
-/// with `seed=7` fires the same faults at the same draw positions on
+/// Clones share the PRNG stream and the injected-fault counter, so a
+/// gateway's shards and its trainer's classifier draw from one
+/// schedule: a plan with `seed=7` fires the same faults at the same draw positions on
 /// every run, regardless of which component consumed each draw.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {

@@ -1,7 +1,7 @@
 //! End-to-end observability check: drive a scripted packet trace
-//! through a [`Middlebox`] bound to an isolated registry and assert
-//! the `middlebox.*` counters agree *exactly* with the `Action`s and
-//! `PollVerdict`s the middlebox returned, and that the decision ring
+//! through a one-shard [`ConcurrentGateway`] and assert the merged
+//! `middlebox.*` counters agree *exactly* with the `Action`s and
+//! `PollVerdict`s the gateway returned, and that the decision ring
 //! holds a structured event for every admit / reject / revoke.
 
 use exbox_core::prelude::*;
@@ -84,14 +84,14 @@ fn streaming_pkts(key: FlowKey, n: usize) -> Vec<Packet> {
 #[test]
 fn counters_match_returned_verdicts_exactly() {
     let reg = MetricsRegistry::new();
-    let mut mb = Middlebox::with_registry(
-        MiddleboxConfig::default(),
+    let mut gw = ConcurrentGateway::with_fault_plan(
+        GatewayConfig::default(),
         estimator(&reg),
         trained_classifier(&reg),
-        &reg,
+        FaultPlan::disabled(),
     );
 
-    // Tallies recomputed purely from the middlebox's return values.
+    // Tallies recomputed purely from the gateway's return values.
     let mut packets = 0u64;
     let mut dropped = 0u64;
     let mut rejected_flows = 0u64;
@@ -105,7 +105,7 @@ fn counters_match_returned_verdicts_exactly() {
         let mut flow_dropped = false;
         for p in streaming_pkts(*key, 12) {
             packets += 1;
-            if mb.process_packet(&p, SnrLevel::High) == Action::Drop {
+            if gw.process_packet(&p, SnrLevel::High) == Action::Drop {
                 dropped += 1;
                 if !flow_dropped {
                     flow_dropped = true;
@@ -115,18 +115,17 @@ fn counters_match_returned_verdicts_exactly() {
         }
     }
     // ≤2-flow region: flows 1 and 2 admitted, flow 3 rejected.
-    assert_eq!(mb.admitted_flows(), 2);
+    assert_eq!(gw.admitted_flows(), 2);
     assert_eq!(rejected_flows, 1);
     let admits = keys.len() as u64 - rejected_flows;
 
     // Terrible QoS for both admitted flows; the poll must label the
-    // matrix inadmissible, retrain (batch size 1), and — thanks to the
-    // dominance guard — deterministically revoke exactly one flow
-    // (after which the 1-flow matrix is dominated by a stored
-    // admissible sample and the re-check stops).
+    // matrix inadmissible and the trainer retrain (batch size 1) and
+    // publish. The poll itself re-evaluates against the snapshot it
+    // pinned, so it keeps both flows.
     for key in &keys[..2] {
         for i in 0..20u64 {
-            mb.record_delivery(
+            gw.record_delivery(
                 key,
                 Instant::from_millis(i * 1_000),
                 Instant::from_millis(i * 1_000 + 900),
@@ -136,44 +135,51 @@ fn counters_match_returned_verdicts_exactly() {
     }
     // Polls return only revocations; kept flows are tallied in bulk
     // into `middlebox.keeps` without materialising Keep verdicts.
-    let verdicts = mb.poll(Instant::from_secs(10));
-    for (_, v) in &verdicts {
+    assert!(gw.poll(Instant::from_secs(10)).is_empty());
+    keeps += 2;
+    assert!(gw.flush_trainer());
+
+    // A second poll inside the interval must be a silent no-op.
+    assert!(gw
+        .poll(Instant::from_secs(10) + Duration::from_millis(1))
+        .is_empty());
+
+    // The next poll serves the published guard: the standing matrix
+    // dominates the stored inadmissible one, so exactly one flow is
+    // revoked (after which the 1-flow matrix is dominated by a stored
+    // admissible sample and the re-check stops).
+    for (_, v) in gw.poll(Instant::from_secs(12)) {
         match v {
             PollVerdict::Keep => unreachable!("polls return revocations only"),
             PollVerdict::Revoke => revokes += 1,
         }
     }
     assert_eq!(revokes, 1, "expected exactly one revocation");
-    assert_eq!(mb.admitted_flows(), 1);
-
-    // A second poll inside the interval must be a silent no-op.
-    assert!(mb
-        .poll(Instant::from_secs(10) + Duration::from_millis(1))
-        .is_empty());
+    assert_eq!(gw.admitted_flows(), 1);
 
     // Healthy QoS for the surviving flow: the next poll leaves it
     // admitted and counts it as kept (one bulk increment per admitted
     // flow when the matrix re-evaluates inside the region).
     for i in 0..50u64 {
-        mb.record_delivery(
+        gw.record_delivery(
             &keys[1],
             Instant::from_millis(i * 10),
             Instant::from_millis(i * 10 + 5),
             1400,
         );
     }
-    let kept = mb.poll(Instant::from_secs(20));
+    let kept = gw.poll(Instant::from_secs(20));
     assert!(kept.is_empty(), "a healthy matrix must revoke nothing");
-    keeps += mb.admitted_flows() as u64;
-    assert_eq!(mb.admitted_flows(), 1);
+    keeps += gw.admitted_flows() as u64;
+    assert_eq!(gw.admitted_flows(), 1);
 
     // One of the two originally admitted flows was revoked; departing
     // both must count exactly one real departure.
-    mb.flow_departed(&keys[0]);
-    mb.flow_departed(&keys[1]);
-    assert_eq!(mb.admitted_flows(), 0);
+    gw.flow_departed(&keys[0]);
+    gw.flow_departed(&keys[1]);
+    assert_eq!(gw.admitted_flows(), 0);
 
-    let snap = reg.snapshot();
+    let snap = gw.merged_metrics();
     assert_eq!(snap.counter("middlebox.packets"), Some(packets));
     assert_eq!(snap.counter("middlebox.admits"), Some(admits));
     assert_eq!(snap.counter("middlebox.rejects"), Some(rejected_flows));
@@ -185,34 +191,36 @@ fn counters_match_returned_verdicts_exactly() {
     );
     assert_eq!(snap.counter("middlebox.keeps"), Some(keeps));
     assert_eq!(snap.counter("middlebox.revokes"), Some(revokes));
-    assert_eq!(snap.counter("middlebox.polls"), Some(2));
+    assert_eq!(snap.counter("middlebox.polls"), Some(3));
     assert_eq!(snap.counter("middlebox.departures"), Some(1));
-
-    // One decision-log event per arrival decision and revocation (the
-    // decision path reads no clock); one latency observation per
-    // executed poll.
-    assert_eq!(
-        mb.decision_log().total_pushed(),
-        admits + rejected_flows + revokes
-    );
+    // One latency observation per executed poll.
     assert_eq!(
         snap.histogram("middlebox.poll_latency_ns").unwrap().count,
-        2
+        3
     );
 
-    // The classifier's own instruments live in the same registry.
+    // The classifier's own instruments live in the registry it was
+    // built with.
+    let classifier = gw.shutdown().expect("the gateway trains");
+    let own = reg.snapshot();
     assert_eq!(
-        snap.counter("admittance.observations"),
-        Some(mb.admittance().num_observations())
+        own.counter("admittance.observations"),
+        Some(classifier.num_observations())
     );
     assert_eq!(
-        snap.counter("admittance.retrains"),
-        Some(mb.admittance().retrain_count())
+        own.counter("admittance.retrains"),
+        Some(classifier.retrain_count())
     );
 
-    // The decision ring mirrors the counters, with explainable
-    // reasons and margins on the online-phase verdicts.
-    let log = mb.decision_log().snapshot();
+    // One decision-log event per arrival decision and revocation (the
+    // decision path reads no clock), mirroring the counters, with
+    // explainable reasons and margins on the online-phase verdicts.
+    let shard = gw.take_shards().pop().unwrap();
+    assert_eq!(
+        shard.decision_log().total_pushed(),
+        admits + rejected_flows + revokes
+    );
+    let log = shard.decision_log().snapshot();
     let count = |k: DecisionKind| log.iter().filter(|e| e.verdict == k).count() as u64;
     assert_eq!(count(DecisionKind::Admit), admits);
     assert_eq!(count(DecisionKind::Reject), rejected_flows);
@@ -229,8 +237,8 @@ fn counters_match_returned_verdicts_exactly() {
     }
 
     // The snapshot round-trips through both export formats.
-    let json = reg.snapshot().to_json();
+    let json = snap.to_json();
     assert!(json.contains("\"middlebox.admits\":2"));
-    let csv = reg.snapshot().to_csv();
+    let csv = snap.to_csv();
     assert!(csv.contains("middlebox.revokes,counter,1"));
 }

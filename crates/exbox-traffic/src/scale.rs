@@ -1,4 +1,4 @@
-//! Streamed large-population workloads (ROADMAP item 4).
+//! Streamed large-population workloads.
 //!
 //! [`LiveLabGenerator::events`] materialises and sorts every session
 //! of every user — fine for the paper's 34 users, hopeless for the

@@ -1,4 +1,4 @@
-//! Replay a pcap capture through the ExBox middlebox.
+//! Replay a pcap capture through the ExBox gateway.
 //!
 //! ```sh
 //! cargo run --release --example pcap_gateway
@@ -8,8 +8,8 @@
 //! `tcpreplay`, §5.1/§6.2). This example exercises the same loop
 //! in-process: generate a gateway's worth of mixed traffic, dump it
 //! to a classic pcap file, read the capture back, and feed it through
-//! a packet-facing [`Middlebox`] with endpoint hints — printing what
-//! got classified, admitted and rejected.
+//! a one-shard [`ConcurrentGateway`] with endpoint hints — printing
+//! what got classified, admitted and rejected.
 
 use std::net::Ipv4Addr;
 
@@ -56,7 +56,7 @@ fn main() -> std::io::Result<()> {
     writer.finish()?;
     println!("wrote {}", path.display());
 
-    // 3. Read it back and replay through the middlebox.
+    // 3. Read it back and replay through the gateway.
     let mut reader = PcapReader::new(std::fs::File::open(&path)?)?;
     let replayed = reader.read_all()?;
     assert_eq!(replayed.len(), merged.len());
@@ -72,31 +72,31 @@ fn main() -> std::io::Result<()> {
         &sweep,
         QoeEstimator::paper_thresholds(),
     );
-    let mut mb = Middlebox::new(
-        MiddleboxConfig::default(),
+    let mut gw = ConcurrentGateway::new(
+        GatewayConfig::default(),
         estimator,
         AdmittanceClassifier::new(AdmittanceConfig::default()),
     );
     // Endpoint hints: each class talks to its own server (the
     // synthetic key convention: 192.168.1.<class+1>).
     for class in AppClass::ALL {
-        mb.learn_server_hint(Ipv4Addr::new(192, 168, 1, class.index() as u8 + 1), class);
+        gw.learn_server_hint(Ipv4Addr::new(192, 168, 1, class.index() as u8 + 1), class);
     }
 
     let mut forwarded = 0u64;
     let mut dropped = 0u64;
     for p in &replayed {
-        match mb.process_packet(p, SnrLevel::High) {
+        match gw.process_packet(p, SnrLevel::High) {
             Action::Forward => forwarded += 1,
             Action::Drop => dropped += 1,
         }
     }
     println!(
-        "replayed through the middlebox: {} forwarded, {} dropped, {} flows admitted, matrix {}",
+        "replayed through the gateway: {} forwarded, {} dropped, {} flows admitted, matrix {}",
         forwarded,
         dropped,
-        mb.admitted_flows(),
-        mb.matrix()
+        gw.admitted_flows(),
+        gw.matrix()
     );
     Ok(())
 }

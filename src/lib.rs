@@ -11,7 +11,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`core`] | ExCR, IQX QoE estimation, Admittance Classifier, baselines, network selection, the middlebox |
+//! | [`core`] | ExCR, IQX QoE estimation, Admittance Classifier, baselines, network selection, the gateway |
 //! | [`ml`] | SMO SVM, Pegasos, logistic regression, cross-validation, metrics |
 //! | [`net`] | packets, flow table, QoS meters, shaper, early traffic classification, pcap |
 //! | [`sim`] | discrete-event 802.11 DCF + LTE TTI cell simulators, fluid models, app QoE |

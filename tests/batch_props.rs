@@ -1,6 +1,6 @@
 //! Split-equivalence property tests for batched packet ingest: over
-//! **any** split of a packet stream into batches, `process_batch` /
-//! `process_packets` must reach verdicts byte-identical to per-packet
+//! **any** split of a packet stream into batches, `process_packets`
+//! must reach verdicts byte-identical to per-packet
 //! driving — including run-length-cache interactions (bursty streams),
 //! the deferred counter flush, and model snapshots published between
 //! batches. This is the contract that lets operators turn
@@ -126,55 +126,11 @@ fn sizes_strategy() -> impl Strategy<Value = Vec<usize>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `Middlebox::process_batch` over any split == per-packet
-    /// `process_packet`, in verdicts, occupancy, admissions and the
-    /// (batch-deferred) counters.
-    #[test]
-    fn middlebox_batch_equals_per_packet_for_any_split(
-        runs in runs_strategy(),
-        sizes in sizes_strategy(),
-    ) {
-        let stream = build_stream(&runs);
-        let mk = || {
-            let reg = MetricsRegistry::new();
-            let mut mb = Middlebox::with_registry(
-                MiddleboxConfig::default(),
-                estimator(),
-                trained_classifier(2, &reg),
-                &reg,
-            );
-            mb.set_fault_plan(FaultPlan::disabled());
-            (mb, reg)
-        };
-        let (mut reference, ref_reg) = mk();
-        let expect: Vec<Action> = stream
-            .iter()
-            .map(|(p, snr)| reference.process_packet(p, *snr))
-            .collect();
-        let (mut subject, sub_reg) = mk();
-        let mut got = Vec::with_capacity(stream.len());
-        for chunk in split(&stream, &sizes) {
-            got.extend(subject.process_batch(chunk));
-        }
-        prop_assert_eq!(&got, &expect);
-        prop_assert_eq!(subject.matrix(), reference.matrix());
-        prop_assert_eq!(subject.admitted_flows(), reference.admitted_flows());
-        // The batch path defers counter updates to the end of each
-        // batch; once flushed they must agree exactly.
-        let (r, s) = (ref_reg.snapshot(), sub_reg.snapshot());
-        for name in [
-            "middlebox.packets",
-            "middlebox.admits",
-            "middlebox.rejects",
-            "middlebox.drops_rejected",
-        ] {
-            prop_assert_eq!(r.counter(name), s.counter(name), "counter {}", name);
-        }
-    }
-
     /// `ConcurrentGateway::process_packets` over any split == per-packet
     /// `process_packet`, for every supported shard count (maximal
-    /// same-shard runs must preserve global arrival order).
+    /// same-shard runs must preserve global arrival order), in
+    /// verdicts, occupancy, admissions and the (batch-deferred)
+    /// counters.
     #[test]
     fn gateway_batch_equals_per_packet_for_any_split(
         runs in runs_strategy(),
@@ -197,6 +153,17 @@ proptest! {
         prop_assert_eq!(&got, &expect);
         prop_assert_eq!(subject.matrix(), reference.matrix());
         prop_assert_eq!(subject.admitted_flows(), reference.admitted_flows());
+        // The batch path defers counter updates to the end of each
+        // batch; once flushed they must agree exactly.
+        let (r, s) = (reference.merged_metrics(), subject.merged_metrics());
+        for name in [
+            "middlebox.packets",
+            "middlebox.admits",
+            "middlebox.rejects",
+            "middlebox.drops_rejected",
+        ] {
+            prop_assert_eq!(r.counter(name), s.counter(name), "counter {}", name);
+        }
     }
 
     /// A model published part-way through the stream: the batched run

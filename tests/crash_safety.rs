@@ -72,17 +72,28 @@ fn streaming_pkts(key: FlowKey, n: usize) -> Vec<Packet> {
 
 /// Drive `flows` distinct streaming flows to a classified decision
 /// each; returns the last action per flow.
-fn drive_flows(m: &mut Middlebox, first_id: u32, flows: u32) -> Vec<Action> {
+fn drive_flows(gw: &mut ConcurrentGateway, first_id: u32, flows: u32) -> Vec<Action> {
     (0..flows)
         .map(|i| {
             let key = FlowKey::synthetic(first_id + i, first_id + i, 1, Protocol::Tcp);
             streaming_pkts(key, 12)
                 .iter()
-                .map(|p| m.process_packet(p, SnrLevel::High))
+                .map(|p| gw.process_packet(p, SnrLevel::High))
                 .last()
                 .unwrap()
         })
         .collect()
+}
+
+/// A gateway around `classifier` whose decisions do not depend on
+/// whatever `EXBOX_FAULTS` is set to.
+fn fault_free_gateway(classifier: AdmittanceClassifier) -> ConcurrentGateway {
+    ConcurrentGateway::with_fault_plan(
+        GatewayConfig::default(),
+        estimator(),
+        classifier,
+        FaultPlan::disabled(),
+    )
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -97,35 +108,23 @@ fn temp_path(name: &str) -> PathBuf {
 #[test]
 fn gateway_kill_and_restore_resumes_where_it_left_off() {
     let reg = MetricsRegistry::new();
-    let mut gw = Middlebox::with_registry(
-        MiddleboxConfig::default(),
-        estimator(),
-        trained_classifier(&reg),
-        &reg,
-    );
-    // Decisions must not depend on whatever EXBOX_FAULTS is set to.
-    gw.set_fault_plan(FaultPlan::disabled());
-
+    let mut gw = fault_free_gateway(trained_classifier(&reg));
     let before = drive_flows(&mut gw, 1, 4);
     let path = temp_path("gateway.ckpt");
     gw.checkpoint_to_path(&path).expect("checkpoint must write");
     drop(gw); // the crash
 
+    // No poll runs below, so ambient retrain/poll faults cannot fire.
     let reg2 = MetricsRegistry::new();
-    let mut restored = Middlebox::restore_from_path_with_registry(
-        MiddleboxConfig::default(),
+    let (mut restored, err) = ConcurrentGateway::recover_from_path(
+        GatewayConfig::default(),
         acfg(),
+        estimator(),
         &path,
         &reg2,
-    )
-    .expect("restore must succeed");
-    restored.set_fault_plan(FaultPlan::disabled());
-
-    assert_eq!(
-        restored.admittance().phase(),
-        Phase::Online,
-        "no re-bootstrap"
     );
+    assert!(err.is_none(), "restore must succeed");
+    assert!(!restored.is_recovering());
     assert!(!restored.is_degraded());
     assert_eq!(reg2.snapshot().counter("recovery.restores").unwrap(), 1);
     // Same traffic, same verdicts: 2 admits then 2 rejects against the
@@ -133,6 +132,11 @@ fn gateway_kill_and_restore_resumes_where_it_left_off() {
     let after = drive_flows(&mut restored, 1, 4);
     assert_eq!(after, before);
     assert_eq!(restored.admitted_flows(), 2);
+    assert_eq!(
+        restored.shutdown().unwrap().phase(),
+        Phase::Online,
+        "no re-bootstrap"
+    );
 
     std::fs::remove_file(&path).ok();
 }
@@ -143,12 +147,7 @@ fn gateway_kill_and_restore_resumes_where_it_left_off() {
 #[test]
 fn corrupt_checkpoint_degrades_but_keeps_serving() {
     let reg = MetricsRegistry::new();
-    let gw = Middlebox::with_registry(
-        MiddleboxConfig::default(),
-        estimator(),
-        trained_classifier(&reg),
-        &reg,
-    );
+    let gw = fault_free_gateway(trained_classifier(&reg));
     let path = temp_path("corrupt.ckpt");
     gw.checkpoint_to_path(&path).unwrap();
     drop(gw);
@@ -160,10 +159,13 @@ fn corrupt_checkpoint_degrades_but_keeps_serving() {
     std::fs::write(&path, &bytes).unwrap();
 
     let reg2 = MetricsRegistry::new();
-    let (mut degraded, err) = Middlebox::recover_from_path(
-        MiddleboxConfig {
-            fallback_max_flows: 2,
-            ..MiddleboxConfig::default()
+    let (mut degraded, err) = ConcurrentGateway::recover_from_path(
+        GatewayConfig {
+            middlebox: MiddleboxConfig {
+                fallback_max_flows: 2,
+                ..MiddleboxConfig::default()
+            },
+            ..GatewayConfig::default()
         },
         acfg(),
         estimator(),
@@ -187,19 +189,21 @@ fn corrupt_checkpoint_degrades_but_keeps_serving() {
         vec![Action::Forward, Action::Forward, Action::Drop, Action::Drop],
         "fallback must cap occupancy at 2"
     );
-    let fallbacks = reg2
-        .snapshot()
+    let fallbacks = degraded
+        .merged_metrics()
         .counter("recovery.fallback_decisions")
         .unwrap();
     assert!(
         fallbacks >= 4,
         "expected >= 4 fallback decisions, got {fallbacks}"
     );
-    assert!(degraded
-        .decision_log()
-        .snapshot()
-        .iter()
-        .all(|ev| ev.reason == DecisionReason::DegradedFallback));
+    let shard = degraded.take_shards().pop().unwrap();
+    let events = shard.decision_log().snapshot();
+    assert!(!events.is_empty());
+    for ev in &events {
+        assert_eq!(ev.reason, DecisionReason::DegradedFallback);
+        assert_eq!(ev.margin, None, "no model, no margin");
+    }
 
     std::fs::remove_file(&path).ok();
 }
@@ -214,12 +218,12 @@ fn full_fault_sweep_never_panics() {
     let base_reg = MetricsRegistry::new();
     let mut seed_ckpt = Vec::new();
     save_checkpoint(&trained_classifier(&base_reg), &estimator(), &mut seed_ckpt).unwrap();
+    let path = temp_path("sweep.ckpt");
 
     let mut total_injected = 0u64;
     for seed in 1..=10u64 {
         let reg = MetricsRegistry::new();
         let (classifier, est) = load_checkpoint(&seed_ckpt[..], acfg(), &reg).unwrap();
-        let mut gw = Middlebox::with_registry(MiddleboxConfig::default(), est, classifier, &reg);
         let plan = FaultPlan::with_registry(
             &[
                 (FaultKind::RetrainFail, 0.5),
@@ -231,8 +235,14 @@ fn full_fault_sweep_never_panics() {
             seed,
             &reg,
         );
-        gw.set_fault_plan(plan.clone());
+        let mut gw = ConcurrentGateway::with_fault_plan(
+            GatewayConfig::default(),
+            est,
+            classifier,
+            plan.clone(),
+        );
 
+        let mut buf = Vec::new();
         for round in 0..12u32 {
             let key = FlowKey::synthetic(100 + round, round, 1, Protocol::Tcp);
             for p in streaming_pkts(key, 12) {
@@ -250,22 +260,24 @@ fn full_fault_sweep_never_panics() {
 
             // Checkpoint under fire: the write always succeeds; a
             // mangled read must fail cleanly or load the real thing.
-            let mut buf = Vec::new();
-            gw.checkpoint(&mut buf).unwrap();
+            gw.checkpoint_to_path(&path).unwrap();
+            buf = std::fs::read(&path).unwrap();
             let mut mangled = buf.clone();
             plan.mangle_checkpoint(&mut mangled);
             let probe = MetricsRegistry::new();
             match load_checkpoint(&mangled[..], acfg(), &probe) {
-                Ok((loaded, _)) => {
-                    assert_eq!(mangled, buf, "a changed stream must never load");
-                    assert_eq!(loaded.num_samples(), gw.admittance().num_samples());
-                }
+                Ok(_) => assert_eq!(mangled, buf, "a changed stream must never load"),
                 Err(_) => assert_ne!(mangled, buf, "pristine stream must load"),
             }
         }
+        // The last checkpoint holds the trainer's state as it stopped.
+        let live = gw.shutdown().unwrap();
+        let (written, _) = load_checkpoint(&buf[..], acfg(), &MetricsRegistry::new()).unwrap();
+        assert_eq!(written.num_samples(), live.num_samples());
         total_injected += plan.injected();
     }
     assert!(total_injected > 0, "the sweep must actually inject faults");
+    std::fs::remove_file(&path).ok();
 }
 
 /// Concurrent gateway: retrain-failure injection fires on the
@@ -439,11 +451,10 @@ fn concurrent_recovery_heals_through_background_trainer() {
 #[test]
 fn default_gateway_serves_under_ambient_faults() {
     let reg = MetricsRegistry::new();
-    let mut gw = Middlebox::with_registry(
-        MiddleboxConfig::default(),
+    let mut gw = ConcurrentGateway::new(
+        GatewayConfig::default(),
         estimator(),
         AdmittanceClassifier::with_registry(acfg(), &reg),
-        &reg,
     );
     let mut fed = 0u64;
     for round in 0..8u32 {
@@ -462,7 +473,7 @@ fn default_gateway_serves_under_ambient_faults() {
         }
         gw.poll(Instant::from_secs(3 * (round as u64 + 1)));
     }
-    let snap = reg.snapshot();
+    let snap = gw.merged_metrics();
     assert_eq!(snap.counter("middlebox.packets").unwrap(), fed);
     let admits = snap.counter("middlebox.admits").unwrap_or(0);
     let rejects = snap.counter("middlebox.rejects").unwrap_or(0);

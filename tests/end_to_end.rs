@@ -114,7 +114,7 @@ fn low_snr_workload_has_smaller_capacity() {
     assert!(high >= 3, "high-SNR cell should hold several streams");
 }
 
-/// The packet-facing middlebox drives the same learning machinery:
+/// The packet-facing gateway drives the same learning machinery:
 /// classify → admit → meter → poll → observe.
 #[test]
 fn middlebox_pipeline_learns_from_polls() {
@@ -127,8 +127,8 @@ fn middlebox_pipeline_learns_from_polls() {
         4,
     );
     let (estimator, _) = fit_estimator_from_sweep(&sweep, QoeEstimator::paper_thresholds());
-    let mut mb = Middlebox::new(
-        MiddleboxConfig::default(),
+    let mut gw = ConcurrentGateway::new(
+        GatewayConfig::default(),
         estimator,
         AdmittanceClassifier::new(AdmittanceConfig::default()),
     );
@@ -143,22 +143,22 @@ fn middlebox_pipeline_learns_from_polls() {
             Direction::Downlink,
             i,
         );
-        assert_eq!(mb.process_packet(&pkt, SnrLevel::High), Action::Forward);
+        assert_eq!(gw.process_packet(&pkt, SnrLevel::High), Action::Forward);
     }
-    assert_eq!(mb.admitted_flows(), 1);
+    assert_eq!(gw.admitted_flows(), 1);
 
     // Healthy delivery reports, then a poll: one observation lands.
     for i in 0..100u64 {
-        mb.record_delivery(
+        gw.record_delivery(
             &key,
             Instant::from_millis(i * 10),
             Instant::from_millis(i * 10 + 4),
             1400,
         );
     }
-    let before = mb.admittance().num_observations();
-    mb.poll(Instant::from_secs(3));
-    assert_eq!(mb.admittance().num_observations(), before + 1);
+    gw.poll(Instant::from_secs(3));
+    let classifier = gw.shutdown().expect("the gateway trains");
+    assert_eq!(classifier.num_observations(), 1);
 }
 
 /// Determinism across the whole pipeline: identical seeds give
@@ -188,8 +188,9 @@ fn full_pipeline_is_deterministic() {
 }
 
 /// §4.3 end to end: a client walks to the cell edge mid-run; the
-/// middlebox's periodic poll sees the QoS collapse, feeds a negative
-/// observation, re-learns, and revokes flows.
+/// gateway's periodic poll sees the QoS collapse, feeds a negative
+/// observation, the trainer re-learns and publishes, and the next poll
+/// revokes the flow.
 #[test]
 fn middlebox_revokes_after_mobility_degrades_qoe() {
     use exbox::core::PollVerdict;
@@ -206,8 +207,8 @@ fn middlebox_revokes_after_mobility_degrades_qoe() {
 
     // Admittance classifier pre-trained on a simple region: one flow
     // is fine, and the matrix label follows observed QoE.
-    // The monotone guard makes relabelled matrices take effect
-    // immediately (the SVM alone can be outvoted by its stale
+    // The monotone guard makes relabelled matrices take effect at the
+    // next publish (the SVM alone can be outvoted by its stale
     // neighbours until several batches re-learn the area).
     let mut ac = AdmittanceClassifier::new(AdmittanceConfig {
         batch_size: 1, // retrain on every observation for the test
@@ -233,7 +234,7 @@ fn middlebox_revokes_after_mobility_degrades_qoe() {
             }
         }
     }
-    let mut mb = Middlebox::new(MiddleboxConfig::default(), estimator, ac);
+    let mut gw = ConcurrentGateway::new(GatewayConfig::default(), estimator, ac);
 
     // Admit one streaming flow while the client is healthy.
     let key = FlowKey::synthetic(1, 1, 2, Protocol::Tcp);
@@ -245,43 +246,45 @@ fn middlebox_revokes_after_mobility_degrades_qoe() {
             Direction::Downlink,
             i,
         );
-        mb.process_packet(&pkt, SnrLevel::High);
+        gw.process_packet(&pkt, SnrLevel::High);
     }
-    assert_eq!(mb.admitted_flows(), 1);
+    assert_eq!(gw.admitted_flows(), 1);
 
     // Phase 1: healthy QoS -> poll keeps the flow.
     for i in 0..100u64 {
-        mb.record_delivery(
+        gw.record_delivery(
             &key,
             Instant::from_millis(i * 10),
             Instant::from_millis(i * 10 + 4),
             1400,
         );
     }
-    let verdicts = mb.poll(Instant::from_secs(3));
+    let verdicts = gw.poll(Instant::from_secs(3));
     assert!(verdicts.iter().all(|(_, v)| *v == PollVerdict::Keep));
-    assert_eq!(mb.admitted_flows(), 1);
+    assert!(gw.flush_trainer());
+    assert_eq!(gw.admitted_flows(), 1);
 
     // Phase 2: the client walked away; deliveries crawl (trickle at
-    // huge delay). The next polls observe unacceptable QoE, the
-    // classifier relabels the matrix, and the flow is revoked.
+    // huge delay). A poll observes unacceptable QoE, the trainer
+    // relabels the matrix and publishes, and a later poll revokes.
     let mut revoked = false;
     for round in 0..5u64 {
         for i in 0..40u64 {
             let t = 4_000 + round * 2_000 + i * 50;
-            mb.record_delivery(
+            gw.record_delivery(
                 &key,
                 Instant::from_millis(t),
                 Instant::from_millis(t + 2_000), // 2 s one-way delay
                 200,                             // starved rate
             );
         }
-        let verdicts = mb.poll(Instant::from_secs(6 + 2 * round));
+        let verdicts = gw.poll(Instant::from_secs(6 + 2 * round));
+        assert!(gw.flush_trainer());
         if verdicts.iter().any(|(_, v)| *v == PollVerdict::Revoke) {
             revoked = true;
             break;
         }
     }
-    assert!(revoked, "middlebox never revoked the degraded flow");
-    assert_eq!(mb.admitted_flows(), 0);
+    assert!(revoked, "gateway never revoked the degraded flow");
+    assert_eq!(gw.admitted_flows(), 0);
 }

@@ -8,8 +8,8 @@
 //! * [`RejectedRing`] must behave exactly like a bounded FIFO of live
 //!   records: duplicate inserts are no-ops, departures delete, evictions
 //!   drop the oldest live record only.
-//! * A timer-wheel middlebox (`poll_wheel: true`) must return verdicts
-//!   identical to the full-scan middlebox (`poll_wheel: false`) over any
+//! * A timer-wheel gateway (`poll_wheel: true`) must return verdicts
+//!   identical to the full-scan gateway (`poll_wheel: false`) over any
 //!   interleaving of arrivals, QoS reports, departures and polls — the
 //!   scan path is kept as the reference the wheel is checked against.
 
@@ -146,7 +146,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Wheel-poll == scan-poll verdict equivalence on a full middlebox.
+// Wheel-poll == scan-poll verdict equivalence on a live-training gateway.
 
 fn estimator() -> QoeEstimator {
     let mk = |a: f64, b: f64, g: f64| -> Vec<(f64, f64)> {
@@ -167,7 +167,7 @@ fn estimator() -> QoeEstimator {
 
 /// A classifier trained online to admit at most 2 streaming flows,
 /// with a small retrain batch so poll observations matter quickly.
-/// Training is deterministic, so both middleboxes get identical models.
+/// Training is deterministic, so both gateways get identical models.
 fn trained_classifier(reg: &MetricsRegistry) -> AdmittanceClassifier {
     let mut ac = AdmittanceClassifier::with_registry(
         AdmittanceConfig {
@@ -189,23 +189,30 @@ fn trained_classifier(reg: &MetricsRegistry) -> AdmittanceClassifier {
     ac
 }
 
-fn middlebox(poll_wheel: bool) -> (Middlebox, MetricsRegistry) {
-    let reg = MetricsRegistry::new();
-    let mut mb = Middlebox::with_registry(
-        MiddleboxConfig {
+fn gateway(poll_wheel: bool) -> ConcurrentGateway {
+    let cfg = GatewayConfig {
+        middlebox: MiddleboxConfig {
             poll_wheel,
             ..MiddleboxConfig::default()
         },
+        ..GatewayConfig::default()
+    };
+    let reg = MetricsRegistry::new();
+    ConcurrentGateway::with_fault_plan(
+        cfg,
         estimator(),
         trained_classifier(&reg),
-        &reg,
-    );
-    mb.set_fault_plan(FaultPlan::disabled());
-    (mb, reg)
+        FaultPlan::disabled(),
+    )
 }
 
 /// One step of the scripted cell, applied identically to both sides.
-fn apply(mb: &mut Middlebox, t_ms: u64, kind: u8, id: u32) -> Option<Vec<(FlowKey, PollVerdict)>> {
+fn apply(
+    gw: &mut ConcurrentGateway,
+    t_ms: u64,
+    kind: u8,
+    id: u32,
+) -> Option<Vec<(FlowKey, PollVerdict)>> {
     let k = key(id);
     match kind {
         // Arrival: enough packets to classify (window 8) and decide.
@@ -218,14 +225,14 @@ fn apply(mb: &mut Middlebox, t_ms: u64, kind: u8, id: u32) -> Option<Vec<(FlowKe
                     Direction::Downlink,
                     i,
                 );
-                mb.process_packet(&p, SnrLevel::High);
+                gw.process_packet(&p, SnrLevel::High);
             }
             None
         }
         // Healthy QoS window for the flow (if admitted).
         1 => {
             for i in 0..5u64 {
-                mb.record_delivery(
+                gw.record_delivery(
                     &k,
                     Instant::from_millis(t_ms + i * 10),
                     Instant::from_millis(t_ms + i * 10 + 5),
@@ -237,7 +244,7 @@ fn apply(mb: &mut Middlebox, t_ms: u64, kind: u8, id: u32) -> Option<Vec<(FlowKe
         // Terrible QoS window: near-second delays on tiny packets.
         2 => {
             for i in 0..5u64 {
-                mb.record_delivery(
+                gw.record_delivery(
                     &k,
                     Instant::from_millis(t_ms + i * 1_000),
                     Instant::from_millis(t_ms + i * 1_000 + 900),
@@ -249,16 +256,22 @@ fn apply(mb: &mut Middlebox, t_ms: u64, kind: u8, id: u32) -> Option<Vec<(FlowKe
         // Drop-only window: evidence-free on both poll paths.
         3 => {
             for _ in 0..3 {
-                mb.record_drop(&k);
+                gw.record_drop(&k);
             }
             None
         }
         4 => {
-            mb.flow_departed(&k);
+            gw.flow_departed(&k);
             None
         }
-        // Poll (may be an interval no-op; both sides share the clock).
-        _ => Some(mb.poll(Instant::from_millis(t_ms))),
+        // Poll (may be an interval no-op; both sides share the clock),
+        // then let the trainer learn its observation before the next
+        // step, as a trainer running inside the poll would.
+        _ => {
+            let verdicts = gw.poll(Instant::from_millis(t_ms));
+            assert!(gw.flush_trainer());
+            Some(verdicts)
+        }
     }
 }
 
@@ -266,14 +279,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Over any schedule of arrivals, deliveries, drops, departures
-    /// and polls, the timer-wheel middlebox returns verdicts, state
-    /// and counters identical to the full-scan middlebox.
+    /// and polls, the timer-wheel gateway returns verdicts, state and
+    /// counters identical to the full-scan gateway.
     #[test]
     fn wheel_polls_equal_scan_polls(
         ops in prop::collection::vec((0u8..6, 0u32..6), 1..80),
     ) {
-        let (mut wheel, wheel_reg) = middlebox(true);
-        let (mut scan, scan_reg) = middlebox(false);
+        let mut wheel = gateway(true);
+        let mut scan = gateway(false);
         let mut t_ms: u64 = 0;
         for &(kind, id) in &ops {
             // Half a poll interval per step: consecutive polls
@@ -292,17 +305,9 @@ proptest! {
             apply(&mut scan, t_ms, 5, 0)
         );
 
-        // The learnt state and the exact counter trail must agree —
+        // The exact counter trail and the learnt state must agree —
         // same observations fed, same revocations taken.
-        prop_assert_eq!(
-            wheel.admittance().num_samples(),
-            scan.admittance().num_samples()
-        );
-        prop_assert_eq!(
-            wheel.admittance().retrain_count(),
-            scan.admittance().retrain_count()
-        );
-        let (w, s) = (wheel_reg.snapshot(), scan_reg.snapshot());
+        let (w, s) = (wheel.merged_metrics(), scan.merged_metrics());
         for name in [
             "middlebox.packets",
             "middlebox.admits",
@@ -311,9 +316,12 @@ proptest! {
             "middlebox.revokes",
             "middlebox.polls",
             "middlebox.departures",
-            "admittance.observations",
         ] {
             prop_assert_eq!(w.counter(name), s.counter(name), "counter {}", name);
         }
+        let (w, s) = (wheel.shutdown().unwrap(), scan.shutdown().unwrap());
+        prop_assert_eq!(w.num_samples(), s.num_samples());
+        prop_assert_eq!(w.num_observations(), s.num_observations());
+        prop_assert_eq!(w.retrain_count(), s.retrain_count());
     }
 }

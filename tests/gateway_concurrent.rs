@@ -1,6 +1,6 @@
 //! Concurrent gateway end-to-end tests: shard-count invariance of
-//! verdicts (byte-identical sorted CSVs), single-threaded parity,
-//! contention-free per-shard counters merging exactly, snapshot
+//! verdicts (byte-identical sorted CSVs), the monotone guard served per
+//! publish, contention-free per-shard counters merging exactly, snapshot
 //! publish linearizability, bounded packet-path latency while the
 //! background trainer retrains, and the multi-core pipeline data
 //! plane: core-count-invariant verdict streams, pinned FxHash shard
@@ -164,179 +164,70 @@ fn verdicts_are_shard_count_invariant() {
     }
 }
 
-/// The monotonicity guard reads the trainer's sample store, which a
-/// published snapshot does not carry: a gateway built around a
-/// guard-on classifier serves `ModelSnapshot::decide`, not the
-/// classifier's guarded verdict. Pinned so the gap stays documented
-/// behaviour rather than a surprise.
+/// The monotonicity guard travels in the published snapshot, so the
+/// gateway serves the classifier's guarded verdict — and the guard
+/// moves per publish, not per observation. (That no stderr line warns
+/// about the guard any more is the CI lint's to check.)
 #[test]
-fn gateway_serves_snapshot_verdicts_without_the_monotone_guard() {
+fn gateway_serves_the_monotone_guard_per_publish() {
     let reg = MetricsRegistry::new();
     let mut ac = classifier_admitting(
         5,
         AdmittanceConfig {
             monotone_guard: true,
-            // No retrain after the bootstrap exit: the relabelling
-            // below reaches the guard's store but never the model.
+            // No retrain after the bootstrap exit: relabels reach the
+            // trainer's guard but never trigger a publish.
             batch_size: 100_000,
             ..AdmittanceConfig::default()
         },
         &reg,
     );
     let streaming = FlowKind::new(AppClass::Streaming, SnrLevel::High);
-    let mut one = TrafficMatrix::empty();
-    one.add(streaming);
-    ac.observe(one, Label::Neg);
-    let mut two = one;
+    let mut two = TrafficMatrix::empty();
     two.add(streaming);
+    two.add(streaming);
+    ac.observe(two, Label::Neg);
 
-    // The query dominates a stored `Neg`: the classifier refuses it,
-    // its own snapshot (same model, no store) admits it.
-    assert_eq!(ac.decide(&two).0, Label::Neg);
+    // 1. The classifier and its snapshot refuse the relabelled matrix
+    //    alike, on the model's own margin; the gateway built around it
+    //    admits one streaming flow and rejects the second.
     let snapshot = ModelSnapshot::from_classifier(0, &ac);
-    assert_eq!(snapshot.decide(&two).0, Label::Pos);
+    assert_eq!(ac.decide(&two).0, Label::Neg);
+    assert_eq!(snapshot.decide(&two).0, Label::Neg);
     assert_eq!(snapshot.decide(&two).1, ac.decide(&two).1);
-
-    let mut gw = ConcurrentGateway::new(GatewayConfig::default(), estimator(), ac);
-    for id in [1u32, 2] {
-        let verdict = streaming_pkts(flow_key(id), 12)
+    let mut gw = ConcurrentGateway::with_fault_plan(
+        GatewayConfig::default(),
+        estimator(),
+        ac,
+        FaultPlan::disabled(),
+    );
+    let arrive = |gw: &mut ConcurrentGateway, id: u32| {
+        streaming_pkts(flow_key(id), 12)
             .iter()
             .map(|p| gw.process_packet(p, SnrLevel::High))
             .last()
-            .unwrap();
-        assert_eq!(verdict, Action::Forward, "flow {id}");
-    }
+            .unwrap()
+    };
+    assert_eq!(arrive(&mut gw, 1), Action::Forward);
+    assert_eq!(arrive(&mut gw, 2), Action::Drop);
+
+    // 2. A relabel that triggers no retrain reaches the trainer's guard
+    //    but not the served one: no publish, same verdict.
+    let published = gw.publish_count();
+    assert!(gw.inject_observation(two, Label::Pos));
+    assert!(gw.flush_trainer());
+    assert_eq!(gw.publish_count(), published);
+    assert_eq!(arrive(&mut gw, 3), Action::Drop);
+    let classifier = gw.shutdown().unwrap();
+    assert_eq!(classifier.decide(&two).0, Label::Pos);
+
+    // The next publish — what the trainer sends after a retrain —
+    // carries the relabel to the shards.
+    let epoch = gw.snapshot_epoch() + 1;
+    gw.snapshot_cell()
+        .publish(ModelSnapshot::from_classifier(epoch, &classifier));
+    assert_eq!(arrive(&mut gw, 4), Action::Forward);
     assert_eq!(gw.matrix(), two);
-}
-
-/// A 1-shard gateway *is* the single-threaded middlebox with the
-/// trainer moved off-thread: on the same trace — packets, QoS reports,
-/// polls, departures — serving the same (static) model, every verdict,
-/// poll output, decision-log event and shared counter agrees.
-#[test]
-fn one_shard_gateway_matches_middlebox() {
-    let reg = MetricsRegistry::new();
-    let mut mb = Middlebox::with_registry(
-        MiddleboxConfig::default(),
-        estimator(),
-        trained_classifier(&reg),
-        &reg,
-    );
-    mb.set_fault_plan(FaultPlan::disabled());
-    let retrains = mb.admittance().retrain_count();
-    let mut gw =
-        ConcurrentGateway::serving_only(GatewayConfig::default(), estimator(), trained_snapshot());
-
-    let mut polls = 0u64;
-    for id in 1..=20u32 {
-        let key = flow_key(id);
-        let batch: Vec<(Packet, SnrLevel)> = streaming_pkts(key, 12)
-            .into_iter()
-            .map(|p| (p, SnrLevel::High))
-            .collect();
-        // Alternate the entry points: per-packet and batched ingest
-        // are the same engine steps.
-        let (a, b) = if id % 2 == 0 {
-            (mb.process_batch(&batch), gw.process_packets(&batch))
-        } else {
-            let a = batch.iter().map(|(p, snr)| mb.process_packet(p, *snr));
-            let b = batch.iter().map(|(p, snr)| gw.process_packet(p, *snr));
-            (a.collect(), b.collect())
-        };
-        assert_eq!(a, b, "flow {id}: middlebox and gateway disagreed");
-
-        // QoS reports for every flow, admitted or not (reports for
-        // unknown flows must be ignored alike): healthy deliveries,
-        // starved ones for every third flow, a loss now and then.
-        for i in 0..20u64 {
-            let sent = Instant::from_millis(u64::from(id) * 3_000 + i * 10);
-            let (delay, size) = if id % 3 == 0 { (2_000, 200) } else { (5, 1400) };
-            let received = sent + Duration::from_millis(delay);
-            mb.record_delivery(&key, sent, received, size);
-            gw.record_delivery(&key, sent, received, size);
-            if i % 7 == 0 {
-                mb.record_drop(&key);
-                gw.record_drop(&key);
-            }
-        }
-        if id % 4 == 0 {
-            polls += 1;
-            // The second call of each pair lands inside the interval.
-            for now in [Instant::from_secs(3 * u64::from(id)); 2] {
-                assert_eq!(mb.poll(now), gw.poll(now), "poll after flow {id}");
-            }
-        }
-        if id % 5 == 0 {
-            mb.flow_departed(&key);
-            gw.flow_departed(&key);
-        }
-        assert_eq!(mb.matrix(), gw.matrix(), "after flow {id}");
-    }
-    assert_eq!(mb.admitted_flows(), gw.admitted_flows());
-    // The middlebox's polls trained its classifier in-line; the trace
-    // stays below one retrain batch so both sides serve one model.
-    assert_eq!(mb.admittance().retrain_count(), retrains);
-    assert!(
-        mb.admittance().num_observations() > 80,
-        "polls must observe"
-    );
-
-    let (mine, theirs) = (reg.snapshot(), gw.merged_metrics());
-    for name in [
-        "middlebox.packets",
-        "middlebox.admits",
-        "middlebox.rejects",
-        "middlebox.drops_rejected",
-        "middlebox.keeps",
-        "middlebox.revokes",
-        "middlebox.departures",
-        "middlebox.polls",
-        "middlebox.rejected_evictions",
-        "recovery.fallback_decisions",
-        "recovery.poll_errors",
-    ] {
-        assert_eq!(mine.counter(name), theirs.counter(name), "{name}");
-        assert!(mine.counter(name).is_some(), "{name} must be bound");
-    }
-    assert_eq!(mine.counter("middlebox.polls"), Some(polls));
-    assert_eq!(
-        mine.gauge("middlebox.rejected_occupancy"),
-        theirs.gauge("middlebox.rejected_occupancy")
-    );
-    let polls_timed = |snap: &exbox_obs::MetricsSnapshot| {
-        snap.histogram("middlebox.poll_latency_ns").map(|h| h.count)
-    };
-    assert_eq!(polls_timed(&mine), polls_timed(&theirs));
-    assert_eq!(polls_timed(&mine), Some(polls));
-    let decisions = |snap: &exbox_obs::MetricsSnapshot| {
-        ["middlebox.admits", "middlebox.rejects", "middlebox.revokes"]
-            .iter()
-            .map(|name| snap.counter(name).unwrap())
-            .sum::<u64>()
-    };
-    // The watchers that left the event path stay gone: the poll timer
-    // is the engine's only histogram (no per-decision timer), and no
-    // `net.*` counter exists, process-global or otherwise.
-    let global = exbox_obs::global().snapshot();
-    for snap in [&theirs, &global] {
-        let csv = snap.to_csv();
-        for line in csv.lines() {
-            assert!(!line.starts_with("net."), "a net.* metric is back: {line}");
-            if line.starts_with("middlebox.") && line.contains(",histogram,") {
-                assert!(
-                    line.starts_with("middlebox.poll_latency_ns."),
-                    "an event-path histogram is back: {line}"
-                );
-            }
-        }
-    }
-    let shard = gw.take_shards().pop().unwrap();
-    assert_eq!(mb.decision_log().total_pushed(), decisions(&mine));
-    assert_eq!(shard.decision_log().total_pushed(), decisions(&theirs));
-    assert_eq!(
-        mb.decision_log().snapshot(),
-        shard.decision_log().snapshot()
-    );
 }
 
 /// The rejection-record ring is bounded, so a revoked flow can outlive
@@ -391,70 +282,32 @@ fn gateway_redecides_a_revoked_flow_after_its_record_is_evicted() {
         "revoked flow forwarded after its rejection record was evicted"
     );
     assert_eq!((gw.admitted_flows(), gw.matrix().total()), (2, 2));
-    assert_eq!(gw.merged_metrics().counter("middlebox.rejects"), Some(1));
-}
+    let metrics = gw.merged_metrics();
+    assert_eq!(metrics.counter("middlebox.rejects"), Some(1));
 
-/// The same defect through the single-threaded assembly, where the
-/// revocation comes from the in-line trainer: starved deliveries make
-/// the poll relabel the standing matrix, the monotone guard applies
-/// the new label at once, and the oldest flow is shed.
-#[test]
-fn middlebox_redecides_a_revoked_flow_after_its_record_is_evicted() {
-    let reg = MetricsRegistry::new();
-    let cfg = MiddleboxConfig {
-        rejected_capacity: 1,
-        ..MiddleboxConfig::default()
-    };
-    let window = cfg.classify_window;
-    let relabelling = AdmittanceConfig {
-        batch_size: 1,
-        monotone_guard: true,
-        ..AdmittanceConfig::default()
-    };
-    let mut mb = Middlebox::with_registry(
-        cfg,
-        estimator(),
-        classifier_admitting(4, relabelling, &reg),
-        &reg,
-    );
-    mb.set_fault_plan(FaultPlan::disabled());
-    for id in 1..=3 {
-        for p in streaming_pkts(flow_key(id), 12) {
-            assert_eq!(mb.process_packet(&p, SnrLevel::High), Action::Forward);
-        }
-    }
-    for i in 0..40u64 {
-        let sent = Instant::from_millis(i * 50);
-        mb.record_delivery(&flow_key(1), sent, sent + Duration::from_secs(2), 200);
-    }
+    // One decision-ring event per admit, reject and revoke. The
+    // watchers that left the event path stay gone: the poll timer is
+    // the engine's only histogram (no per-decision timer), and no
+    // `net.*` counter exists, process-global or otherwise.
+    let shard = gw.take_shards().pop().unwrap();
+    assert_eq!(shard.decision_log().total_pushed(), 4 + 2 + 1);
     assert_eq!(
-        mb.poll(Instant::from_secs(5)),
-        vec![(flow_key(1), PollVerdict::Revoke)],
-        "three flows were observed inadmissible, two still are fine"
-    );
-    // A fourth arrival would restore the inadmissible matrix: it is
-    // rejected, and its record evicts the revoked flow's.
-    let rejected = streaming_pkts(flow_key(4), 12)
-        .iter()
-        .map(|p| mb.process_packet(p, SnrLevel::High))
-        .last();
-    assert_eq!(rejected, Some(Action::Drop));
-    assert_eq!(
-        reg.snapshot().counter("middlebox.rejected_evictions"),
+        metrics
+            .histogram("middlebox.poll_latency_ns")
+            .map(|h| h.count),
         Some(1)
     );
-
-    let actions: Vec<Action> = streaming_pkts(flow_key(1), 40)
-        .iter()
-        .map(|p| mb.process_packet(p, SnrLevel::High))
-        .collect();
-    let (head, tail) = actions.split_at(window - 1);
-    assert!(head.iter().all(|a| *a == Action::Forward));
-    assert!(
-        tail.iter().all(|a| *a == Action::Drop),
-        "revoked flow forwarded after its rejection record was evicted"
-    );
-    assert_eq!((mb.admitted_flows(), mb.matrix().total()), (2, 2));
+    for snap in [&metrics, &exbox_obs::global().snapshot()] {
+        for line in snap.to_csv().lines() {
+            assert!(!line.starts_with("net."), "a net.* metric is back: {line}");
+            if line.starts_with("middlebox.") && line.contains(",histogram,") {
+                assert!(
+                    line.starts_with("middlebox.poll_latency_ns."),
+                    "an event-path histogram is back: {line}"
+                );
+            }
+        }
+    }
 }
 
 /// Satellite 2: shards driven from four real threads, counters
