@@ -618,48 +618,60 @@ impl FlowEngine {
         scratch.clear();
         if self.cfg.poll_wheel {
             // Incremental path: only flows whose meters saw traffic
-            // since their last window are due. Departed flows leave
-            // stale slots behind (generation mismatch) — drop them.
+            // since their last window are due.
             self.wheel.advance(self.poll_seq, &mut scratch);
-            scratch.retain(|&slot| self.flows.get_slot(slot).is_some());
         } else {
             // Reference scan: the whole arena in insertion order.
             self.flows.collect_slots(&mut scratch);
         }
+
+        // Estimate acceptability per flow; the matrix label is the
+        // conjunction (a matrix is achievable iff ALL flows are OK),
+        // kept as counts of acceptable / unacceptable flows, tallied
+        // into `qoe.*` once per poll. Idle flows (no traffic this
+        // window) yield no evidence on either path: the scan visits
+        // and skips them, the wheel never schedules them. One visit
+        // per due slot: a departed flow's slot is stale (generation
+        // mismatch) and skipped; a live one is sampled, judged by its
+        // class's cut (two compares off the guard band, `qoe` module
+        // docs) and, on the wheel path, given a fresh window at once —
+        // revocation below only removes flows, so resetting first
+        // changes nothing it can see. Serial on purpose: a due flow
+        // costs about 14 ns, poll overhead included (the ledger's
+        // `flash_state` on a 2-vCPU Xeon: ≈ 1.15 µs per executed poll
+        // of ≈ 80 due flows), far below a thread hand-off, and under
+        // the gateway the shards already are the parallelism.
+        let (mut ok, mut not_ok) = (0u64, 0u64);
+        for &slot in &scratch {
+            let Some((_, fs)) = self.flows.get_slot_mut(slot) else {
+                continue;
+            };
+            let sample = fs.meter.sample();
+            if sample.throughput_bps > 0.0 {
+                if self.estimator.verdict(fs.kind.class, &sample) {
+                    ok += 1;
+                } else {
+                    not_ok += 1;
+                }
+            }
+            if self.cfg.poll_wheel {
+                fs.meter.reset();
+                fs.next_eval = u64::MAX;
+            }
+        }
+        self.estimator.count_verdicts(ok, not_ok);
         if self.flows.is_empty() {
             self.poll_scratch = scratch;
             return;
         }
-
-        // Estimate acceptability per flow; the matrix label is the
-        // conjunction (a matrix is achievable iff ALL flows are OK),
-        // maintained as a count of measured / unacceptable flows. Idle
-        // flows (no traffic this window) yield no evidence on either
-        // path: the scan visits and skips them, the wheel never
-        // schedules them. Serial on purpose: a due flow costs tens of
-        // nanoseconds, far below a thread hand-off, and under the
-        // gateway the shards already are the parallelism.
-        let (measured, unacceptable) = scratch
-            .iter()
-            .filter_map(|&slot| {
-                let (_, fs) = self.flows.get_slot(slot)?;
-                let sample = fs.meter.sample();
-                (sample.throughput_bps > 0.0)
-                    .then(|| self.estimator.acceptable(fs.kind.class, &sample))
-            })
-            .fold((0u64, 0u64), |(m, u), ok| (m + 1, u + u64::from(!ok)));
         // A failed estimation pass (injected here; a wedged AP stats
         // feed in a real deployment) yields no trustworthy labels, so
         // the observation is skipped — re-evaluation against the
         // already-learnt region below still runs.
         if self.faults.should_inject(FaultKind::PollError) {
             self.metrics.poll_errors.inc();
-        } else if measured > 0 {
-            src.observe(if unacceptable == 0 {
-                Label::Pos
-            } else {
-                Label::Neg
-            });
+        } else if ok + not_ok > 0 {
+            src.observe(if not_ok == 0 { Label::Pos } else { Label::Neg });
         }
 
         // Re-evaluate the admitted set against the current region; an
@@ -701,18 +713,11 @@ impl FlowEngine {
                 (label, margin) = src.reevaluate(&matrix);
             }
         }
-        // Fresh measurement windows for the next poll. The wheel path
-        // touches only the flows it evaluated (everything else has an
-        // empty meter by construction); revoked flows fail the
-        // generation check and are skipped.
-        if self.cfg.poll_wheel {
-            for &slot in &scratch {
-                if let Some((_, fs)) = self.flows.get_slot_mut(slot) {
-                    fs.meter.reset();
-                    fs.next_eval = u64::MAX;
-                }
-            }
-        } else {
+        // The reference scan opens fresh measurement windows for every
+        // flow here; the wheel path already did so for the flows it
+        // evaluated (everything else has an empty meter by
+        // construction).
+        if !self.cfg.poll_wheel {
             self.flows.for_each_value_mut(|fs| fs.meter.reset());
         }
         scratch.clear();
@@ -1019,6 +1024,85 @@ pub(crate) mod tests {
             reg.snapshot().counter("recovery.fallback_decisions"),
             Some(2)
         );
+    }
+
+    #[test]
+    fn a_poll_tallies_its_verdicts_once_and_labels_their_conjunction() {
+        // 50 × 1400 B at 5 ms: an index far above the scale's top.
+        let healthy = |from_ms: u64| {
+            (0..50u64).map(move |i| {
+                let sent = Instant::from_millis(from_ms + i * 10);
+                (sent, sent + Duration::from_millis(5), 1400)
+            })
+        };
+        // 5 × 50 B at 900 ms: an index below the scale's floor.
+        let starved = |from_ms: u64| {
+            (0..5u64).map(move |i| {
+                let sent = Instant::from_millis(from_ms + i * 1_000);
+                (sent, sent + Duration::from_millis(900), 50)
+            })
+        };
+        for poll_wheel in [true, false] {
+            let reg = MetricsRegistry::new();
+            let est = estimator();
+            let est = QoeEstimator::with_registry(
+                AppClass::ALL.map(|c| *est.model(c)),
+                est.scale(),
+                &reg,
+            );
+            let cfg = MiddleboxConfig {
+                poll_wheel,
+                ..MiddleboxConfig::default()
+            };
+            let mut e = FlowEngine::new(cfg, est, FaultPlan::disabled(), &reg);
+            let mut src = Scripted::online(8);
+            for id in 1..=6 {
+                send(&mut e, &mut src, id, 12);
+            }
+            let tally = || {
+                let snap = reg.snapshot();
+                (
+                    snap.counter("qoe.acceptable").unwrap_or(0),
+                    snap.counter("qoe.unacceptable").unwrap_or(0),
+                )
+            };
+
+            // Flows 1–3 healthy, 4–5 starved, 6 idle: five measured, two
+            // of them unacceptable. `expected` is what one counted
+            // verdict per measured flow adds up to.
+            let mut expected = (0, 0);
+            for id in 1..=5 {
+                let window: Vec<_> = if id <= 3 {
+                    healthy(0).collect()
+                } else {
+                    starved(0).collect()
+                };
+                let mut mirror = QosMeter::new();
+                for &(sent, received, size) in &window {
+                    e.record_delivery(&key(id), sent, received, size);
+                    mirror.deliver(sent, received, size);
+                }
+                let class = e.flows.get(&key(id)).unwrap().kind.class;
+                let ok = e.estimator.verdict(class, &mirror.sample());
+                assert_eq!(ok, id <= 3, "flow {id}");
+                expected = (expected.0 + u64::from(ok), expected.1 + u64::from(!ok));
+            }
+            assert_eq!(tally(), (0, 0), "nothing is counted before the poll");
+            assert!(poll(&mut e, &mut src, 5).is_empty());
+            assert_eq!(tally(), expected);
+            assert_eq!(src.observed.last().map(|o| o.1), Some(Label::Neg));
+
+            // Windows reset: a second poll sees only the fresh reports.
+            for id in [2, 3] {
+                for (sent, received, size) in healthy(6_000) {
+                    e.record_delivery(&key(id), sent, received, size);
+                }
+            }
+            assert!(poll(&mut e, &mut src, 10).is_empty());
+            assert_eq!(tally(), (5, 2));
+            assert_eq!(src.observed.last().map(|o| o.1), Some(Label::Pos));
+            assert_eq!(src.observed.len(), 2);
+        }
     }
 
     #[test]

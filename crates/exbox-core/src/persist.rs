@@ -664,6 +664,28 @@ mod tests {
     }
 
     #[test]
+    fn roundtrip_keeps_the_scale_bit_for_bit() {
+        // ln(exp(ln x)) != ln x for this min index: a scale that wrote
+        // back exp(ln min) restored a different normalisation.
+        let min = 1.994902581852944;
+        let est = estimator();
+        let models = AppClass::ALL.map(|c| *est.model(c));
+        let est =
+            QoeEstimator::with_registry(models, QosScale::new(min, 1e8), &MetricsRegistry::new());
+        let mut buf = Vec::new();
+        save_estimator(&est, &mut buf).unwrap();
+        let loaded = load_estimator(&buf[..]).unwrap();
+        assert_eq!(loaded.scale(), est.scale());
+        for idx in [min, 2.5, 1e3, 4.2e5, 1e7] {
+            assert_eq!(
+                loaded.scale().normalize(idx).to_bits(),
+                est.scale().normalize(idx).to_bits(),
+                "normalize({idx})"
+            );
+        }
+    }
+
+    #[test]
     fn format_is_inspectable() {
         let mut buf = Vec::new();
         save_estimator(&estimator(), &mut buf).unwrap();

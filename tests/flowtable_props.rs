@@ -189,7 +189,9 @@ fn trained_classifier(reg: &MetricsRegistry) -> AdmittanceClassifier {
     ac
 }
 
-fn gateway(poll_wheel: bool) -> ConcurrentGateway {
+/// A gateway polling by due list or by scan, with its estimator's
+/// `qoe.*` counters on a registry of its own.
+fn gateway(poll_wheel: bool) -> (ConcurrentGateway, MetricsRegistry) {
     let cfg = GatewayConfig {
         middlebox: MiddleboxConfig {
             poll_wheel,
@@ -198,12 +200,15 @@ fn gateway(poll_wheel: bool) -> ConcurrentGateway {
         ..GatewayConfig::default()
     };
     let reg = MetricsRegistry::new();
-    ConcurrentGateway::with_fault_plan(
+    let est = estimator();
+    let est = QoeEstimator::with_registry(AppClass::ALL.map(|c| *est.model(c)), est.scale(), &reg);
+    let gw = ConcurrentGateway::with_fault_plan(
         cfg,
-        estimator(),
+        est,
         trained_classifier(&reg),
         FaultPlan::disabled(),
-    )
+    );
+    (gw, reg)
 }
 
 /// One step of the scripted cell, applied identically to both sides.
@@ -285,8 +290,8 @@ proptest! {
     fn wheel_polls_equal_scan_polls(
         ops in prop::collection::vec((0u8..6, 0u32..6), 1..80),
     ) {
-        let mut wheel = gateway(true);
-        let mut scan = gateway(false);
+        let (mut wheel, wheel_qoe) = gateway(true);
+        let (mut scan, scan_qoe) = gateway(false);
         let mut t_ms: u64 = 0;
         for &(kind, id) in &ops {
             // Half a poll interval per step: consecutive polls
@@ -317,6 +322,12 @@ proptest! {
             "middlebox.polls",
             "middlebox.departures",
         ] {
+            prop_assert_eq!(w.counter(name), s.counter(name), "counter {}", name);
+        }
+        // Verdicts tallied once per poll add up to the same totals on
+        // both paths.
+        let (w, s) = (wheel_qoe.snapshot(), scan_qoe.snapshot());
+        for name in ["qoe.acceptable", "qoe.unacceptable"] {
             prop_assert_eq!(w.counter(name), s.counter(name), "counter {}", name);
         }
         let (w, s) = (wheel.shutdown().unwrap(), scan.shutdown().unwrap());
