@@ -16,15 +16,15 @@
 //!
 //! Every packet takes [`FlowEngine::probe`]: (1) the run-length
 //! disposition of the previous packet when it is the same flow in a
-//! terminal state, (2) the rejected set — rejected flows drop before
-//! anything else sees them, (3) the admitted-flow map, (4) the early
+//! terminal state, (2) the admitted-flow map — the steady packet of a
+//! served flow costs one probe, (3) the rejected set, (4) the early
 //! classifier. Only a packet that completes a flow's classification
 //! window reaches [`FlowEngine::decide`], the single place an arrival
 //! is admitted or rejected. Admission and rejection are terminal until
 //! a poll revokes or the flow departs, neither of which can run inside
 //! a batch, so (1) can never serve a stale verdict.
 //!
-//! ## One owner per flow, one hash per packet
+//! ## One owner per flow, one hash per lookup
 //!
 //! A flow the engine knows is in exactly one place: a half-filled
 //! window in the early classifier, the admitted-flow map, or the
@@ -35,13 +35,17 @@
 //! ring; a departure, or eviction from the bounded ring, forgets it
 //! altogether. A revoked flow whose rejection record is later evicted
 //! is therefore simply unknown again — classified and decided afresh,
-//! never forwarded on a stale classification.
+//! never forwarded on a stale classification. Because no key is in
+//! both the map and the ring, asking the map first cannot change a
+//! verdict; debug builds assert it on every probe and decision.
 //!
-//! The ring and the map are indexed by the same seedless
-//! [`hash_flow_key`], so a probe, a decision, a departure or a
-//! revocation computes it once and hands it to both; the classifier
-//! keys its own secret hash, and only for packets of flows neither
-//! table knows.
+//! The ring and the map share one index over the key's packed words,
+//! so a probe, a decision, a departure or a revocation packs and
+//! hashes the key once (a `HashedKey`) and hands it to both, and a
+//! delivery or drop report finds its flow's slot and state in one
+//! probe. The routing hash ([`crate::flowtable::hash_flow_key`]) is
+//! not computed here; the classifier keys its own secret hash, and
+//! only for packets of flows neither table knows.
 
 use std::fmt;
 use std::sync::Arc;
@@ -51,7 +55,7 @@ use exbox_net::{AppClass, Duration, EarlyClassifier, FlowKey, Instant, Packet, Q
 use exbox_obs::{buckets, Counter, EventRing, Gauge, Histogram, MetricsRegistry};
 
 use crate::admittance::Phase;
-use crate::flowtable::{hash_flow_key, FlowMap, FlowSlot, RejectedRing, TimerWheel};
+use crate::flowtable::{FlowMap, FlowSlot, HashedKey, RejectedRing, TimerWheel};
 use crate::matrix::{FlowKind, SnrLevel, TrafficMatrix};
 use crate::qoe::QoeEstimator;
 use crate::recovery::{FaultKind, FaultPlan};
@@ -308,11 +312,12 @@ struct FlowState {
 /// [`FlowEngine::flush`].
 #[derive(Debug, Default)]
 pub(crate) struct Run {
-    last: Option<(FlowKey, Action)>,
-    /// `hash_flow_key` of the flow the last full probe looked up —
-    /// the packet a `Probe::Classified` is about, so
+    /// The flow the last full probe looked up, packed and hashed — the
+    /// packet a `Probe::Classified` is about, so
     /// [`FlowEngine::decide`] files the flow without hashing again.
-    hash: u64,
+    key: HashedKey,
+    /// That flow's terminal verdict, if it has one.
+    last: Option<Action>,
     packets: u64,
     drops: u64,
 }
@@ -388,20 +393,27 @@ impl FlowEngine {
     /// module docs.
     pub(crate) fn probe(&mut self, run: &mut Run, pkt: &Packet) -> Probe {
         run.packets += 1;
-        if !matches!(run.last, Some((key, _)) if key == pkt.flow) {
+        let (addr, ports) = pkt.flow.words();
+        if run.last.is_none() || run.key.words() != (addr, ports) {
             // One hash serves both tables (and `decide`, if it comes
-            // to that); the classifier keys its own.
-            run.hash = hash_flow_key(&pkt.flow);
-            run.last = if self.rejected.contains_hashed(run.hash, &pkt.flow) {
-                Some((pkt.flow, Action::Drop))
-            } else if self.flows.contains_hashed(run.hash, &pkt.flow) {
-                Some((pkt.flow, Action::Forward))
+            // to that); the classifier keys its own. A flow has one
+            // owner, so the map — where steady traffic is — goes first.
+            run.key = HashedKey::from_words(addr, ports);
+            run.last = if self.flows.contains_hashed(&run.key) {
+                debug_assert!(
+                    !self.rejected.contains_hashed(&run.key),
+                    "{} is both admitted and rejected",
+                    pkt.flow
+                );
+                Some(Action::Forward)
+            } else if self.rejected.contains_hashed(&run.key) {
+                Some(Action::Drop)
             } else {
                 None
             };
         }
         match run.last {
-            Some((_, verdict)) => {
+            Some(verdict) => {
                 run.drops += u64::from(verdict == Action::Drop);
                 Probe::Done(verdict)
             }
@@ -427,6 +439,11 @@ impl FlowEngine {
         snr: SnrLevel,
         class: AppClass,
     ) -> Action {
+        debug_assert!(
+            !self.flows.contains_hashed(&run.key) && !self.rejected.contains_hashed(&run.key),
+            "{} is decided while a table still owns it",
+            pkt.flow
+        );
         let kind = FlowKind::new(class, snr);
         let matrix = src.matrix();
         let resulting = matrix.with_arrival(kind);
@@ -456,12 +473,12 @@ impl FlowEngine {
                     meter: QosMeter::new(),
                     next_eval: u64::MAX,
                 };
-                self.flows.insert_hashed(run.hash, pkt.flow, state);
+                self.flows.insert_hashed(&run.key, pkt.flow, state);
                 self.metrics.admits.inc();
                 (DecisionKind::Admit, Action::Forward)
             }
             Label::Neg => {
-                self.note_rejection(run.hash, pkt.flow);
+                self.note_rejection(&run.key);
                 self.metrics.rejects.inc();
                 (DecisionKind::Reject, Action::Drop)
             }
@@ -475,7 +492,7 @@ impl FlowEngine {
             margin,
             reason,
         });
-        run.last = Some((pkt.flow, action));
+        run.last = Some(action);
         action
     }
 
@@ -492,9 +509,9 @@ impl FlowEngine {
     /// is all that remembers it — once the record is evicted the flow
     /// is classified and decided afresh. Maintains the eviction
     /// counter, the occupancy gauge and the warn-once
-    /// capacity-pressure log. `hash` is `hash_flow_key(&key)`.
-    fn note_rejection(&mut self, hash: u64, key: FlowKey) {
-        let ins = self.rejected.insert_hashed(hash, key);
+    /// capacity-pressure log.
+    fn note_rejection(&mut self, key: &HashedKey) {
+        let ins = self.rejected.insert_hashed(key);
         self.metrics.rejected_evictions.add(ins.evicted);
         self.metrics
             .rejected_occupancy
@@ -513,12 +530,11 @@ impl FlowEngine {
     /// A QoS report arrived for `key`: apply it to the flow's meter
     /// and, on the first report of the flow's window, put the flow on
     /// the wheel for the next poll tick — so an incremental poll visits
-    /// exactly the flows with fresh meter data.
+    /// exactly the flows with fresh meter data. One index probe finds
+    /// both the flow's state and the handle the wheel needs.
+    #[inline]
     fn meter_report(&mut self, key: &FlowKey, report: impl FnOnce(&mut QosMeter)) {
-        let Some(slot) = self.flows.slot_of(key) else {
-            return;
-        };
-        let Some((_, fs)) = self.flows.get_slot_mut(slot) else {
+        let Some((slot, fs)) = self.flows.get_mut_hashed(&HashedKey::of(key)) else {
             return;
         };
         report(&mut fs.meter);
@@ -557,12 +573,12 @@ impl FlowEngine {
     /// stops at the first table that knew it: the admitted map, else
     /// the rejected ring, else a half-filled classification window.
     pub(crate) fn flow_departed(&mut self, key: &FlowKey) -> Option<FlowKind> {
-        let hash = hash_flow_key(key);
-        if let Some(fs) = self.flows.remove_hashed(hash, key) {
+        let hashed = HashedKey::of(key);
+        if let Some(fs) = self.flows.remove_hashed(&hashed) {
             self.metrics.departures.inc();
             return Some(fs.kind);
         }
-        if self.rejected.remove_hashed(hash, key) {
+        if self.rejected.remove_hashed(&hashed) {
             self.metrics
                 .rejected_occupancy
                 .set(self.rejected.len() as f64);
@@ -694,9 +710,9 @@ impl FlowEngine {
                 };
                 src.remove(kind);
                 matrix.remove(kind);
-                let hash = hash_flow_key(&key);
-                self.flows.remove_hashed(hash, &key);
-                self.note_rejection(hash, key);
+                let hashed = HashedKey::of(&key);
+                self.flows.remove_hashed(&hashed);
+                self.note_rejection(&hashed);
                 out.push((key, PollVerdict::Revoke));
                 self.metrics.revokes.inc();
                 self.decisions.push(DecisionEvent {
@@ -735,6 +751,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::qoe::{paper_directions, train_estimator, QosScale};
     use exbox_net::{Direction, Protocol};
+    use proptest::prelude::*;
 
     pub(crate) fn estimator() -> QoeEstimator {
         let mk = |a: f64, b: f64, g: f64| -> Vec<(f64, f64)> {
@@ -1152,5 +1169,74 @@ pub(crate) mod tests {
         assert_eq!(src.observed[0].0, src.matrix);
         assert_eq!(reg.snapshot().counter("recovery.poll_errors"), Some(1));
         assert_eq!(reg.snapshot().counter("middlebox.polls"), Some(2));
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Half a classification window of one flow's packets.
+        Send(u32),
+        Depart(u32),
+        /// The scripted region now admits at most this many flows.
+        Region(u32),
+        Poll,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..8, 0u32..6).prop_map(|(op, n)| match op {
+            0..=3 => Step::Send(n),
+            4 => Step::Depart(n),
+            5 => Step::Region(n % 4),
+            _ => Step::Poll,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-owner rule that lets `probe` ask the admitted map
+        /// before the rejected ring: through any schedule of
+        /// admissions, rejections, revocations, departures and
+        /// evictions from a two-record ring, no flow is ever in both.
+        #[test]
+        fn a_flow_is_never_both_admitted_and_rejected(
+            steps in prop::collection::vec(step(), 1..120),
+        ) {
+            let reg = MetricsRegistry::new();
+            let cfg = MiddleboxConfig {
+                rejected_capacity: 2,
+                ..MiddleboxConfig::default()
+            };
+            let half = cfg.classify_window / 2;
+            let mut e = engine(cfg, FaultPlan::disabled(), &reg);
+            let mut src = Scripted::online(2);
+            let mut secs = 0;
+            for step in &steps {
+                match *step {
+                    Step::Send(id) => {
+                        send(&mut e, &mut src, id, half);
+                    }
+                    Step::Depart(id) => {
+                        if let Some(kind) = e.flow_departed(&key(id)) {
+                            src.remove(kind);
+                        }
+                    }
+                    Step::Region(cap) => src.admissible = Box::new(move |m| m.total() <= cap),
+                    Step::Poll => {
+                        secs += 2;
+                        poll(&mut e, &mut src, secs);
+                    }
+                }
+                for id in 0..6 {
+                    let k = key(id);
+                    prop_assert!(
+                        !(e.flows.contains_key(&k) && e.rejected.contains(&k)),
+                        "{} is both admitted and rejected after {:?}",
+                        k,
+                        step
+                    );
+                }
+                prop_assert_eq!(e.admitted_flows() as u32, src.matrix.total());
+            }
+        }
     }
 }

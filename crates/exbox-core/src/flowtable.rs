@@ -18,18 +18,25 @@
 //!
 //! [`FlowMap`] replaces it: a dense slab arena (`Vec` + free list)
 //! holding the flow states, addressed by stable [`FlowSlot`] handles,
-//! indexed by an open-addressed table over [`hash_flow_key`] (an
-//! FxHash-style multiply-xor hash — zero dependencies — that the
-//! caller may compute once and hand to several tables), and threaded
-//! by an intrusive doubly-linked list so iteration is **insertion
-//! order**: deterministic, allocation-free, and independent of
-//! hash-table geometry. Determinism contract (DESIGN.md §6): the
-//! iteration order seen by `run_poll` is part of the contract, and
-//! insertion order is a pure function of the operation sequence.
+//! indexed by an open-addressed table, and threaded by an intrusive
+//! doubly-linked list so iteration is **insertion order**:
+//! deterministic, allocation-free, and independent of hash-table
+//! geometry. Determinism contract (DESIGN.md §6): the iteration order
+//! seen by `run_poll` is part of the contract, and insertion order is
+//! a pure function of the operation sequence.
 //!
-//! [`RejectedRing`] is the bounded rejected-flow set rebuilt on the
-//! same hasher: a generation-stamped FIFO ring (stale entries are
-//! skipped by stamp mismatch, never searched for) with occupancy and
+//! The index works on a key's two packed words ([`FlowKey::words`]):
+//! a bucket holds them, so a probe compares two `u64`s, and
+//! `table_hash` folds them through two 64×64→128-bit multiplies by
+//! fixed words — no per-process seed, no dependency. A caller that asks several tables about one
+//! key packs and hashes it once (a `HashedKey`). The shard-routing
+//! [`hash_flow_key`] is a different, costlier function, kept only for
+//! routing; the tables never compute it, so their buckets do not
+//! inherit the bits routing fixes within a shard.
+//!
+//! [`RejectedRing`] is the bounded rejected-flow set on the same
+//! index: a generation-stamped FIFO ring (stale entries are skipped by
+//! stamp mismatch, never searched for) with occupancy and
 //! capacity-pressure reporting.
 //!
 //! [`TimerWheel`] is the due list over poll ticks (a flat `Vec`; the
@@ -43,13 +50,83 @@
 
 use std::collections::VecDeque;
 
-/// The seedless FxHash-style flow hash behind every table here and
-/// the gateway's shard routing; defined next to [`FlowKey`].
+/// The seedless FxHash-style flow hash behind the gateway's shard
+/// routing; defined next to [`FlowKey`]. The tables here do not use it.
 pub use exbox_net::hash_flow_key;
 use exbox_net::FlowKey;
 
-/// Absent link / bucket marker for the intrusive lists and the index.
+/// Absent link marker for the intrusive lists.
 const NIL: u32 = u32::MAX;
+
+/// Bits of an index bucket's tag below the port word: the [`FlowMap`]
+/// slot index. A port word uses 40 bits, so an arena holds at most
+/// 2²⁴ slots.
+const SLOT_BITS: u32 = 24;
+const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
+
+/// Fixed words [`table_hash`] masks a key's words with. The client
+/// half of the first lies in 224.0.0.0/4 (multicast), which is never a
+/// unicast client address, so no real key's address word cancels it;
+/// the second has bits above the 40 a port word uses, so no port word
+/// cancels it.
+const SEED: [u64; 2] = [0xe3b0_c442_98fc_1c14, 0x9a5f_2d47_b1e6_3c8b];
+
+/// A 64×64→128-bit product folded to 64 bits.
+#[inline]
+fn fold(x: u64, y: u64) -> u64 {
+    let p = u128::from(x) * u128::from(y);
+    p as u64 ^ (p >> 64) as u64
+}
+
+/// The tables' hash of a key's packed words (the shape of the early
+/// classifier's keyed hash, with fixed words for its secret): the two
+/// masked words fold through one product, and a second product with
+/// an odd constant spreads the result into the low bits that pick the
+/// bucket. A product is zero when one factor is — here, a key whose
+/// address word equals `SEED[0]` — so the port word enters the second
+/// product too, and even such keys spread by their ports.
+#[inline]
+fn table_hash(addr: u64, ports: u64) -> u64 {
+    fold(
+        fold(addr ^ SEED[0], ports ^ SEED[1]) ^ ports,
+        0x9e37_79b9_7f4a_7c15,
+    )
+}
+
+/// A flow key as the tables see it: its packed words
+/// ([`FlowKey::words`]) and their [`table_hash`], computed once and
+/// handed to every table asked about the key.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct HashedKey {
+    addr: u64,
+    ports: u64,
+    hash: u64,
+}
+
+impl HashedKey {
+    /// Pack and hash `key`.
+    #[inline]
+    pub(crate) fn of(key: &FlowKey) -> Self {
+        let (addr, ports) = key.words();
+        Self::from_words(addr, ports)
+    }
+
+    /// Hash already-packed words.
+    #[inline]
+    pub(crate) fn from_words(addr: u64, ports: u64) -> Self {
+        HashedKey {
+            addr,
+            ports,
+            hash: table_hash(addr, ports),
+        }
+    }
+
+    /// The packed words.
+    #[inline]
+    pub(crate) fn words(&self) -> (u64, u64) {
+        (self.addr, self.ports)
+    }
+}
 
 /// Stable handle to an occupied [`FlowMap`] slot: an arena index plus
 /// a generation stamp. The index is reused after removal but the
@@ -69,25 +146,60 @@ impl FlowSlot {
     }
 }
 
-/// Open-addressed `FlowKey → V` table: linear probing, backward-shift
+/// One index bucket: a key's packed words and what the table stores
+/// for it, in 16 bytes for the [`FlowMap`] index and 24 for the
+/// [`RejectedRing`]'s. All-zero is empty: a port word never is zero.
+#[derive(Debug, Clone, Copy, Default)]
+struct Bucket<E> {
+    /// The key's address word.
+    addr: u64,
+    /// The key's port word `<< SLOT_BITS`, or'd with the `FlowMap`
+    /// slot index (0 in the ring's index).
+    tag: u64,
+    /// The ring's stamp; nothing in the `FlowMap` index.
+    extra: E,
+}
+
+impl<E> Bucket<E> {
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.tag == 0
+    }
+
+    #[inline]
+    fn holds(&self, key: &HashedKey) -> bool {
+        self.addr == key.addr && self.tag >> SLOT_BITS == key.ports
+    }
+
+    #[inline]
+    fn slot(&self) -> u32 {
+        (self.tag & SLOT_MASK) as u32
+    }
+
+    /// The bucket this entry's probe starts from.
+    #[inline]
+    fn home(&self, mask: usize) -> usize {
+        table_hash(self.addr, self.tag >> SLOT_BITS) as usize & mask
+    }
+}
+
+/// Open-addressed key → bucket table: linear probing, backward-shift
 /// deletion (no tombstones), power-of-two capacity, ≤ 7/8 load.
-/// Shared by the [`FlowMap`] index (`V = u32` slot index) and the
-/// [`RejectedRing`] index (`V = u64` stamp). Never iterated, so its
-/// bucket order is invisible to the determinism contract.
-///
-/// Every operation takes the key's [`hash_flow_key`] from the caller,
-/// so a caller that asks several tables about one key — the engine
-/// probes the rejected ring, then the flow map — hashes it once.
+/// Shared by the [`FlowMap`] index (`E = ()`, the slot index in the
+/// tag) and the [`RejectedRing`] index (`E = u64`, the stamp). Never
+/// iterated, so its bucket order is invisible to the determinism
+/// contract. Every operation takes a [`HashedKey`], so a caller that
+/// asks several tables about one key hashes it once.
 #[derive(Debug, Clone)]
-struct FxTable<V: Copy> {
-    buckets: Vec<Option<(FlowKey, V)>>,
+struct FxTable<E> {
+    buckets: Vec<Bucket<E>>,
     len: usize,
 }
 
-impl<V: Copy> FxTable<V> {
+impl<E: Copy + Default> FxTable<E> {
     fn new() -> Self {
         FxTable {
-            buckets: vec![None; 16],
+            buckets: vec![Bucket::default(); 16],
             len: 0,
         }
     }
@@ -98,50 +210,61 @@ impl<V: Copy> FxTable<V> {
     }
 
     #[inline]
-    fn get(&self, hash: u64, key: &FlowKey) -> Option<V> {
+    fn get(&self, key: &HashedKey) -> Option<Bucket<E>> {
         let mask = self.mask();
-        let mut i = (hash as usize) & mask;
+        let mut i = key.hash as usize & mask;
         loop {
-            match &self.buckets[i] {
-                None => return None,
-                Some((k, v)) if k == key => return Some(*v),
-                Some(_) => i = (i + 1) & mask,
+            let b = self.buckets[i];
+            if b.holds(key) {
+                return Some(b);
             }
+            if b.is_empty() {
+                return None;
+            }
+            i = (i + 1) & mask;
         }
     }
 
     /// Insert unless the key is present; an existing entry is left as
-    /// it is and its value returned.
-    fn insert(&mut self, hash: u64, key: FlowKey, value: V) -> Option<V> {
+    /// it is and returned.
+    fn insert(&mut self, key: &HashedKey, slot: u32, extra: E) -> Option<Bucket<E>> {
         if (self.len + 1) * 8 >= self.buckets.len() * 7 {
             self.grow();
         }
         let mask = self.mask();
-        let mut i = (hash as usize) & mask;
+        let mut i = key.hash as usize & mask;
         loop {
-            match &mut self.buckets[i] {
-                slot @ None => {
-                    *slot = Some((key, value));
-                    self.len += 1;
-                    return None;
-                }
-                Some((k, v)) if *k == key => return Some(*v),
-                Some(_) => i = (i + 1) & mask,
+            let b = &mut self.buckets[i];
+            if b.holds(key) {
+                return Some(*b);
             }
+            if b.is_empty() {
+                *b = Bucket {
+                    addr: key.addr,
+                    tag: key.ports << SLOT_BITS | u64::from(slot),
+                    extra,
+                };
+                self.len += 1;
+                return None;
+            }
+            i = (i + 1) & mask;
         }
     }
 
-    fn remove(&mut self, hash: u64, key: &FlowKey) -> Option<V> {
+    fn remove(&mut self, key: &HashedKey) -> Option<Bucket<E>> {
         let mask = self.mask();
-        let mut i = (hash as usize) & mask;
+        let mut i = key.hash as usize & mask;
         loop {
-            match &self.buckets[i] {
-                None => return None,
-                Some((k, _)) if k == key => break,
-                Some(_) => i = (i + 1) & mask,
+            let b = self.buckets[i];
+            if b.holds(key) {
+                break;
             }
+            if b.is_empty() {
+                return None;
+            }
+            i = (i + 1) & mask;
         }
-        let (_, value) = self.buckets[i].take().expect("probe stopped on Some");
+        let removed = std::mem::take(&mut self.buckets[i]);
         self.len -= 1;
         // Backward-shift deletion: pull displaced entries over the
         // hole so probe chains stay contiguous without tombstones.
@@ -149,33 +272,41 @@ impl<V: Copy> FxTable<V> {
         let mut j = i;
         loop {
             j = (j + 1) & mask;
-            let Some((k, _)) = &self.buckets[j] else {
+            let b = self.buckets[j];
+            if b.is_empty() {
                 break;
-            };
-            let home = (hash_flow_key(k) as usize) & mask;
+            }
+            let home = b.home(mask);
             // Move the entry back iff its home does not lie in the
             // cyclic interval (hole, j] — i.e. the probe from `home`
             // passes through `hole`.
             if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.buckets[hole] = self.buckets[j].take();
+                self.buckets[hole] = std::mem::take(&mut self.buckets[j]);
                 hole = j;
             }
         }
-        Some(value)
+        Some(removed)
     }
 
     fn grow(&mut self) {
         let doubled = self.buckets.len() * 2;
-        let old = std::mem::replace(&mut self.buckets, vec![None; doubled]);
+        let old = std::mem::replace(&mut self.buckets, vec![Bucket::default(); doubled]);
         let mask = self.mask();
-        for entry in old.into_iter().flatten() {
-            let mut i = (hash_flow_key(&entry.0) as usize) & mask;
-            while self.buckets[i].is_some() {
+        for b in old.into_iter().filter(|b| !b.is_empty()) {
+            let mut i = b.home(mask);
+            while !self.buckets[i].is_empty() {
                 i = (i + 1) & mask;
             }
-            self.buckets[i] = Some(entry);
+            self.buckets[i] = b;
         }
     }
+}
+
+/// The arena index of a fresh slot appended to an arena of `len`.
+/// Panics past 2²⁴ slots, the most an index bucket can address.
+fn fresh_slot(len: usize) -> u32 {
+    assert!(len as u64 <= SLOT_MASK, "FlowMap holds at most 2^24 flows");
+    len as u32
 }
 
 #[derive(Debug)]
@@ -196,7 +327,8 @@ struct Slot<V> {
 /// `FxTable` for key lookup, and an intrusive doubly-linked list
 /// for deterministic insertion-order iteration. Drop-in replacement
 /// for `HashMap<FlowKey, V>` on the packet path (property-tested
-/// against exactly that reference model in `tests/flowtable_props.rs`).
+/// against exactly that reference model in `tests/flowtable_props.rs`)
+/// for up to 2²⁴ live flows; an insert past that panics.
 ///
 /// Insertion-order rules (the part the determinism contract cares
 /// about): a fresh key appends at the tail; overwriting an existing
@@ -206,7 +338,7 @@ struct Slot<V> {
 #[derive(Debug)]
 pub struct FlowMap<V> {
     slots: Vec<Slot<V>>,
-    index: FxTable<u32>,
+    index: FxTable<()>,
     free_head: u32,
     head: u32,
     tail: u32,
@@ -244,29 +376,39 @@ impl<V> FlowMap<V> {
 
     /// True when `key` is stored.
     pub fn contains_key(&self, key: &FlowKey) -> bool {
-        self.contains_hashed(hash_flow_key(key), key)
+        self.contains_hashed(&HashedKey::of(key))
     }
 
-    /// [`contains_key`](Self::contains_key) given `hash_flow_key(key)`.
-    pub(crate) fn contains_hashed(&self, hash: u64, key: &FlowKey) -> bool {
-        self.index.get(hash, key).is_some()
+    /// [`contains_key`](Self::contains_key) given the packed key.
+    #[inline]
+    pub(crate) fn contains_hashed(&self, key: &HashedKey) -> bool {
+        self.index.get(key).is_some()
     }
 
     /// Shared access by key.
     pub fn get(&self, key: &FlowKey) -> Option<&V> {
-        let idx = self.index.get(hash_flow_key(key), key)?;
+        let idx = self.index.get(&HashedKey::of(key))?.slot();
         self.slots[idx as usize].data.as_ref().map(|(_, v)| v)
     }
 
     /// Mutable access by key.
     pub fn get_mut(&mut self, key: &FlowKey) -> Option<&mut V> {
-        let idx = self.index.get(hash_flow_key(key), key)?;
-        self.slots[idx as usize].data.as_mut().map(|(_, v)| v)
+        self.get_mut_hashed(&HashedKey::of(key)).map(|(_, v)| v)
+    }
+
+    /// The stable handle and mutable access for a packed key, in one
+    /// index probe.
+    #[inline]
+    pub(crate) fn get_mut_hashed(&mut self, key: &HashedKey) -> Option<(FlowSlot, &mut V)> {
+        let index = self.index.get(key)?.slot();
+        let s = &mut self.slots[index as usize];
+        let gen = s.gen;
+        s.data.as_mut().map(|(_, v)| (FlowSlot { index, gen }, v))
     }
 
     /// The stable handle for `key`, if stored.
     pub fn slot_of(&self, key: &FlowKey) -> Option<FlowSlot> {
-        let idx = self.index.get(hash_flow_key(key), key)?;
+        let idx = self.index.get(&HashedKey::of(key))?.slot();
         Some(FlowSlot {
             index: idx,
             gen: self.slots[idx as usize].gen,
@@ -296,22 +438,24 @@ impl<V> FlowMap<V> {
     /// appends at the iteration tail; an existing key keeps both its
     /// position and its handle.
     pub fn insert(&mut self, key: FlowKey, value: V) -> FlowSlot {
-        self.insert_hashed(hash_flow_key(&key), key, value)
+        self.insert_hashed(&HashedKey::of(&key), key, value)
     }
 
-    /// [`insert`](Self::insert) given `hash_flow_key(&key)`. One index
+    /// [`insert`](Self::insert) given `key` already packed and hashed
+    /// as `hashed`. One index
     /// probe: the slot a fresh key would take (the free list's head,
     /// else the arena's end) is offered to the index, which either
     /// records it or answers with the key's existing slot.
-    pub(crate) fn insert_hashed(&mut self, hash: u64, key: FlowKey, value: V) -> FlowSlot {
+    pub(crate) fn insert_hashed(&mut self, hashed: &HashedKey, key: FlowKey, value: V) -> FlowSlot {
+        debug_assert_eq!(*hashed, HashedKey::of(&key));
         let reuse = self.free_head != NIL;
         let idx = if reuse {
             self.free_head
         } else {
-            assert!(self.slots.len() < NIL as usize, "FlowMap slot overflow");
-            self.slots.len() as u32
+            fresh_slot(self.slots.len())
         };
-        if let Some(idx) = self.index.insert(hash, key, idx) {
+        if let Some(b) = self.index.insert(hashed, idx, ()) {
+            let idx = b.slot();
             let s = &mut self.slots[idx as usize];
             s.data = Some((key, value));
             return FlowSlot {
@@ -346,12 +490,12 @@ impl<V> FlowMap<V> {
     /// Remove by key, returning the value. Bumps the slot generation,
     /// invalidating every outstanding handle to it.
     pub fn remove(&mut self, key: &FlowKey) -> Option<V> {
-        self.remove_hashed(hash_flow_key(key), key)
+        self.remove_hashed(&HashedKey::of(key))
     }
 
-    /// [`remove`](Self::remove) given `hash_flow_key(key)`.
-    pub(crate) fn remove_hashed(&mut self, hash: u64, key: &FlowKey) -> Option<V> {
-        let idx = self.index.remove(hash, key)?;
+    /// [`remove`](Self::remove) given the packed key.
+    pub(crate) fn remove_hashed(&mut self, key: &HashedKey) -> Option<V> {
+        let idx = self.index.remove(key)?.slot();
         let (prev, next) = {
             let s = &self.slots[idx as usize];
             (s.prev, s.next)
@@ -457,16 +601,17 @@ pub struct RingInsert {
 const PRESSURE_WINDOW: u64 = 256;
 
 /// Bounded rejected-flow set as a generation-stamped FIFO ring over
-/// [`hash_flow_key`]. Each insert gets a fresh stamp recorded both in
-/// the ring and the index; [`RejectedRing::remove`] only deletes from
-/// the index, leaving a stale ring entry that eviction recognises by
-/// stamp mismatch and skips for free — no linear search, ever. The
+/// the packed-key index. Each insert gets a fresh stamp recorded both
+/// in the ring and the index; [`RejectedRing::remove`] only deletes
+/// from the index, leaving a stale ring entry that eviction recognises
+/// by stamp mismatch and skips for free — no linear search, ever. The
 /// ring is swept wholesale once it outgrows twice the live set, so
 /// memory stays O(capacity).
 #[derive(Debug)]
 pub struct RejectedRing {
     cap: usize,
-    ring: VecDeque<(FlowKey, u64)>,
+    /// `(address word, port word, stamp)` in insertion order.
+    ring: VecDeque<(u64, u64, u64)>,
     index: FxTable<u64>,
     next_stamp: u64,
     inserts: u64,
@@ -492,24 +637,25 @@ impl RejectedRing {
 
     /// True when `key` is currently remembered as rejected.
     pub fn contains(&self, key: &FlowKey) -> bool {
-        self.contains_hashed(hash_flow_key(key), key)
+        self.contains_hashed(&HashedKey::of(key))
     }
 
-    /// [`contains`](Self::contains) given `hash_flow_key(key)`.
-    pub(crate) fn contains_hashed(&self, hash: u64, key: &FlowKey) -> bool {
-        self.index.get(hash, key).is_some()
+    /// [`contains`](Self::contains) given the packed key.
+    #[inline]
+    pub(crate) fn contains_hashed(&self, key: &HashedKey) -> bool {
+        self.index.get(key).is_some()
     }
 
     /// Forget a rejection record (the flow departed); true when there
     /// was one. O(1): the ring entry goes stale instead of being
     /// searched out.
     pub fn remove(&mut self, key: &FlowKey) -> bool {
-        self.remove_hashed(hash_flow_key(key), key)
+        self.remove_hashed(&HashedKey::of(key))
     }
 
-    /// [`remove`](Self::remove) given `hash_flow_key(key)`.
-    pub(crate) fn remove_hashed(&mut self, hash: u64, key: &FlowKey) -> bool {
-        self.index.remove(hash, key).is_some()
+    /// [`remove`](Self::remove) given the packed key.
+    pub(crate) fn remove_hashed(&mut self, key: &HashedKey) -> bool {
+        self.index.remove(key).is_some()
     }
 
     /// Live records (the `middlebox.rejected_occupancy` gauge).
@@ -535,30 +681,30 @@ impl RejectedRing {
     /// Insert a rejection record; reports evictions and (once) the
     /// capacity-pressure condition.
     pub fn insert(&mut self, key: FlowKey) -> RingInsert {
-        self.insert_hashed(hash_flow_key(&key), key)
+        self.insert_hashed(&HashedKey::of(&key))
     }
 
-    /// [`insert`](Self::insert) given `hash_flow_key(&key)`.
-    pub(crate) fn insert_hashed(&mut self, hash: u64, key: FlowKey) -> RingInsert {
+    /// [`insert`](Self::insert) given the packed key.
+    pub(crate) fn insert_hashed(&mut self, key: &HashedKey) -> RingInsert {
         let stamp = self.next_stamp;
-        if self.index.insert(hash, key, stamp).is_some() {
+        if self.index.insert(key, 0, stamp).is_some() {
             return RingInsert {
                 evicted: 0,
                 pressure: false,
             };
         }
         self.next_stamp += 1;
-        self.ring.push_back((key, stamp));
+        self.ring.push_back((key.addr, key.ports, stamp));
         self.inserts += 1;
         let mut evicted = 0;
         while self.index.len > self.cap {
             match self.ring.pop_front() {
-                Some((old, old_stamp)) => {
+                Some((addr, ports, old_stamp)) => {
                     // Stale entries (removed or re-inserted since)
                     // don't count: the live record lives further back.
-                    let old_hash = hash_flow_key(&old);
-                    if self.index.get(old_hash, &old) == Some(old_stamp) {
-                        self.index.remove(old_hash, &old);
+                    let old = HashedKey::from_words(addr, ports);
+                    if self.index.get(&old).map(|b| b.extra) == Some(old_stamp) {
+                        self.index.remove(&old);
                         evicted += 1;
                     }
                 }
@@ -568,8 +714,12 @@ impl RejectedRing {
         self.evictions += evicted;
         if self.ring.len() > 2 * self.index.len.max(self.cap) {
             let index = &self.index;
-            self.ring
-                .retain(|(k, s)| index.get(hash_flow_key(k), k) == Some(*s));
+            self.ring.retain(|&(addr, ports, stamp)| {
+                index
+                    .get(&HashedKey::from_words(addr, ports))
+                    .map(|b| b.extra)
+                    == Some(stamp)
+            });
         }
         RingInsert {
             evicted,
@@ -649,6 +799,7 @@ impl TimerWheel {
 mod tests {
     use super::*;
     use exbox_net::Protocol;
+    use std::net::Ipv4Addr;
 
     fn key(n: u32) -> FlowKey {
         FlowKey::synthetic(n, n, 1, Protocol::Tcp)
@@ -852,29 +1003,158 @@ mod tests {
 
     #[test]
     fn fxtable_backward_shift_keeps_probes_reachable() {
-        // Dense churn at small capacity forces wraparound probes and
-        // backward-shift deletions across the table boundary.
-        let mut t: FxTable<u32> = FxTable::new();
-        let hashed = |n: u32| (hash_flow_key(&key(n)), key(n));
+        // Three keys homed on the last bucket of a fresh table fill it
+        // and wrap to buckets 0 and 1; removing the first must shift
+        // both back across the wrap with their slots intact.
+        let mut t: FxTable<()> = FxTable::new();
+        let last = t.mask();
+        let wrapping: Vec<HashedKey> = (0..)
+            .map(|n| HashedKey::of(&key(n)))
+            .filter(|k| k.hash as usize & last == last)
+            .take(3)
+            .collect();
+        for (slot, k) in (7..).zip(&wrapping) {
+            assert!(t.insert(k, slot, ()).is_none());
+        }
+        assert!(t.buckets[0].holds(&wrapping[1]) && t.buckets[1].holds(&wrapping[2]));
+        assert_eq!(t.remove(&wrapping[0]).map(|b| b.slot()), Some(7));
+        assert!(t.buckets[last].holds(&wrapping[1]) && t.buckets[0].holds(&wrapping[2]));
+        assert!(t.buckets[1].is_empty());
+        assert_eq!(t.get(&wrapping[1]).map(|b| b.slot()), Some(8));
+        assert_eq!(t.get(&wrapping[2]).map(|b| b.slot()), Some(9));
+
+        // Dense churn at small capacity forces more wraparound probes
+        // and backward-shift deletions across the table boundary.
+        let mut t: FxTable<u64> = FxTable::new();
+        let hashed = |n: u32| HashedKey::of(&key(n));
+        let stamp = |t: &FxTable<u64>, k: &HashedKey| t.get(k).map(|b| b.extra);
         for round in 0u32..50 {
             for n in 0..12 {
-                let (h, k) = hashed(round * 12 + n);
-                assert_eq!(t.insert(h, k, n), None);
-                assert_eq!(t.insert(h, k, 99), Some(n), "present: left as it is");
+                let k = hashed(round * 12 + n);
+                assert!(t.insert(&k, 0, n.into()).is_none());
+                let present = t.insert(&k, 0, 99).map(|b| b.extra);
+                assert_eq!(present, Some(n.into()), "present: left as it is");
             }
             for n in 0..12 {
-                let (h, k) = hashed(round * 12 + n);
+                let k = hashed(round * 12 + n);
                 if n % 3 != 0 {
-                    assert_eq!(t.remove(h, &k), Some(n));
-                    assert_eq!(t.get(h, &k), None);
+                    assert_eq!(t.remove(&k).map(|b| b.extra), Some(n.into()));
+                    assert_eq!(stamp(&t, &k), None);
                 }
             }
             for n in 0..12 {
-                let (h, k) = hashed(round * 12 + n);
+                let k = hashed(round * 12 + n);
                 if n % 3 == 0 {
-                    assert_eq!(t.get(h, &k), Some(n));
+                    assert_eq!(stamp(&t, &k), Some(n.into()));
                 }
             }
         }
+    }
+
+    #[test]
+    fn buckets_hold_the_packed_words_in_16_and_24_bytes() {
+        assert_eq!(std::mem::size_of::<Bucket<()>>(), 16);
+        assert_eq!(std::mem::size_of::<Bucket<u64>>(), 24);
+        // The widest port word and the highest slot share one tag.
+        let widest = FlowKey::new(
+            Ipv4Addr::BROADCAST,
+            u16::MAX,
+            Ipv4Addr::BROADCAST,
+            u16::MAX,
+            Protocol::Udp,
+        );
+        let (k, top) = (HashedKey::of(&widest), SLOT_MASK as u32);
+        let mut t: FxTable<()> = FxTable::new();
+        t.insert(&k, top, ());
+        assert_eq!(t.get(&k).map(|b| b.slot()), Some(top));
+        assert!(t.get(&HashedKey::of(&key(1))).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^24 flows")]
+    fn the_arena_stops_at_2_24_slots() {
+        assert_eq!(fresh_slot(SLOT_MASK as usize), (1 << 24) - 1);
+        fresh_slot(1 << 24);
+    }
+
+    /// Buckets a lookup of each stored key visits: the most and the
+    /// mean.
+    fn probe_lengths<E: Copy + Default>(t: &FxTable<E>) -> (usize, f64) {
+        let mask = t.mask();
+        let lengths: Vec<usize> = t
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| !b.is_empty())
+            .map(|(i, b)| (i.wrapping_sub(b.home(mask)) & mask) + 1)
+            .collect();
+        let total: usize = lengths.iter().sum();
+        let longest = lengths.into_iter().max().unwrap_or(0);
+        (longest, total as f64 / t.len.max(1) as f64)
+    }
+
+    fn filled(keys: impl IntoIterator<Item = FlowKey>) -> FxTable<()> {
+        let mut t = FxTable::new();
+        for k in keys {
+            t.insert(&HashedKey::of(&k), 0, ());
+        }
+        t
+    }
+
+    /// Linear probing at the table's ≤ 7/8 load: 10⁵ keys hashed by a
+    /// random function fill 131 072 buckets to 0.76 and give a mean
+    /// lookup of about 2.6 buckets and a longest of 120–180 (eight
+    /// random seeds). A hash that clusters these keys breaks both.
+    fn assert_spread(name: &str, t: &FxTable<()>) {
+        let (longest, mean) = probe_lengths(t);
+        assert!(
+            longest <= 256 && mean <= 3.0,
+            "{name}: longest probe {longest}, mean {mean:.2}"
+        );
+    }
+
+    #[test]
+    fn probes_stay_short_for_synthetic_and_ledger_shaped_keys() {
+        const N: u32 = 100_000;
+        // The ledger's session keys: the session id split into a
+        // 16-bit client and a flow port, one server per class.
+        let session = |id: u32| {
+            FlowKey::synthetic(id % 65_536, id / 65_536, (id % 6) as u8 + 1, Protocol::Tcp)
+        };
+        let tables = [
+            ("synthetic", filled((0..N).map(key))),
+            ("ledger", filled((0..N).map(session))),
+            // One shard of two: routing fixes bits of its own hash,
+            // which must not leave the table's buckets half used.
+            (
+                "ledger shard",
+                filled(
+                    (0..2 * N)
+                        .map(session)
+                        .filter(|k| crate::gateway::route(k, 2) == 0),
+                ),
+            ),
+        ];
+        for (name, t) in &tables {
+            assert!(t.len >= 95_000, "{name}: {} keys", t.len);
+            assert_spread(name, t);
+        }
+    }
+
+    #[test]
+    fn keys_cancelling_the_seed_word_still_spread() {
+        // The first seed word's client half is multicast, so no unicast
+        // client's address word cancels it ...
+        let client = Ipv4Addr::from((SEED[0] >> 32) as u32);
+        assert!(client.is_multicast());
+        assert_ne!(SEED[1] >> 40, 0, "no port word cancels the second");
+        // ... and a key that does zeroes the first product, but its
+        // port word still spreads it over the buckets.
+        let server = Ipv4Addr::from(SEED[0] as u32);
+        let keys: Vec<FlowKey> = (0..10_000u32)
+            .map(|n| FlowKey::new(client, n as u16, server, 443, Protocol::Udp))
+            .collect();
+        assert_eq!(keys[0].words().0, SEED[0]);
+        assert_spread("seed-cancelling", &filled(keys));
     }
 }

@@ -85,9 +85,9 @@ use trainer::{TrainerHandle, TrainerMetrics, TrainerMsg};
 /// out of `shards` lanes.
 ///
 /// **Stable-routing contract.** Routing is a pure function of the flow
-/// key and the shard count — `hash_flow_key(key) % shards`, the same
-/// FxHash used by the flow table's index — with no per-process seed,
-/// so a given flow maps to the same shard across runs, processes and
+/// key and the shard count — `hash_flow_key(key) % shards`, a seedless
+/// FxHash independent of the flow tables' own hash — with no
+/// per-process seed, so a given flow maps to the same shard across runs, processes and
 /// driving styles (sequential, `take_shards`, pipeline). Tests pin
 /// concrete assignments (`tests/gateway_concurrent.rs`); changing this
 /// function redistributes flow state and is a breaking change to any
@@ -343,10 +343,10 @@ impl ConcurrentGateway {
     /// The shard index owning `key`'s flow state; every packet, QoS
     /// report and departure for one flow must reach this shard.
     ///
-    /// Routing is the seedless FxHash already computed for the flow
-    /// table's index ([`crate::flowtable::hash_flow_key`]) — one
-    /// multiply-xor mix instead of the SipHash rounds `DefaultHasher`
-    /// used to spend per packet — and follows the stable-routing
+    /// Routing is the seedless FxHash
+    /// [`crate::flowtable::hash_flow_key`] — a few multiply-xor steps
+    /// instead of the SipHash rounds `DefaultHasher` used to spend per
+    /// packet, skipped with one shard — and follows the stable-routing
     /// contract documented on `route`: deterministic across runs,
     /// processes and driving styles for a given shard count.
     pub fn shard_for(&self, key: &FlowKey) -> usize {

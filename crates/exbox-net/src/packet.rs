@@ -111,10 +111,14 @@ impl FlowKey {
         }
     }
 
-    /// The 13 significant bytes packed into two words — addresses in
-    /// one, ports and protocol in the other — for the flow hashes.
+    /// The 13 significant bytes packed into two words, which the flow
+    /// hashes and tables work on instead of the fields: the address
+    /// word `client_ip << 32 | server_ip` and the port word
+    /// `client_port << 24 | server_port << 8 | ip_proto`. The port word
+    /// uses the low 40 bits and is never zero (the protocol byte is 6
+    /// or 17). Distinct keys have distinct word pairs.
     #[inline]
-    pub(crate) fn words(&self) -> (u64, u64) {
+    pub fn words(&self) -> (u64, u64) {
         let a = (u32::from(self.client_ip) as u64) << 32 | u32::from(self.server_ip) as u64;
         let b = (self.client_port as u64) << 24
             | (self.server_port as u64) << 8
@@ -127,13 +131,13 @@ impl FlowKey {
 /// packed into two words and folded with the rotate-xor-multiply step
 /// rustc's own hash tables use, plus a final avalanche so the low
 /// bits (which pick the bucket) depend on every field, an order of
-/// magnitude cheaper than SipHash on this fixed layout. Seedless on
-/// purpose: it is also the gateway's shard-routing function, which
-/// must map a flow to the same shard in every process (the
-/// stable-routing contract), and the tables it indexes take a key only
-/// once its flow completed a classification window and was decided.
-/// The table that inserts on a flow's *first* packet — the early
-/// classifier's — is keyed instead ([`crate::classify`]).
+/// magnitude cheaper than SipHash on this fixed layout. It is the
+/// gateway's shard-routing function, seedless on purpose: routing must
+/// map a flow to the same shard in every process (the stable-routing
+/// contract). The flow tables behind the shards hash the same
+/// [`FlowKey::words`] with a cheaper function of their own, and the
+/// table that inserts on a flow's *first* packet — the early
+/// classifier's — is keyed ([`crate::classify`]).
 #[inline]
 pub fn hash_flow_key(key: &FlowKey) -> u64 {
     const K: u64 = 0x517c_c1b7_2722_0a95;

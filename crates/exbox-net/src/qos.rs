@@ -95,6 +95,7 @@ impl QosMeter {
     /// window, and closes at the latest receive time — so reports
     /// arriving out of order (normal for an AP's tx-status feed)
     /// neither shrink the span nor inflate the throughput.
+    #[inline]
     pub fn deliver(&mut self, sent: Instant, received: Instant, size: u32) {
         self.window_start = Some(self.window_start.map_or(sent, |start| start.min(sent)));
         self.last_delivery = Some(self.last_delivery.map_or(received, |end| end.max(received)));
@@ -104,6 +105,7 @@ impl QosMeter {
     }
 
     /// Record a dropped packet.
+    #[inline]
     pub fn drop_packet(&mut self) {
         self.dropped += 1;
     }
