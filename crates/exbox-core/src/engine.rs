@@ -1,61 +1,63 @@
 //! The flow state machine behind every gateway shard (paper Fig. 5):
 //! early classify → admit → meter → poll/revoke, written once.
 //!
-//! A [`FlowEngine`] owns one partition's serving state — admitted
-//! flows with their QoS meters, the bounded rejected set, the poll
-//! timer wheel, the early classifier, the decision audit ring and the
-//! `middlebox.*` / `recovery.*` metric handles — and the steps over
-//! it. What it does *not* own is the learnt model and the cell-wide
-//! occupancy: those live behind a [`ModelSource`] — in production a
+//! A [`FlowEngine`] owns one partition's serving state — the flow
+//! index, the admitted flows with their QoS meters, the bounded
+//! rejected-flow FIFO, the poll due list, the early classifier's
+//! windows, the decision audit ring and the `middlebox.*` /
+//! `recovery.*` metric handles — and the steps over it. What it does
+//! *not* own is the learnt model and the cell-wide occupancy: those
+//! live behind a [`ModelSource`] — in production a
 //! [`GatewayShard`](crate::gateway::GatewayShard)'s pinned
 //! [`ModelSnapshot`](crate::gateway::ModelSnapshot) and the
 //! [`SharedMatrix`](crate::gateway::SharedMatrix), with observations
 //! shipped to the background trainer.
 //!
-//! ## The probe order
+//! ## One index, one owner per flow
 //!
-//! Every packet takes [`FlowEngine::probe`]: (1) the run-length
+//! A flow the engine knows is in exactly one place, and one keyed
+//! [`FlowIndex`] says which: `Classifying(window)` while its first
+//! packets fill a classification window, `Admitted(slot)` in the
+//! admitted-flow arena, or `Rejected(stamp)` in the FIFO. One owner
+//! per flow is structural — a key has one bucket and a bucket one
+//! place — and a flow that moves on is retagged in its bucket: the
+//! deciding packet turns `Classifying` into `Admitted` or `Rejected`,
+//! a revocation turns `Admitted` into `Rejected`. A departure, or
+//! eviction from the bounded FIFO, unindexes the flow altogether, so a
+//! revoked flow whose record is later evicted is simply unknown again
+//! — classified and decided afresh, never forwarded on a stale
+//! classification.
+//!
+//! ## One hash, one probe
+//!
+//! Every packet takes [`FlowEngine::probe`]: the run-length
 //! disposition of the previous packet when it is the same flow in a
-//! terminal state, (2) the admitted-flow map — the steady packet of a
-//! served flow costs one probe, (3) the rejected set, (4) the early
-//! classifier. Only a packet that completes a flow's classification
-//! window reaches [`FlowEngine::decide`], the single place an arrival
-//! is admitted or rejected. Admission and rejection are terminal until
-//! a poll revokes or the flow departs, neither of which can run inside
-//! a batch, so (1) can never serve a stale verdict.
-//!
-//! ## One owner per flow, one hash per lookup
-//!
-//! A flow the engine knows is in exactly one place: a half-filled
-//! window in the early classifier, the admitted-flow map, or the
-//! rejected ring. The classifier hands a flow over the moment its
-//! window completes and keeps nothing
-//! ([`EarlyClassifier::observe`]); [`FlowEngine::decide`] files it as
-//! admitted or rejected; a revocation moves it from the map to the
-//! ring; a departure, or eviction from the bounded ring, forgets it
-//! altogether. A revoked flow whose rejection record is later evicted
-//! is therefore simply unknown again — classified and decided afresh,
-//! never forwarded on a stale classification. Because no key is in
-//! both the map and the ring, asking the map first cannot change a
-//! verdict; debug builds assert it on every probe and decision.
-//!
-//! The ring and the map share one index over the key's packed words,
-//! so a probe, a decision, a departure or a revocation packs and
-//! hashes the key once (a `HashedKey`) and hands it to both, and a
-//! delivery or drop report finds its flow's slot and state in one
-//! probe. The routing hash ([`crate::flowtable::hash_flow_key`]) is
-//! not computed here; the classifier keys its own secret hash, and
-//! only for packets of flows neither table knows.
+//! terminal state, else one keyed hash and one index probe, whose
+//! place answers — admitted forwards, rejected drops, and an undecided
+//! flow's packet joins its window ([`EarlyClassifier::feed`]; the
+//! packet is forwarded meanwhile, §4.2). Only a packet that settles a
+//! flow reaches [`FlowEngine::decide`], the single place an arrival is
+//! admitted or rejected, and it retags the bucket the probe ended on
+//! (kept in the batch's [`Run`]) without probing again. Admission and
+//! rejection are terminal until a poll revokes or the flow departs,
+//! neither of which can run inside a batch, so the run-length
+//! disposition never serves a stale verdict. A delivery or drop
+//! report, a departure, a poll's revoke and a FIFO eviction are one
+//! hash and one probe each. The routing hash
+//! ([`crate::flowtable::hash_flow_key`]) is not computed here.
 
 use std::fmt;
 use std::sync::Arc;
 
 use exbox_ml::Label;
-use exbox_net::{AppClass, Duration, EarlyClassifier, FlowKey, Instant, Packet, QosMeter};
+use exbox_net::{
+    AppClass, Duration, EarlyClassifier, FlowIndex, FlowKey, IndexKey, Instant, Packet, Place,
+    QosMeter, Spot, WindowStep,
+};
 use exbox_obs::{buckets, Counter, EventRing, Gauge, Histogram, MetricsRegistry};
 
 use crate::admittance::Phase;
-use crate::flowtable::{FlowMap, FlowSlot, HashedKey, RejectedRing, TimerWheel};
+use crate::flowtable::{Arena, FlowSlot, RejectFifo, TimerWheel};
 use crate::matrix::{FlowKind, SnrLevel, TrafficMatrix};
 use crate::qoe::QoeEstimator;
 use crate::recovery::{FaultKind, FaultPlan};
@@ -151,7 +153,9 @@ pub struct MiddleboxConfig {
     pub poll_interval: Duration,
     /// Most recent [`DecisionEvent`]s retained in the audit ring.
     pub decision_log_capacity: usize,
-    /// Most rejected flows remembered for packet dropping (minimum 1).
+    /// Most rejected flows remembered for packet dropping (minimum 1,
+    /// at most 2^21 − 1 — the flow index keeps record stamps modulo
+    /// 2^22; building an engine past that panics).
     /// Oldest rejection records are evicted FIFO beyond this, counted
     /// by `middlebox.rejected_evictions`; an evicted flow that keeps
     /// sending re-enters early classification.
@@ -213,7 +217,7 @@ pub(crate) trait ModelSource {
         self.decide(standing)
     }
     /// Feed a poll's verdict on the standing matrix to the trainer.
-    fn observe(&mut self, label: Label);
+    fn learn(&mut self, label: Label);
 }
 
 /// Instrumentation handles for the engine's hot paths. Counter pairs
@@ -259,7 +263,8 @@ struct EngineMetrics {
     /// window open, sampled at each executed poll. A flow that sends
     /// fewer than `classify_window` packets and never departs (DNS, a
     /// scan) holds its window for good; this gauge is what reports
-    /// them — the half-open table itself is not bounded.
+    /// them — nothing evicts half-open flows, and the window arena
+    /// panics past 2^22 of them.
     classifying_flows: Arc<Gauge>,
     /// `recovery.fallback_decisions` — arrival decisions served by the
     /// occupancy baseline because no model was available.
@@ -312,14 +317,26 @@ struct FlowState {
 /// [`FlowEngine::flush`].
 #[derive(Debug, Default)]
 pub(crate) struct Run {
-    /// The flow the last full probe looked up, packed and hashed — the
-    /// packet a `Probe::Classified` is about, so
-    /// [`FlowEngine::decide`] files the flow without hashing again.
-    key: HashedKey,
+    /// The flow the last probe looked up, packed and hashed — the
+    /// packet a `Probe::Classified` is about.
+    key: IndexKey,
+    /// Where that probe ended: the bucket [`FlowEngine::decide`]
+    /// retags (or fills, for a flow settled on its first packet).
+    spot: Spot,
     /// That flow's terminal verdict, if it has one.
     last: Option<Action>,
     packets: u64,
     drops: u64,
+}
+
+impl Run {
+    /// Serve a flow's terminal verdict, and remember it for the flow's
+    /// next packet.
+    fn serve(&mut self, verdict: Action) -> Probe {
+        self.last = Some(verdict);
+        self.drops += u64::from(verdict == Action::Drop);
+        Probe::Done(verdict)
+    }
 }
 
 /// What [`FlowEngine::probe`] found for a packet.
@@ -328,8 +345,9 @@ pub(crate) enum Probe {
     /// The verdict is known without a decision: the flow is rejected,
     /// admitted, or still being classified (forwarded, §4.2).
     Done(Action),
-    /// This packet completed the flow's classification window: an
-    /// admission decision is owed ([`FlowEngine::decide`]).
+    /// This packet settled the flow's class: an admission decision is
+    /// owed, and [`FlowEngine::decide`] must take it before anything
+    /// else touches the engine.
     Classified(AppClass),
 }
 
@@ -339,8 +357,12 @@ pub(crate) struct FlowEngine {
     cfg: MiddleboxConfig,
     early: EarlyClassifier,
     estimator: QoeEstimator,
-    flows: FlowMap<FlowState>,
-    rejected: RejectedRing,
+    /// Every flow the engine knows, and where it is.
+    index: FlowIndex,
+    /// Admitted flows' states, oldest admission first.
+    flows: Arena<FlowState>,
+    /// Rejection records, oldest first.
+    rejected: RejectFifo,
     /// Next-evaluation deadlines for admitted flows, in poll ticks.
     wheel: TimerWheel,
     /// Polls executed so far == the wheel's current tick.
@@ -364,8 +386,9 @@ impl FlowEngine {
         FlowEngine {
             early: EarlyClassifier::with_default_profiles(cfg.classify_window),
             estimator,
-            flows: FlowMap::new(),
-            rejected: RejectedRing::new(cfg.rejected_capacity),
+            index: FlowIndex::new(),
+            flows: Arena::new(),
+            rejected: RejectFifo::new(cfg.rejected_capacity),
             wheel: TimerWheel::new(),
             poll_seq: 0,
             poll_scratch: Vec::new(),
@@ -389,40 +412,35 @@ impl FlowEngine {
         &self.decisions
     }
 
-    /// The pre-decision path of one packet, in the probe order of the
-    /// module docs.
+    /// The pre-decision path of one packet: the run-length disposition,
+    /// else one index probe (module docs).
     pub(crate) fn probe(&mut self, run: &mut Run, pkt: &Packet) -> Probe {
         run.packets += 1;
         let (addr, ports) = pkt.flow.words();
-        if run.last.is_none() || run.key.words() != (addr, ports) {
-            // One hash serves both tables (and `decide`, if it comes
-            // to that); the classifier keys its own. A flow has one
-            // owner, so the map — where steady traffic is — goes first.
-            run.key = HashedKey::from_words(addr, ports);
-            run.last = if self.flows.contains_hashed(&run.key) {
-                debug_assert!(
-                    !self.rejected.contains_hashed(&run.key),
-                    "{} is both admitted and rejected",
-                    pkt.flow
-                );
-                Some(Action::Forward)
-            } else if self.rejected.contains_hashed(&run.key) {
-                Some(Action::Drop)
-            } else {
-                None
-            };
+        if run.key.words() != (addr, ports) {
+            run.key = self.index.key_words(addr, ports);
+        } else if let Some(verdict) = run.last {
+            return run.serve(verdict);
         }
-        match run.last {
-            Some(verdict) => {
-                run.drops += u64::from(verdict == Action::Drop);
-                Probe::Done(verdict)
+        let (spot, place) = self.index.find(&run.key);
+        run.spot = spot;
+        let window = match place {
+            Some(Place::Admitted(_)) => return run.serve(Action::Forward),
+            Some(Place::Rejected(_)) => return run.serve(Action::Drop),
+            Some(Place::Classifying(window)) => Some(window),
+            None => None,
+        };
+        // An undecided flow: its packets fill the classification
+        // window and are forwarded meanwhile (brief pre-admission,
+        // §4.2).
+        run.last = None;
+        match self.early.feed(window, pkt) {
+            WindowStep::Opened(window) => {
+                self.index.put(spot, &run.key, Place::Classifying(window));
+                Probe::Done(Action::Forward)
             }
-            // Unclassified flow: keep feeding the early classifier. The
-            // buffered packets are forwarded (brief pre-admission, §4.2).
-            None => match self.early.observe(pkt) {
-                None => Probe::Done(Action::Forward),
-                Some(class) => Probe::Classified(class),
-            },
+            WindowStep::Pending => Probe::Done(Action::Forward),
+            WindowStep::Settled(class) => Probe::Classified(class),
         }
     }
 
@@ -430,7 +448,8 @@ impl FlowEngine {
     /// and apply the verdict: the matrix the admission would produce is
     /// scored by the model source — or, in degraded mode, the current
     /// occupancy is held against the fallback cap and the margin is
-    /// unknowable.
+    /// unknowable. The verdict retags the flow's bucket, which the
+    /// packet's probe left in `run`.
     pub(crate) fn decide<S: ModelSource>(
         &mut self,
         run: &mut Run,
@@ -439,11 +458,6 @@ impl FlowEngine {
         snr: SnrLevel,
         class: AppClass,
     ) -> Action {
-        debug_assert!(
-            !self.flows.contains_hashed(&run.key) && !self.rejected.contains_hashed(&run.key),
-            "{} is decided while a table still owns it",
-            pkt.flow
-        );
         let kind = FlowKind::new(class, snr);
         let matrix = src.matrix();
         let resulting = matrix.with_arrival(kind);
@@ -473,12 +487,14 @@ impl FlowEngine {
                     meter: QosMeter::new(),
                     next_eval: u64::MAX,
                 };
-                self.flows.insert_hashed(&run.key, pkt.flow, state);
+                let slot = self.flows.push(pkt.flow, state);
+                self.index
+                    .put(run.spot, &run.key, Place::Admitted(slot.index()));
                 self.metrics.admits.inc();
                 (DecisionKind::Admit, Action::Forward)
             }
             Label::Neg => {
-                self.note_rejection(&run.key);
+                self.note_rejection(run.spot, &run.key);
                 self.metrics.rejects.inc();
                 (DecisionKind::Reject, Action::Drop)
             }
@@ -505,13 +521,13 @@ impl FlowEngine {
     }
 
     /// A flow stops being served (arrival rejection or revocation):
-    /// remember it in the bounded ring so its packets drop. The ring
-    /// is all that remembers it — once the record is evicted the flow
-    /// is classified and decided afresh. Maintains the eviction
-    /// counter, the occupancy gauge and the warn-once
-    /// capacity-pressure log.
-    fn note_rejection(&mut self, key: &HashedKey) {
-        let ins = self.rejected.insert_hashed(key);
+    /// retag its bucket, found at `spot`, as a record of the bounded
+    /// FIFO so its packets drop. The record is all that remembers it —
+    /// once it is evicted the flow is classified and decided afresh.
+    /// Maintains the eviction counter, the occupancy gauge and the
+    /// warn-once capacity-pressure log.
+    fn note_rejection(&mut self, spot: Spot, key: &IndexKey) {
+        let ins = self.rejected.file(&mut self.index, spot, key);
         self.metrics.rejected_evictions.add(ins.evicted);
         self.metrics
             .rejected_occupancy
@@ -531,12 +547,14 @@ impl FlowEngine {
     /// and, on the first report of the flow's window, put the flow on
     /// the wheel for the next poll tick — so an incremental poll visits
     /// exactly the flows with fresh meter data. One index probe finds
-    /// both the flow's state and the handle the wheel needs.
+    /// the flow's arena slot; a report for a flow not admitted is
+    /// ignored.
     #[inline]
     fn meter_report(&mut self, key: &FlowKey, report: impl FnOnce(&mut QosMeter)) {
-        let Some((slot, fs)) = self.flows.get_mut_hashed(&HashedKey::of(key)) else {
+        let Some(Place::Admitted(index)) = self.index.get(&self.index.key(key)) else {
             return;
         };
+        let (slot, fs) = self.flows.at_mut(index);
         report(&mut fs.meter);
         if self.cfg.poll_wheel && fs.next_eval == u64::MAX {
             fs.next_eval = self.wheel.now() + 1;
@@ -564,28 +582,30 @@ impl FlowEngine {
         self.meter_report(key, QosMeter::drop_packet);
     }
 
-    /// A flow ended (FIN/idle-eviction): release its slot and return
-    /// its kind, if it was admitted, for the caller to take out of the
-    /// matrix. Any pending timer-wheel entry goes stale and is skipped
-    /// at its tick (the slot's generation no longer resolves).
-    ///
-    /// A flow has one owner at a time (module docs), so the search
-    /// stops at the first table that knew it: the admitted map, else
-    /// the rejected ring, else a half-filled classification window.
+    /// A flow ended (FIN/idle-eviction): unindex it and release what
+    /// its place held — an arena slot, a rejection record or a
+    /// half-filled window — returning its kind, if it was admitted,
+    /// for the caller to take out of the matrix. Any pending due-list
+    /// entry goes stale and is skipped at its tick (the slot's
+    /// generation no longer resolves).
     pub(crate) fn flow_departed(&mut self, key: &FlowKey) -> Option<FlowKind> {
-        let hashed = HashedKey::of(key);
-        if let Some(fs) = self.flows.remove_hashed(&hashed) {
-            self.metrics.departures.inc();
-            return Some(fs.kind);
+        match self.index.remove(&self.index.key(key))? {
+            Place::Admitted(index) => {
+                self.metrics.departures.inc();
+                Some(self.flows.take(index).1.kind)
+            }
+            Place::Rejected(_) => {
+                self.rejected.forget();
+                self.metrics
+                    .rejected_occupancy
+                    .set(self.rejected.len() as f64);
+                None
+            }
+            Place::Classifying(window) => {
+                self.early.close_window(window);
+                None
+            }
         }
-        if self.rejected.remove_hashed(&hashed) {
-            self.metrics
-                .rejected_occupancy
-                .set(self.rejected.len() as f64);
-        } else {
-            self.early.forget(key);
-        }
-        None
     }
 
     /// Whether `poll_interval` has elapsed since the last executed
@@ -687,7 +707,7 @@ impl FlowEngine {
         if self.faults.should_inject(FaultKind::PollError) {
             self.metrics.poll_errors.inc();
         } else if ok + not_ok > 0 {
-            src.observe(if not_ok == 0 { Label::Pos } else { Label::Neg });
+            src.learn(if not_ok == 0 { Label::Pos } else { Label::Neg });
         }
 
         // Re-evaluate the admitted set against the current region; an
@@ -705,14 +725,17 @@ impl FlowEngine {
                 self.metrics.keeps.add(self.flows.len() as u64);
             }
             while label == Label::Neg {
-                let Some((key, kind)) = self.flows.front().map(|(k, fs)| (*k, fs.kind)) else {
+                let Some((slot, key, kind)) = self.flows.front().map(|(s, k, fs)| (s, *k, fs.kind))
+                else {
                     break;
                 };
                 src.remove(kind);
                 matrix.remove(kind);
-                let hashed = HashedKey::of(&key);
-                self.flows.remove_hashed(&hashed);
-                self.note_rejection(&hashed);
+                let hashed = self.index.key(&key);
+                let (spot, place) = self.index.find(&hashed);
+                debug_assert_eq!(place, Some(Place::Admitted(slot.index())));
+                self.flows.take(slot.index());
+                self.note_rejection(spot, &hashed);
                 out.push((key, PollVerdict::Revoke));
                 self.metrics.revokes.inc();
                 self.decisions.push(DecisionEvent {
@@ -751,7 +774,6 @@ pub(crate) mod tests {
     use super::*;
     use crate::qoe::{paper_directions, train_estimator, QosScale};
     use exbox_net::{Direction, Protocol};
-    use proptest::prelude::*;
 
     pub(crate) fn estimator() -> QoeEstimator {
         let mk = |a: f64, b: f64, g: f64| -> Vec<(f64, f64)> {
@@ -841,7 +863,7 @@ pub(crate) mod tests {
             }
         }
 
-        fn observe(&mut self, label: Label) {
+        fn learn(&mut self, label: Label) {
             self.observed.push((self.matrix, label));
         }
     }
@@ -852,6 +874,14 @@ pub(crate) mod tests {
 
     fn key(id: u32) -> FlowKey {
         FlowKey::synthetic(id, id, 1, Protocol::Tcp)
+    }
+
+    /// The state of admitted flow `id`.
+    fn admitted(e: &FlowEngine, id: u32) -> &FlowState {
+        match e.index.get(&e.index.key(&key(id))) {
+            Some(Place::Admitted(index)) => e.flows.at(index).1,
+            place => panic!("flow {id} is {place:?}"),
+        }
     }
 
     /// Feed `n` packets of flow `id` as one batch.
@@ -1099,7 +1129,7 @@ pub(crate) mod tests {
                     e.record_delivery(&key(id), sent, received, size);
                     mirror.deliver(sent, received, size);
                 }
-                let class = e.flows.get(&key(id)).unwrap().kind.class;
+                let class = admitted(&e, id).kind.class;
                 let ok = e.estimator.verdict(class, &mirror.sample());
                 assert_eq!(ok, id <= 3, "flow {id}");
                 expected = (expected.0 + u64::from(ok), expected.1 + u64::from(!ok));
@@ -1171,72 +1201,28 @@ pub(crate) mod tests {
         assert_eq!(reg.snapshot().counter("middlebox.polls"), Some(2));
     }
 
-    #[derive(Debug, Clone)]
-    enum Step {
-        /// Half a classification window of one flow's packets.
-        Send(u32),
-        Depart(u32),
-        /// The scripted region now admits at most this many flows.
-        Region(u32),
-        Poll,
+    #[test]
+    fn engines_built_in_one_process_hash_under_different_secrets() {
+        let reg = MetricsRegistry::new();
+        let fresh = || engine(MiddleboxConfig::default(), FaultPlan::disabled(), &reg);
+        let (a, b) = (fresh(), fresh());
+        let differ = (0..200)
+            .filter(|&id| a.index.key(&key(id)) != b.index.key(&key(id)))
+            .count();
+        assert!(differ > 190, "only {differ} of 200 keys hash apart");
     }
 
-    fn step() -> impl Strategy<Value = Step> {
-        (0u8..8, 0u32..6).prop_map(|(op, n)| match op {
-            0..=3 => Step::Send(n),
-            4 => Step::Depart(n),
-            5 => Step::Region(n % 4),
-            _ => Step::Poll,
-        })
+    #[test]
+    #[should_panic(expected = "past 2^21 - 1")]
+    fn an_engine_past_the_stamp_bits_is_refused() {
+        let reg = MetricsRegistry::new();
+        let with_capacity = |rejected_capacity| MiddleboxConfig {
+            rejected_capacity,
+            ..MiddleboxConfig::default()
+        };
+        engine(with_capacity((1 << 21) - 1), FaultPlan::disabled(), &reg);
+        engine(with_capacity(1 << 21), FaultPlan::disabled(), &reg);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The one-owner rule that lets `probe` ask the admitted map
-        /// before the rejected ring: through any schedule of
-        /// admissions, rejections, revocations, departures and
-        /// evictions from a two-record ring, no flow is ever in both.
-        #[test]
-        fn a_flow_is_never_both_admitted_and_rejected(
-            steps in prop::collection::vec(step(), 1..120),
-        ) {
-            let reg = MetricsRegistry::new();
-            let cfg = MiddleboxConfig {
-                rejected_capacity: 2,
-                ..MiddleboxConfig::default()
-            };
-            let half = cfg.classify_window / 2;
-            let mut e = engine(cfg, FaultPlan::disabled(), &reg);
-            let mut src = Scripted::online(2);
-            let mut secs = 0;
-            for step in &steps {
-                match *step {
-                    Step::Send(id) => {
-                        send(&mut e, &mut src, id, half);
-                    }
-                    Step::Depart(id) => {
-                        if let Some(kind) = e.flow_departed(&key(id)) {
-                            src.remove(kind);
-                        }
-                    }
-                    Step::Region(cap) => src.admissible = Box::new(move |m| m.total() <= cap),
-                    Step::Poll => {
-                        secs += 2;
-                        poll(&mut e, &mut src, secs);
-                    }
-                }
-                for id in 0..6 {
-                    let k = key(id);
-                    prop_assert!(
-                        !(e.flows.contains_key(&k) && e.rejected.contains(&k)),
-                        "{} is both admitted and rejected after {:?}",
-                        k,
-                        step
-                    );
-                }
-                prop_assert_eq!(e.admitted_flows() as u32, src.matrix.total());
-            }
-        }
-    }
+    mod differential;
 }

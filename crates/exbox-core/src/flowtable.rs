@@ -6,133 +6,66 @@
 //! stock `std::collections::HashMap<FlowKey, _>` has three problems:
 //!
 //! 1. SipHash is an order of magnitude slower than needed for a
-//!    fixed-layout 13-byte key, and these tables are not where an
-//!    outsider's keys land first: a key enters them only after its
-//!    flow sent a whole classification window and was decided (the
-//!    first-packet table is the early classifier's, which is keyed);
+//!    fixed-layout 13-byte key;
 //! 2. iteration order is unspecified, so every poll had to collect
 //!    and **sort** all keys (O(N log N) plus a fresh allocation) to
 //!    stay deterministic;
 //! 3. values move on rehash, so nothing outside the map can hold a
-//!    stable reference to a flow (needed by the timer wheel).
+//!    stable reference to a flow (needed by the due list).
 //!
-//! [`FlowMap`] replaces it: a dense slab arena (`Vec` + free list)
-//! holding the flow states, addressed by stable [`FlowSlot`] handles,
-//! indexed by an open-addressed table, and threaded by an intrusive
-//! doubly-linked list so iteration is **insertion order**:
-//! deterministic, allocation-free, and independent of hash-table
-//! geometry. Determinism contract (DESIGN.md §6): the iteration order
-//! seen by `run_poll` is part of the contract, and insertion order is
-//! a pure function of the operation sequence.
+//! The layer is parts over one key index, `exbox-net`'s keyed
+//! [`FlowIndex`], whose bucket says where a flow is
+//! ([`Place`]) beside the key's packed words:
 //!
-//! The index works on a key's two packed words ([`FlowKey::words`]):
-//! a bucket holds them, so a probe compares two `u64`s, and
-//! `table_hash` folds them through two 64×64→128-bit multiplies by
-//! fixed words — no per-process seed, no dependency. A caller that asks several tables about one
-//! key packs and hashes it once (a `HashedKey`). The shard-routing
-//! [`hash_flow_key`] is a different, costlier function, kept only for
-//! routing; the tables never compute it, so their buckets do not
-//! inherit the bits routing fixes within a shard.
+//! * an arena — a dense slab (`Vec` + free list) of flow states,
+//!   addressed by stable [`FlowSlot`] handles and threaded by an
+//!   intrusive doubly-linked list, so iteration is **insertion
+//!   order**: deterministic, allocation-free, and independent of
+//!   hash-table geometry. Determinism contract (DESIGN.md §6): the
+//!   iteration order seen by `run_poll` is part of the contract, and
+//!   insertion order is a pure function of the operation sequence;
+//! * a rejected-flow FIFO — a ring of stamped records whose live one
+//!   is the key's `Place::Rejected(stamp)` (stale entries are skipped
+//!   by stamp mismatch, never searched for), with occupancy and
+//!   capacity-pressure reporting;
+//! * [`TimerWheel`] — the due list over poll ticks (a flat `Vec`; the
+//!   name is the one `bench/` imports): flows carry a next-evaluation
+//!   deadline, so an incremental poll visits only the flows due this
+//!   window — O(due), not O(all). The ledger's `flash_state` workload
+//!   (`bench/`) measures it end to end — each step is an executed poll
+//!   over ≈3 × 10⁴ live flows — and the
+//!   `core.flowtable.wheel_schedule_ns` / `wheel_advance_ns_per_due`
+//!   probes give the per-layer cost.
 //!
-//! [`RejectedRing`] is the bounded rejected-flow set on the same
-//! index: a generation-stamped FIFO ring (stale entries are skipped by
-//! stamp mismatch, never searched for) with occupancy and
-//! capacity-pressure reporting.
-//!
-//! [`TimerWheel`] is the due list over poll ticks (a flat `Vec`; the
-//! name is the one `bench/` imports): flows carry a next-evaluation
-//! deadline, so an incremental poll visits only the flows due this
-//! window — O(due), not O(all). The ledger's `flash_state` workload
-//! (`bench/`) measures it end to end — each step is an executed poll
-//! over ≈3 × 10⁴ live flows — and the
-//! `core.flowtable.wheel_schedule_ns` / `wheel_advance_ns_per_due`
-//! probes give the per-layer cost.
+//! The gateway's flow engine composes one index with an arena, a FIFO
+//! and the early classifier's window arena, so a flow it knows is one
+//! bucket whatever its place. [`FlowMap`] (index + arena) and
+//! [`RejectedRing`] (index + FIFO) are the same parts standing alone,
+//! for their property tests and the ledger's layer probes. The
+//! shard-routing [`hash_flow_key`] is a different function, kept only
+//! for routing; no index computes it, so a shard's buckets do not
+//! inherit the bits routing fixes within the shard.
 
 use std::collections::VecDeque;
 
 /// The seedless FxHash-style flow hash behind the gateway's shard
-/// routing; defined next to [`FlowKey`]. The tables here do not use it.
+/// routing; defined next to [`FlowKey`]. The flow index does not use
+/// it.
 pub use exbox_net::hash_flow_key;
-use exbox_net::FlowKey;
+use exbox_net::index::VALUE_BITS;
+use exbox_net::{FlowIndex, FlowKey, IndexKey, Place, Spot};
 
 /// Absent link marker for the intrusive lists.
 const NIL: u32 = u32::MAX;
 
-/// Bits of an index bucket's tag below the port word: the [`FlowMap`]
-/// slot index. A port word uses 40 bits, so an arena holds at most
-/// 2²⁴ slots.
-const SLOT_BITS: u32 = 24;
-const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
+/// Ring stamps are kept modulo 2^22, the bits a `Place` value has.
+const STAMP_MASK: u32 = (1 << VALUE_BITS) - 1;
 
-/// Fixed words [`table_hash`] masks a key's words with. The client
-/// half of the first lies in 224.0.0.0/4 (multicast), which is never a
-/// unicast client address, so no real key's address word cancels it;
-/// the second has bits above the 40 a port word uses, so no port word
-/// cancels it.
-const SEED: [u64; 2] = [0xe3b0_c442_98fc_1c14, 0x9a5f_2d47_b1e6_3c8b];
-
-/// A 64×64→128-bit product folded to 64 bits.
-#[inline]
-fn fold(x: u64, y: u64) -> u64 {
-    let p = u128::from(x) * u128::from(y);
-    p as u64 ^ (p >> 64) as u64
-}
-
-/// The tables' hash of a key's packed words (the shape of the early
-/// classifier's keyed hash, with fixed words for its secret): the two
-/// masked words fold through one product, and a second product with
-/// an odd constant spreads the result into the low bits that pick the
-/// bucket. A product is zero when one factor is — here, a key whose
-/// address word equals `SEED[0]` — so the port word enters the second
-/// product too, and even such keys spread by their ports.
-#[inline]
-fn table_hash(addr: u64, ports: u64) -> u64 {
-    fold(
-        fold(addr ^ SEED[0], ports ^ SEED[1]) ^ ports,
-        0x9e37_79b9_7f4a_7c15,
-    )
-}
-
-/// A flow key as the tables see it: its packed words
-/// ([`FlowKey::words`]) and their [`table_hash`], computed once and
-/// handed to every table asked about the key.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct HashedKey {
-    addr: u64,
-    ports: u64,
-    hash: u64,
-}
-
-impl HashedKey {
-    /// Pack and hash `key`.
-    #[inline]
-    pub(crate) fn of(key: &FlowKey) -> Self {
-        let (addr, ports) = key.words();
-        Self::from_words(addr, ports)
-    }
-
-    /// Hash already-packed words.
-    #[inline]
-    pub(crate) fn from_words(addr: u64, ports: u64) -> Self {
-        HashedKey {
-            addr,
-            ports,
-            hash: table_hash(addr, ports),
-        }
-    }
-
-    /// The packed words.
-    #[inline]
-    pub(crate) fn words(&self) -> (u64, u64) {
-        (self.addr, self.ports)
-    }
-}
-
-/// Stable handle to an occupied [`FlowMap`] slot: an arena index plus
-/// a generation stamp. The index is reused after removal but the
-/// generation is bumped, so a stale handle (e.g. a timer-wheel entry
-/// for a departed flow) dereferences to `None` instead of aliasing
-/// the slot's new tenant.
+/// Stable handle to an occupied arena slot: an arena index plus a
+/// generation stamp. The index is reused after removal but the
+/// generation is bumped, so a stale handle (e.g. a due-list entry for
+/// a departed flow) dereferences to `None` instead of aliasing the
+/// slot's new tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowSlot {
     index: u32,
@@ -140,174 +73,21 @@ pub struct FlowSlot {
 }
 
 impl FlowSlot {
-    /// The arena index (dense, `< capacity`); mainly for diagnostics.
+    /// The arena index (dense, `< capacity`), the value of the flow's
+    /// `Place::Admitted`.
     pub fn index(self) -> u32 {
         self.index
     }
 }
 
-/// One index bucket: a key's packed words and what the table stores
-/// for it, in 16 bytes for the [`FlowMap`] index and 24 for the
-/// [`RejectedRing`]'s. All-zero is empty: a port word never is zero.
-#[derive(Debug, Clone, Copy, Default)]
-struct Bucket<E> {
-    /// The key's address word.
-    addr: u64,
-    /// The key's port word `<< SLOT_BITS`, or'd with the `FlowMap`
-    /// slot index (0 in the ring's index).
-    tag: u64,
-    /// The ring's stamp; nothing in the `FlowMap` index.
-    extra: E,
-}
-
-impl<E> Bucket<E> {
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.tag == 0
-    }
-
-    #[inline]
-    fn holds(&self, key: &HashedKey) -> bool {
-        self.addr == key.addr && self.tag >> SLOT_BITS == key.ports
-    }
-
-    #[inline]
-    fn slot(&self) -> u32 {
-        (self.tag & SLOT_MASK) as u32
-    }
-
-    /// The bucket this entry's probe starts from.
-    #[inline]
-    fn home(&self, mask: usize) -> usize {
-        table_hash(self.addr, self.tag >> SLOT_BITS) as usize & mask
-    }
-}
-
-/// Open-addressed key → bucket table: linear probing, backward-shift
-/// deletion (no tombstones), power-of-two capacity, ≤ 7/8 load.
-/// Shared by the [`FlowMap`] index (`E = ()`, the slot index in the
-/// tag) and the [`RejectedRing`] index (`E = u64`, the stamp). Never
-/// iterated, so its bucket order is invisible to the determinism
-/// contract. Every operation takes a [`HashedKey`], so a caller that
-/// asks several tables about one key hashes it once.
-#[derive(Debug, Clone)]
-struct FxTable<E> {
-    buckets: Vec<Bucket<E>>,
-    len: usize,
-}
-
-impl<E: Copy + Default> FxTable<E> {
-    fn new() -> Self {
-        FxTable {
-            buckets: vec![Bucket::default(); 16],
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn mask(&self) -> usize {
-        self.buckets.len() - 1
-    }
-
-    #[inline]
-    fn get(&self, key: &HashedKey) -> Option<Bucket<E>> {
-        let mask = self.mask();
-        let mut i = key.hash as usize & mask;
-        loop {
-            let b = self.buckets[i];
-            if b.holds(key) {
-                return Some(b);
-            }
-            if b.is_empty() {
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Insert unless the key is present; an existing entry is left as
-    /// it is and returned.
-    fn insert(&mut self, key: &HashedKey, slot: u32, extra: E) -> Option<Bucket<E>> {
-        if (self.len + 1) * 8 >= self.buckets.len() * 7 {
-            self.grow();
-        }
-        let mask = self.mask();
-        let mut i = key.hash as usize & mask;
-        loop {
-            let b = &mut self.buckets[i];
-            if b.holds(key) {
-                return Some(*b);
-            }
-            if b.is_empty() {
-                *b = Bucket {
-                    addr: key.addr,
-                    tag: key.ports << SLOT_BITS | u64::from(slot),
-                    extra,
-                };
-                self.len += 1;
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn remove(&mut self, key: &HashedKey) -> Option<Bucket<E>> {
-        let mask = self.mask();
-        let mut i = key.hash as usize & mask;
-        loop {
-            let b = self.buckets[i];
-            if b.holds(key) {
-                break;
-            }
-            if b.is_empty() {
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
-        let removed = std::mem::take(&mut self.buckets[i]);
-        self.len -= 1;
-        // Backward-shift deletion: pull displaced entries over the
-        // hole so probe chains stay contiguous without tombstones.
-        let mut hole = i;
-        let mut j = i;
-        loop {
-            j = (j + 1) & mask;
-            let b = self.buckets[j];
-            if b.is_empty() {
-                break;
-            }
-            let home = b.home(mask);
-            // Move the entry back iff its home does not lie in the
-            // cyclic interval (hole, j] — i.e. the probe from `home`
-            // passes through `hole`.
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.buckets[hole] = std::mem::take(&mut self.buckets[j]);
-                hole = j;
-            }
-        }
-        Some(removed)
-    }
-
-    fn grow(&mut self) {
-        let doubled = self.buckets.len() * 2;
-        let old = std::mem::replace(&mut self.buckets, vec![Bucket::default(); doubled]);
-        let mask = self.mask();
-        for b in old.into_iter().filter(|b| !b.is_empty()) {
-            let mut i = b.home(mask);
-            while !self.buckets[i].is_empty() {
-                i = (i + 1) & mask;
-            }
-            self.buckets[i] = b;
-        }
-    }
-}
-
 /// The arena index of a fresh slot appended to an arena of `len`.
-/// Panics past 2²⁴ slots, the most an index bucket can address.
+/// Panics past 2^22 slots, the most a `Place::Admitted` can name.
 fn fresh_slot(len: usize) -> u32 {
-    assert!(len as u64 <= SLOT_MASK, "FlowMap holds at most 2^24 flows");
+    assert!(len < 1 << VALUE_BITS, "an arena holds at most 2^22 flows");
     len as u32
 }
+
+const OCCUPIED: &str = "an indexed slot is occupied";
 
 #[derive(Debug)]
 struct Slot<V> {
@@ -323,40 +103,27 @@ struct Slot<V> {
     data: Option<(FlowKey, V)>,
 }
 
-/// Slab-backed flow store: dense arena + free list for the states, an
-/// `FxTable` for key lookup, and an intrusive doubly-linked list
-/// for deterministic insertion-order iteration. Drop-in replacement
-/// for `HashMap<FlowKey, V>` on the packet path (property-tested
-/// against exactly that reference model in `tests/flowtable_props.rs`)
-/// for up to 2²⁴ live flows; an insert past that panics.
+/// Dense slab of flow states with a free list and an intrusive
+/// insertion-order list. It hashes nothing: an index maps a key to its
+/// slot — [`FlowMap`]'s own, or the flow engine's shared one.
 ///
 /// Insertion-order rules (the part the determinism contract cares
-/// about): a fresh key appends at the tail; overwriting an existing
-/// key keeps its position; removing and re-inserting a key moves it
-/// to the tail. Iteration never allocates and never observes
-/// hash-table geometry.
+/// about): a pushed flow appends at the tail, a taken one leaves the
+/// list, so removing and re-inserting a key moves it to the tail.
+/// Iteration never allocates and never observes hash-table geometry.
 #[derive(Debug)]
-pub struct FlowMap<V> {
+pub(crate) struct Arena<V> {
     slots: Vec<Slot<V>>,
-    index: FxTable<()>,
     free_head: u32,
     head: u32,
     tail: u32,
     len: usize,
 }
 
-impl<V> Default for FlowMap<V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<V> FlowMap<V> {
-    /// An empty map.
-    pub fn new() -> Self {
-        FlowMap {
+impl<V> Arena<V> {
+    pub(crate) fn new() -> Self {
+        Arena {
             slots: Vec::new(),
-            index: FxTable::new(),
             free_head: NIL,
             head: NIL,
             tail: NIL,
@@ -365,139 +132,67 @@ impl<V> FlowMap<V> {
     }
 
     /// Live flows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// True when no flow is stored.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// True when `key` is stored.
-    pub fn contains_key(&self, key: &FlowKey) -> bool {
-        self.contains_hashed(&HashedKey::of(key))
-    }
-
-    /// [`contains_key`](Self::contains_key) given the packed key.
-    #[inline]
-    pub(crate) fn contains_hashed(&self, key: &HashedKey) -> bool {
-        self.index.get(key).is_some()
-    }
-
-    /// Shared access by key.
-    pub fn get(&self, key: &FlowKey) -> Option<&V> {
-        let idx = self.index.get(&HashedKey::of(key))?.slot();
-        self.slots[idx as usize].data.as_ref().map(|(_, v)| v)
-    }
-
-    /// Mutable access by key.
-    pub fn get_mut(&mut self, key: &FlowKey) -> Option<&mut V> {
-        self.get_mut_hashed(&HashedKey::of(key)).map(|(_, v)| v)
-    }
-
-    /// The stable handle and mutable access for a packed key, in one
-    /// index probe.
-    #[inline]
-    pub(crate) fn get_mut_hashed(&mut self, key: &HashedKey) -> Option<(FlowSlot, &mut V)> {
-        let index = self.index.get(key)?.slot();
-        let s = &mut self.slots[index as usize];
-        let gen = s.gen;
-        s.data.as_mut().map(|(_, v)| (FlowSlot { index, gen }, v))
-    }
-
-    /// The stable handle for `key`, if stored.
-    pub fn slot_of(&self, key: &FlowKey) -> Option<FlowSlot> {
-        let idx = self.index.get(&HashedKey::of(key))?.slot();
-        Some(FlowSlot {
-            index: idx,
-            gen: self.slots[idx as usize].gen,
-        })
-    }
-
-    /// Dereference a handle; `None` if the flow departed (generation
-    /// mismatch) — stale handles are safe, never aliased.
-    pub fn get_slot(&self, slot: FlowSlot) -> Option<(&FlowKey, &V)> {
-        let s = self.slots.get(slot.index as usize)?;
-        if s.gen != slot.gen {
-            return None;
-        }
-        s.data.as_ref().map(|(k, v)| (k, v))
-    }
-
-    /// Mutable [`FlowMap::get_slot`].
-    pub fn get_slot_mut(&mut self, slot: FlowSlot) -> Option<(&FlowKey, &mut V)> {
-        let s = self.slots.get_mut(slot.index as usize)?;
-        if s.gen != slot.gen {
-            return None;
-        }
-        s.data.as_mut().map(|(k, v)| (&*k, v))
-    }
-
-    /// Insert or overwrite, returning the stable handle. A fresh key
-    /// appends at the iteration tail; an existing key keeps both its
-    /// position and its handle.
-    pub fn insert(&mut self, key: FlowKey, value: V) -> FlowSlot {
-        self.insert_hashed(&HashedKey::of(&key), key, value)
-    }
-
-    /// [`insert`](Self::insert) given `key` already packed and hashed
-    /// as `hashed`. One index
-    /// probe: the slot a fresh key would take (the free list's head,
-    /// else the arena's end) is offered to the index, which either
-    /// records it or answers with the key's existing slot.
-    pub(crate) fn insert_hashed(&mut self, hashed: &HashedKey, key: FlowKey, value: V) -> FlowSlot {
-        debug_assert_eq!(*hashed, HashedKey::of(&key));
-        let reuse = self.free_head != NIL;
-        let idx = if reuse {
-            self.free_head
+    /// Store `key`'s state at the iteration tail, in the free list's
+    /// head slot, else a fresh one.
+    pub(crate) fn push(&mut self, key: FlowKey, value: V) -> FlowSlot {
+        let index = if self.free_head != NIL {
+            let index = self.free_head;
+            self.free_head = self.slots[index as usize].next;
+            index
         } else {
-            fresh_slot(self.slots.len())
-        };
-        if let Some(b) = self.index.insert(hashed, idx, ()) {
-            let idx = b.slot();
-            let s = &mut self.slots[idx as usize];
-            s.data = Some((key, value));
-            return FlowSlot {
-                index: idx,
-                gen: s.gen,
-            };
-        }
-        if reuse {
-            self.free_head = self.slots[idx as usize].next;
-        } else {
+            let index = fresh_slot(self.slots.len());
             self.slots.push(Slot {
                 gen: 0,
                 prev: NIL,
                 next: NIL,
                 data: None,
             });
-        }
-        let gen = self.slots[idx as usize].gen;
-        self.slots[idx as usize].data = Some((key, value));
-        self.slots[idx as usize].prev = self.tail;
-        self.slots[idx as usize].next = NIL;
-        if self.tail != NIL {
-            self.slots[self.tail as usize].next = idx;
+            index
+        };
+        let tail = self.tail;
+        let s = &mut self.slots[index as usize];
+        s.data = Some((key, value));
+        (s.prev, s.next) = (tail, NIL);
+        let gen = s.gen;
+        if tail != NIL {
+            self.slots[tail as usize].next = index;
         } else {
-            self.head = idx;
+            self.head = index;
         }
-        self.tail = idx;
+        self.tail = index;
         self.len += 1;
-        FlowSlot { index: idx, gen }
+        FlowSlot { index, gen }
     }
 
-    /// Remove by key, returning the value. Bumps the slot generation,
-    /// invalidating every outstanding handle to it.
-    pub fn remove(&mut self, key: &FlowKey) -> Option<V> {
-        self.remove_hashed(&HashedKey::of(key))
+    /// The flow in occupied slot `index` (an index entry's slot).
+    pub(crate) fn at(&self, index: u32) -> (&FlowKey, &V) {
+        let (k, v) = self.slots[index as usize].data.as_ref().expect(OCCUPIED);
+        (k, v)
     }
 
-    /// [`remove`](Self::remove) given the packed key.
-    pub(crate) fn remove_hashed(&mut self, key: &HashedKey) -> Option<V> {
-        let idx = self.index.remove(key)?.slot();
+    /// The handle and mutable state of occupied slot `index`.
+    #[inline]
+    pub(crate) fn at_mut(&mut self, index: u32) -> (FlowSlot, &mut V) {
+        let s = &mut self.slots[index as usize];
+        let gen = s.gen;
+        let (_, v) = s.data.as_mut().expect(OCCUPIED);
+        (FlowSlot { index, gen }, v)
+    }
+
+    /// Free occupied slot `index`, returning its flow. Bumps the slot
+    /// generation, invalidating every outstanding handle to it.
+    pub(crate) fn take(&mut self, index: u32) -> (FlowKey, V) {
         let (prev, next) = {
-            let s = &self.slots[idx as usize];
+            let s = &self.slots[index as usize];
             (s.prev, s.next)
         };
         if prev != NIL {
@@ -510,50 +205,68 @@ impl<V> FlowMap<V> {
         } else {
             self.tail = prev;
         }
-        let s = &mut self.slots[idx as usize];
-        let (_, value) = s.data.take().expect("indexed slot must be occupied");
+        let s = &mut self.slots[index as usize];
+        let flow = s.data.take().expect(OCCUPIED);
         s.gen = s.gen.wrapping_add(1);
-        s.prev = NIL;
-        s.next = self.free_head;
-        self.free_head = idx;
+        (s.prev, s.next) = (NIL, self.free_head);
+        self.free_head = index;
         self.len -= 1;
-        Some(value)
+        flow
+    }
+
+    /// Dereference a handle; `None` if the flow departed (generation
+    /// mismatch) — stale handles are safe, never aliased.
+    pub(crate) fn get_slot(&self, slot: FlowSlot) -> Option<(&FlowKey, &V)> {
+        let s = self.slots.get(slot.index as usize)?;
+        if s.gen != slot.gen {
+            return None;
+        }
+        s.data.as_ref().map(|(k, v)| (k, v))
+    }
+
+    /// Mutable [`Arena::get_slot`].
+    pub(crate) fn get_slot_mut(&mut self, slot: FlowSlot) -> Option<(&FlowKey, &mut V)> {
+        let s = self.slots.get_mut(slot.index as usize)?;
+        if s.gen != slot.gen {
+            return None;
+        }
+        s.data.as_mut().map(|(k, v)| (&*k, v))
+    }
+
+    /// First flow in insertion order (the oldest admission).
+    pub(crate) fn front(&self) -> Option<(FlowSlot, &FlowKey, &V)> {
+        let s = self.slots.get(self.head as usize)?;
+        let (k, v) = s.data.as_ref().expect(OCCUPIED);
+        let slot = FlowSlot {
+            index: self.head,
+            gen: s.gen,
+        };
+        Some((slot, k, v))
     }
 
     /// Insertion-order iteration (allocation-free).
-    pub fn iter(&self) -> FlowIter<'_, V> {
+    pub(crate) fn iter(&self) -> FlowIter<'_, V> {
         FlowIter {
-            map: self,
+            arena: self,
             cursor: self.head,
         }
     }
 
-    /// First flow in insertion order (the oldest admission).
-    pub fn front(&self) -> Option<(&FlowKey, &V)> {
-        if self.head == NIL {
-            return None;
-        }
-        self.slots[self.head as usize]
-            .data
-            .as_ref()
-            .map(|(k, v)| (k, v))
-    }
-
     /// Mutable insertion-order pass over all values.
-    pub fn for_each_value_mut(&mut self, mut f: impl FnMut(&mut V)) {
+    pub(crate) fn for_each_value_mut(&mut self, mut f: impl FnMut(&mut V)) {
         let mut cursor = self.head;
         while cursor != NIL {
             let s = &mut self.slots[cursor as usize];
-            let (_, v) = s.data.as_mut().expect("linked slot must be occupied");
+            let (_, v) = s.data.as_mut().expect(OCCUPIED);
             f(v);
             cursor = s.next;
         }
     }
 
-    /// Append every live handle, in insertion order, to `out` —
-    /// the poll path's scratch-buffer fill (no allocation once the
-    /// buffer has grown to the high-water mark).
-    pub fn collect_slots(&self, out: &mut Vec<FlowSlot>) {
+    /// Append every live handle, in insertion order, to `out` — the
+    /// poll path's scratch-buffer fill (no allocation once the buffer
+    /// has grown to the high-water mark).
+    pub(crate) fn collect_slots(&self, out: &mut Vec<FlowSlot>) {
         let mut cursor = self.head;
         while cursor != NIL {
             let s = &self.slots[cursor as usize];
@@ -569,7 +282,7 @@ impl<V> FlowMap<V> {
 /// Insertion-order iterator over a [`FlowMap`].
 #[derive(Debug)]
 pub struct FlowIter<'a, V> {
-    map: &'a FlowMap<V>,
+    arena: &'a Arena<V>,
     cursor: u32,
 }
 
@@ -580,14 +293,146 @@ impl<'a, V> Iterator for FlowIter<'a, V> {
         if self.cursor == NIL {
             return None;
         }
-        let s = &self.map.slots[self.cursor as usize];
+        let s = &self.arena.slots[self.cursor as usize];
         self.cursor = s.next;
         s.data.as_ref().map(|(k, v)| (k, v))
     }
 }
 
-/// How one [`RejectedRing::insert`] went.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Slab-backed flow store: an arena for the states and an index of
+/// its own mapping each key to `Place::Admitted(slot)`. Drop-in
+/// replacement for `HashMap<FlowKey, V>` (property-tested against
+/// exactly that reference model in `tests/flowtable_props.rs`) for up
+/// to 2^22 live flows; an insert past that panics.
+///
+/// Insertion-order rules: a fresh key appends at the tail; overwriting
+/// an existing key keeps its position and its handle; removing and
+/// re-inserting a key moves it to the tail.
+#[derive(Debug)]
+pub struct FlowMap<V> {
+    index: FlowIndex,
+    arena: Arena<V>,
+}
+
+impl<V> Default for FlowMap<V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<V> FlowMap<V> {
+    /// An empty map.
+    pub fn new() -> Self {
+        FlowMap {
+            index: FlowIndex::new(),
+            arena: Arena::new(),
+        }
+    }
+
+    /// Live flows.
+    pub fn len(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// True when no flow is stored.
+    pub fn is_empty(&self) -> bool {
+        self.arena.is_empty()
+    }
+
+    /// The arena slot `key` is stored in: one hash, one probe.
+    fn slot_index(&self, key: &FlowKey) -> Option<u32> {
+        match self.index.get(&self.index.key(key))? {
+            Place::Admitted(index) => Some(index),
+            _ => None,
+        }
+    }
+
+    /// True when `key` is stored.
+    pub fn contains_key(&self, key: &FlowKey) -> bool {
+        self.slot_index(key).is_some()
+    }
+
+    /// Shared access by key.
+    pub fn get(&self, key: &FlowKey) -> Option<&V> {
+        Some(self.arena.at(self.slot_index(key)?).1)
+    }
+
+    /// Mutable access by key.
+    pub fn get_mut(&mut self, key: &FlowKey) -> Option<&mut V> {
+        let index = self.slot_index(key)?;
+        Some(self.arena.at_mut(index).1)
+    }
+
+    /// The stable handle for `key`, if stored.
+    pub fn slot_of(&self, key: &FlowKey) -> Option<FlowSlot> {
+        let index = self.slot_index(key)?;
+        Some(FlowSlot {
+            index,
+            gen: self.arena.slots[index as usize].gen,
+        })
+    }
+
+    /// Dereference a handle; `None` if the flow departed (generation
+    /// mismatch) — stale handles are safe, never aliased.
+    pub fn get_slot(&self, slot: FlowSlot) -> Option<(&FlowKey, &V)> {
+        self.arena.get_slot(slot)
+    }
+
+    /// Mutable [`FlowMap::get_slot`].
+    pub fn get_slot_mut(&mut self, slot: FlowSlot) -> Option<(&FlowKey, &mut V)> {
+        self.arena.get_slot_mut(slot)
+    }
+
+    /// Insert or overwrite, returning the stable handle. A fresh key
+    /// appends at the iteration tail; an existing key keeps both its
+    /// position and its handle. One probe: a fresh key is recorded in
+    /// the bucket that probe ended on.
+    pub fn insert(&mut self, key: FlowKey, value: V) -> FlowSlot {
+        let hashed = self.index.key(&key);
+        let (spot, place) = self.index.find(&hashed);
+        if let Some(Place::Admitted(index)) = place {
+            let (slot, v) = self.arena.at_mut(index);
+            *v = value;
+            return slot;
+        }
+        let slot = self.arena.push(key, value);
+        self.index.put(spot, &hashed, Place::Admitted(slot.index));
+        slot
+    }
+
+    /// Remove by key, returning the value. Bumps the slot generation,
+    /// invalidating every outstanding handle to it.
+    pub fn remove(&mut self, key: &FlowKey) -> Option<V> {
+        let hashed = self.index.key(key);
+        match self.index.remove(&hashed)? {
+            Place::Admitted(index) => Some(self.arena.take(index).1),
+            _ => None,
+        }
+    }
+
+    /// Insertion-order iteration (allocation-free).
+    pub fn iter(&self) -> FlowIter<'_, V> {
+        self.arena.iter()
+    }
+
+    /// First flow in insertion order (the oldest admission).
+    pub fn front(&self) -> Option<(&FlowKey, &V)> {
+        self.arena.front().map(|(_, k, v)| (k, v))
+    }
+
+    /// Mutable insertion-order pass over all values.
+    pub fn for_each_value_mut(&mut self, f: impl FnMut(&mut V)) {
+        self.arena.for_each_value_mut(f);
+    }
+
+    /// Append every live handle, in insertion order, to `out`.
+    pub fn collect_slots(&self, out: &mut Vec<FlowSlot>) {
+        self.arena.collect_slots(out);
+    }
+}
+
+/// How one rejected-set insert went.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RingInsert {
     /// Old records evicted to stay within capacity (0 or 1).
     pub evicted: u64,
@@ -600,33 +445,44 @@ pub struct RingInsert {
 /// Accounting window (inserts) for the eviction-pressure warning.
 const PRESSURE_WINDOW: u64 = 256;
 
-/// Bounded rejected-flow set as a generation-stamped FIFO ring over
-/// the packed-key index. Each insert gets a fresh stamp recorded both
-/// in the ring and the index; [`RejectedRing::remove`] only deletes
-/// from the index, leaving a stale ring entry that eviction recognises
-/// by stamp mismatch and skips for free — no linear search, ever. The
-/// ring is swept wholesale once it outgrows twice the live set, so
-/// memory stays O(capacity).
+/// The bounded rejected-flow FIFO over an index it is handed: each
+/// record gets a fresh stamp, kept both in the ring and, modulo 2^22,
+/// in the key's `Place::Rejected`. Forgetting a record only unindexes
+/// the key, leaving a stale ring entry that eviction recognises by
+/// stamp mismatch and skips for free — no linear search, ever. The ring
+/// is swept wholesale once it outgrows twice the live set, so it never
+/// holds more than `2 · cap + 1` entries; stamps within that span are
+/// distinct modulo 2^22 while `2 · cap + 1 < 2^22`, which
+/// [`RejectFifo::new`] asserts.
 #[derive(Debug)]
-pub struct RejectedRing {
+pub(crate) struct RejectFifo {
     cap: usize,
     /// `(address word, port word, stamp)` in insertion order.
-    ring: VecDeque<(u64, u64, u64)>,
-    index: FxTable<u64>,
-    next_stamp: u64,
+    ring: VecDeque<(u64, u64, u32)>,
+    live: usize,
+    next_stamp: u32,
     inserts: u64,
     evictions: u64,
     window_started_at: (u64, u64),
     pressure_reported: bool,
 }
 
-impl RejectedRing {
-    /// A ring remembering at most `cap` rejected flows (minimum 1).
-    pub fn new(cap: usize) -> Self {
-        RejectedRing {
-            cap: cap.max(1),
+impl RejectFifo {
+    /// A FIFO keeping at most `cap` live records (minimum 1).
+    ///
+    /// # Panics
+    /// If `2 · cap + 1` reaches 2^22: stamps would alias.
+    pub(crate) fn new(cap: usize) -> Self {
+        let cap = cap.max(1);
+        assert!(
+            2 * cap + 1 < 1 << VALUE_BITS,
+            "rejected capacity {cap} is past 2^21 - 1, the most records \
+             whose stamps stay distinct modulo 2^22 in the flow index"
+        );
+        RejectFifo {
+            cap,
             ring: VecDeque::new(),
-            index: FxTable::new(),
+            live: 0,
             next_stamp: 0,
             inserts: 0,
             evictions: 0,
@@ -635,96 +491,57 @@ impl RejectedRing {
         }
     }
 
-    /// True when `key` is currently remembered as rejected.
-    pub fn contains(&self, key: &FlowKey) -> bool {
-        self.contains_hashed(&HashedKey::of(key))
-    }
-
-    /// [`contains`](Self::contains) given the packed key.
-    #[inline]
-    pub(crate) fn contains_hashed(&self, key: &HashedKey) -> bool {
-        self.index.get(key).is_some()
-    }
-
-    /// Forget a rejection record (the flow departed); true when there
-    /// was one. O(1): the ring entry goes stale instead of being
-    /// searched out.
-    pub fn remove(&mut self, key: &FlowKey) -> bool {
-        self.remove_hashed(&HashedKey::of(key))
-    }
-
-    /// [`remove`](Self::remove) given the packed key.
-    pub(crate) fn remove_hashed(&mut self, key: &HashedKey) -> bool {
-        self.index.remove(key).is_some()
-    }
-
-    /// Live records (the `middlebox.rejected_occupancy` gauge).
-    pub fn len(&self) -> usize {
-        self.index.len
-    }
-
-    /// True when nothing is remembered.
-    pub fn is_empty(&self) -> bool {
-        self.index.len == 0
-    }
-
-    /// Lifetime inserts of fresh records.
-    pub fn inserts(&self) -> u64 {
-        self.inserts
+    /// Live records.
+    pub(crate) fn len(&self) -> usize {
+        self.live
     }
 
     /// Lifetime capacity evictions.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions
     }
 
-    /// Insert a rejection record; reports evictions and (once) the
-    /// capacity-pressure condition.
-    pub fn insert(&mut self, key: FlowKey) -> RingInsert {
-        self.insert_hashed(&HashedKey::of(&key))
-    }
-
-    /// [`insert`](Self::insert) given the packed key.
-    pub(crate) fn insert_hashed(&mut self, key: &HashedKey) -> RingInsert {
+    /// File `key` — which [`FlowIndex::find`] found at `spot`, in no
+    /// place or any but rejected — as rejected: retag or fill its
+    /// bucket, queue the record and evict the oldest live ones past
+    /// capacity (one hash and one probe each).
+    pub(crate) fn file(&mut self, index: &mut FlowIndex, spot: Spot, key: &IndexKey) -> RingInsert {
         let stamp = self.next_stamp;
-        if self.index.insert(key, 0, stamp).is_some() {
-            return RingInsert {
-                evicted: 0,
-                pressure: false,
-            };
-        }
-        self.next_stamp += 1;
-        self.ring.push_back((key.addr, key.ports, stamp));
+        self.next_stamp = (stamp + 1) & STAMP_MASK;
+        index.put(spot, key, Place::Rejected(stamp));
+        let (addr, ports) = key.words();
+        self.ring.push_back((addr, ports, stamp));
+        self.live += 1;
         self.inserts += 1;
         let mut evicted = 0;
-        while self.index.len > self.cap {
-            match self.ring.pop_front() {
-                Some((addr, ports, old_stamp)) => {
-                    // Stale entries (removed or re-inserted since)
-                    // don't count: the live record lives further back.
-                    let old = HashedKey::from_words(addr, ports);
-                    if self.index.get(&old).map(|b| b.extra) == Some(old_stamp) {
-                        self.index.remove(&old);
-                        evicted += 1;
-                    }
-                }
-                None => break,
+        while self.live > self.cap {
+            let Some((addr, ports, stamp)) = self.ring.pop_front() else {
+                break;
+            };
+            // Stale entries (forgotten or re-filed since) don't count:
+            // the live record lives further back.
+            let (at, place) = index.find(&index.key_words(addr, ports));
+            if place == Some(Place::Rejected(stamp)) {
+                index.remove_at(at);
+                self.live -= 1;
+                evicted += 1;
             }
         }
         self.evictions += evicted;
-        if self.ring.len() > 2 * self.index.len.max(self.cap) {
-            let index = &self.index;
+        if self.ring.len() > 2 * self.live.max(self.cap) {
             self.ring.retain(|&(addr, ports, stamp)| {
-                index
-                    .get(&HashedKey::from_words(addr, ports))
-                    .map(|b| b.extra)
-                    == Some(stamp)
+                index.get(&index.key_words(addr, ports)) == Some(Place::Rejected(stamp))
             });
         }
         RingInsert {
             evicted,
             pressure: self.check_pressure(),
         }
+    }
+
+    /// A live record's key was unindexed (its flow departed).
+    pub(crate) fn forget(&mut self) {
+        self.live -= 1;
     }
 
     /// Close accounting windows of [`PRESSURE_WINDOW`] inserts; fire
@@ -741,6 +558,77 @@ impl RejectedRing {
             return true;
         }
         false
+    }
+}
+
+/// Bounded rejected-flow set: the rejected-flow FIFO over an index of
+/// its own. Holds at most `cap` records and evicts the oldest first;
+/// removal is O(1).
+#[derive(Debug)]
+pub struct RejectedRing {
+    index: FlowIndex,
+    fifo: RejectFifo,
+}
+
+impl RejectedRing {
+    /// A ring remembering at most `cap` rejected flows (minimum 1).
+    ///
+    /// # Panics
+    /// Past 2^21 − 1 records: record stamps are kept modulo 2^22 in the
+    /// flow index.
+    pub fn new(cap: usize) -> Self {
+        RejectedRing {
+            index: FlowIndex::new(),
+            fifo: RejectFifo::new(cap),
+        }
+    }
+
+    /// True when `key` is currently remembered as rejected.
+    pub fn contains(&self, key: &FlowKey) -> bool {
+        self.index.get(&self.index.key(key)).is_some()
+    }
+
+    /// Forget a rejection record (the flow departed); true when there
+    /// was one. O(1): the ring entry goes stale instead of being
+    /// searched out.
+    pub fn remove(&mut self, key: &FlowKey) -> bool {
+        let hashed = self.index.key(key);
+        let had = self.index.remove(&hashed).is_some();
+        if had {
+            self.fifo.forget();
+        }
+        had
+    }
+
+    /// Live records (the `middlebox.rejected_occupancy` gauge).
+    pub fn len(&self) -> usize {
+        self.fifo.len()
+    }
+
+    /// True when nothing is remembered.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Lifetime inserts of fresh records.
+    pub fn inserts(&self) -> u64 {
+        self.fifo.inserts
+    }
+
+    /// Lifetime capacity evictions.
+    pub fn evictions(&self) -> u64 {
+        self.fifo.evictions
+    }
+
+    /// Insert a rejection record; reports evictions and (once) the
+    /// capacity-pressure condition. A key already remembered is left
+    /// as it is.
+    pub fn insert(&mut self, key: FlowKey) -> RingInsert {
+        let hashed = self.index.key(&key);
+        match self.index.find(&hashed) {
+            (_, Some(_)) => RingInsert::default(),
+            (spot, None) => self.fifo.file(&mut self.index, spot, &hashed),
+        }
     }
 }
 
@@ -799,7 +687,6 @@ impl TimerWheel {
 mod tests {
     use super::*;
     use exbox_net::Protocol;
-    use std::net::Ipv4Addr;
 
     fn key(n: u32) -> FlowKey {
         FlowKey::synthetic(n, n, 1, Protocol::Tcp)
@@ -1002,159 +889,46 @@ mod tests {
     }
 
     #[test]
-    fn fxtable_backward_shift_keeps_probes_reachable() {
-        // Three keys homed on the last bucket of a fresh table fill it
-        // and wrap to buckets 0 and 1; removing the first must shift
-        // both back across the wrap with their slots intact.
-        let mut t: FxTable<()> = FxTable::new();
-        let last = t.mask();
-        let wrapping: Vec<HashedKey> = (0..)
-            .map(|n| HashedKey::of(&key(n)))
-            .filter(|k| k.hash as usize & last == last)
-            .take(3)
-            .collect();
-        for (slot, k) in (7..).zip(&wrapping) {
-            assert!(t.insert(k, slot, ()).is_none());
-        }
-        assert!(t.buckets[0].holds(&wrapping[1]) && t.buckets[1].holds(&wrapping[2]));
-        assert_eq!(t.remove(&wrapping[0]).map(|b| b.slot()), Some(7));
-        assert!(t.buckets[last].holds(&wrapping[1]) && t.buckets[0].holds(&wrapping[2]));
-        assert!(t.buckets[1].is_empty());
-        assert_eq!(t.get(&wrapping[1]).map(|b| b.slot()), Some(8));
-        assert_eq!(t.get(&wrapping[2]).map(|b| b.slot()), Some(9));
+    #[should_panic(expected = "at most 2^22 flows")]
+    fn the_arena_stops_at_2_22_slots() {
+        assert_eq!(fresh_slot((1 << 22) - 1), (1 << 22) - 1);
+        fresh_slot(1 << 22);
+    }
 
-        // Dense churn at small capacity forces more wraparound probes
-        // and backward-shift deletions across the table boundary.
-        let mut t: FxTable<u64> = FxTable::new();
-        let hashed = |n: u32| HashedKey::of(&key(n));
-        let stamp = |t: &FxTable<u64>, k: &HashedKey| t.get(k).map(|b| b.extra);
-        for round in 0u32..50 {
-            for n in 0..12 {
-                let k = hashed(round * 12 + n);
-                assert!(t.insert(&k, 0, n.into()).is_none());
-                let present = t.insert(&k, 0, 99).map(|b| b.extra);
-                assert_eq!(present, Some(n.into()), "present: left as it is");
-            }
-            for n in 0..12 {
-                let k = hashed(round * 12 + n);
-                if n % 3 != 0 {
-                    assert_eq!(t.remove(&k).map(|b| b.extra), Some(n.into()));
-                    assert_eq!(stamp(&t, &k), None);
+    #[test]
+    #[should_panic(expected = "past 2^21 - 1")]
+    fn a_ring_past_the_stamp_bits_is_refused() {
+        let widest = RejectedRing::new((1 << 21) - 1);
+        assert!(widest.is_empty());
+        RejectedRing::new(1 << 21);
+    }
+
+    /// Stamps wrap modulo 2^22 with stale entries on both sides of the
+    /// wrap: the ring still evicts exactly the oldest live record.
+    #[test]
+    fn stamps_wrap_without_confusing_records() {
+        let mut r = RejectedRing::new(2);
+        r.fifo.next_stamp = STAMP_MASK - 2;
+        let mut model: VecDeque<u32> = VecDeque::new();
+        for step in 0u32..40 {
+            let n = step % 5;
+            if step % 3 == 2 {
+                assert_eq!(r.remove(&key(n)), model.contains(&n));
+                model.retain(|&m| m != n);
+            } else {
+                let fresh = !model.contains(&n);
+                let ins = r.insert(key(n));
+                if fresh {
+                    model.push_back(n);
                 }
+                let evicted = model.len().saturating_sub(2);
+                model.drain(..evicted);
+                assert_eq!(ins.evicted, evicted as u64, "step {step}");
             }
-            for n in 0..12 {
-                let k = hashed(round * 12 + n);
-                if n % 3 == 0 {
-                    assert_eq!(stamp(&t, &k), Some(n.into()));
-                }
+            for m in 0..5 {
+                assert_eq!(r.contains(&key(m)), model.contains(&m), "step {step}");
             }
         }
-    }
-
-    #[test]
-    fn buckets_hold_the_packed_words_in_16_and_24_bytes() {
-        assert_eq!(std::mem::size_of::<Bucket<()>>(), 16);
-        assert_eq!(std::mem::size_of::<Bucket<u64>>(), 24);
-        // The widest port word and the highest slot share one tag.
-        let widest = FlowKey::new(
-            Ipv4Addr::BROADCAST,
-            u16::MAX,
-            Ipv4Addr::BROADCAST,
-            u16::MAX,
-            Protocol::Udp,
-        );
-        let (k, top) = (HashedKey::of(&widest), SLOT_MASK as u32);
-        let mut t: FxTable<()> = FxTable::new();
-        t.insert(&k, top, ());
-        assert_eq!(t.get(&k).map(|b| b.slot()), Some(top));
-        assert!(t.get(&HashedKey::of(&key(1))).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 2^24 flows")]
-    fn the_arena_stops_at_2_24_slots() {
-        assert_eq!(fresh_slot(SLOT_MASK as usize), (1 << 24) - 1);
-        fresh_slot(1 << 24);
-    }
-
-    /// Buckets a lookup of each stored key visits: the most and the
-    /// mean.
-    fn probe_lengths<E: Copy + Default>(t: &FxTable<E>) -> (usize, f64) {
-        let mask = t.mask();
-        let lengths: Vec<usize> = t
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| !b.is_empty())
-            .map(|(i, b)| (i.wrapping_sub(b.home(mask)) & mask) + 1)
-            .collect();
-        let total: usize = lengths.iter().sum();
-        let longest = lengths.into_iter().max().unwrap_or(0);
-        (longest, total as f64 / t.len.max(1) as f64)
-    }
-
-    fn filled(keys: impl IntoIterator<Item = FlowKey>) -> FxTable<()> {
-        let mut t = FxTable::new();
-        for k in keys {
-            t.insert(&HashedKey::of(&k), 0, ());
-        }
-        t
-    }
-
-    /// Linear probing at the table's ≤ 7/8 load: 10⁵ keys hashed by a
-    /// random function fill 131 072 buckets to 0.76 and give a mean
-    /// lookup of about 2.6 buckets and a longest of 120–180 (eight
-    /// random seeds). A hash that clusters these keys breaks both.
-    fn assert_spread(name: &str, t: &FxTable<()>) {
-        let (longest, mean) = probe_lengths(t);
-        assert!(
-            longest <= 256 && mean <= 3.0,
-            "{name}: longest probe {longest}, mean {mean:.2}"
-        );
-    }
-
-    #[test]
-    fn probes_stay_short_for_synthetic_and_ledger_shaped_keys() {
-        const N: u32 = 100_000;
-        // The ledger's session keys: the session id split into a
-        // 16-bit client and a flow port, one server per class.
-        let session = |id: u32| {
-            FlowKey::synthetic(id % 65_536, id / 65_536, (id % 6) as u8 + 1, Protocol::Tcp)
-        };
-        let tables = [
-            ("synthetic", filled((0..N).map(key))),
-            ("ledger", filled((0..N).map(session))),
-            // One shard of two: routing fixes bits of its own hash,
-            // which must not leave the table's buckets half used.
-            (
-                "ledger shard",
-                filled(
-                    (0..2 * N)
-                        .map(session)
-                        .filter(|k| crate::gateway::route(k, 2) == 0),
-                ),
-            ),
-        ];
-        for (name, t) in &tables {
-            assert!(t.len >= 95_000, "{name}: {} keys", t.len);
-            assert_spread(name, t);
-        }
-    }
-
-    #[test]
-    fn keys_cancelling_the_seed_word_still_spread() {
-        // The first seed word's client half is multicast, so no unicast
-        // client's address word cancels it ...
-        let client = Ipv4Addr::from((SEED[0] >> 32) as u32);
-        assert!(client.is_multicast());
-        assert_ne!(SEED[1] >> 40, 0, "no port word cancels the second");
-        // ... and a key that does zeroes the first product, but its
-        // port word still spreads it over the buckets.
-        let server = Ipv4Addr::from(SEED[0] as u32);
-        let keys: Vec<FlowKey> = (0..10_000u32)
-            .map(|n| FlowKey::new(client, n as u16, server, 443, Protocol::Udp))
-            .collect();
-        assert_eq!(keys[0].words().0, SEED[0]);
-        assert_spread("seed-cancelling", &filled(keys));
+        assert!(r.fifo.next_stamp < 40, "the stamps wrapped");
     }
 }

@@ -291,7 +291,7 @@ impl ModelSource for Pinned<'_> {
 
     /// Non-blocking: a full trainer queue drops the observation and
     /// counts `gateway.obs_dropped` rather than stalling the shard.
-    fn observe(&mut self, label: Label) {
+    fn learn(&mut self, label: Label) {
         let matrix = self.link.shared.snapshot();
         match self
             .link

@@ -35,11 +35,11 @@
 //!   → admission → QoS metering → periodic re-evaluation — against
 //!   `Arc`-published epoch-stamped model snapshots, while a background
 //!   trainer keeps retraining and checkpointing off the packet path.
-//! * [`flowtable`] — the million-flow state layer: slab-backed
-//!   [`flowtable::FlowMap`] with stable slots and insertion-order
-//!   iteration, the generation-stamped [`flowtable::RejectedRing`],
-//!   and the [`flowtable::TimerWheel`] due list behind incremental
-//!   polling.
+//! * [`flowtable`] — the million-flow state layer over `exbox-net`'s
+//!   keyed flow index: slab-backed [`flowtable::FlowMap`] with stable
+//!   slots and insertion-order iteration, the stamped
+//!   [`flowtable::RejectedRing`], and the [`flowtable::TimerWheel`]
+//!   due list behind incremental polling.
 //!
 //! ## Quick start
 //!

@@ -19,20 +19,21 @@
 //! window, at which point the flow is the caller's: the classifier
 //! keeps state for *in-progress windows only*.
 //!
-//! That state is the one table on the gateway that takes a key on the
-//! first packet of any unknown flow, so whoever can open flows chooses
-//! what goes into it. Its bucket choice therefore mixes in a secret
-//! drawn from `std`'s `RandomState` when the classifier is built — the
-//! collision-crafting protection a default `HashMap` would give, at
-//! two multiplies a key instead of SipHash. Nothing iterates the table
-//! and buffers are handed out by a pool, so no output depends on where
-//! a key landed.
+//! That state is two parts. The window records live in a fixed-size
+//! arena — `window` records per slot, slots reused from a free list —
+//! and [`EarlyClassifier::feed`] is the step over one slot. Which flow
+//! holds which slot is a [`FlowIndex`] entry
+//! `Place::Classifying(slot)`: `observe` keeps an index of its own, and
+//! a caller that already indexes every flow it knows (the gateway's
+//! flow engine) keeps the slot in its own index and calls `feed`
+//! directly, so a window packet costs it no second lookup. Nothing
+//! iterates either part, so no output depends on where a key landed or
+//! which slot it took.
 
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::BuildHasher;
 use std::net::Ipv4Addr;
 
+use crate::index::{FlowIndex, Place, VALUE_BITS};
 use crate::packet::{Direction, FlowKey, Packet};
 use crate::time::Instant;
 
@@ -177,116 +178,90 @@ struct Profile {
     centroid: [f64; 5],
 }
 
-/// Keyed multiply-fold of a flow key (the wyhash short-input shape):
-/// each packed word is masked with a secret word and the two are
-/// folded through a 64×64→128-bit product; a second product with a
-/// fixed odd constant spreads the result into the low bits that pick
-/// the bucket. Without the secret an outsider cannot tell which keys
-/// share a bucket.
-#[inline]
-fn keyed_hash(secret: &[u64; 2], key: &FlowKey) -> u64 {
-    #[inline]
-    fn fold(x: u64, y: u64) -> u64 {
-        let p = u128::from(x) * u128::from(y);
-        p as u64 ^ (p >> 64) as u64
-    }
-    let (a, b) = key.words();
-    fold(fold(a ^ secret[0], b ^ secret[1]), 0x9e37_79b9_7f4a_7c15)
+/// The arena index of a fresh window slot appended to an arena of
+/// `len` slots. Panics past 2^22 slots, the most a
+/// `Place::Classifying` can name.
+fn fresh_window(len: usize) -> u32 {
+    assert!(
+        len < 1 << VALUE_BITS,
+        "at most 2^22 classification windows can be open at once"
+    );
+    len as u32
 }
 
-/// The in-progress classification windows: an open-addressed
-/// `FlowKey → record buffer` table (linear probing, backward-shift
-/// deletion, power-of-two capacity, ≤ 7/8 load) over [`keyed_hash`],
-/// whose buffers come from and go back to a pool — once the pool has
-/// grown to the most windows ever open at once, a flow's whole
-/// classification allocates nothing. Never iterated.
-struct Windows {
-    secret: [u64; 2],
-    buckets: Vec<Option<(FlowKey, Vec<PacketRecord>)>>,
-    live: usize,
-    pool: Vec<Vec<PacketRecord>>,
+/// The records of the in-progress classification windows: slot `s`
+/// owns `records[s * window..][..window]`, filled to `filled[s]`.
+/// Closed slots go on a free list and are reused last-in first-out, so
+/// once the arena has grown to the most windows ever open at once a
+/// flow's whole classification allocates nothing.
+#[derive(Debug)]
+struct WindowArena {
+    window: usize,
+    records: Vec<PacketRecord>,
+    filled: Vec<u32>,
+    free: Vec<u32>,
+    open: usize,
 }
 
-impl std::fmt::Debug for Windows {
-    /// Sizes only: the secret stays out of logs.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Windows")
-            .field("live", &self.live)
-            .field("pooled", &self.pool.len())
-            .finish_non_exhaustive()
+impl WindowArena {
+    fn new(window: usize) -> Self {
+        WindowArena {
+            window,
+            records: Vec::new(),
+            filled: Vec::new(),
+            free: Vec::new(),
+            open: 0,
+        }
+    }
+
+    /// An empty window's slot.
+    fn open(&mut self) -> u32 {
+        self.open += 1;
+        if let Some(slot) = self.free.pop() {
+            return slot;
+        }
+        let slot = fresh_window(self.filled.len());
+        self.filled.push(0);
+        let blank = (Instant::ZERO, 0, Direction::Downlink);
+        self.records.resize(self.records.len() + self.window, blank);
+        slot
+    }
+
+    /// Append `record` to the open window `slot`; true when it filled
+    /// the window.
+    fn push(&mut self, slot: u32, record: PacketRecord) -> bool {
+        let s = slot as usize;
+        let n = self.filled[s] as usize;
+        self.records[s * self.window + n] = record;
+        self.filled[s] += 1;
+        n + 1 == self.window
+    }
+
+    /// The records of the open window `slot`, oldest first.
+    fn records(&self, slot: u32) -> &[PacketRecord] {
+        let s = slot as usize;
+        &self.records[s * self.window..][..self.filled[s] as usize]
+    }
+
+    fn close(&mut self, slot: u32) {
+        debug_assert!(self.filled[slot as usize] > 0, "closing a closed window");
+        self.filled[slot as usize] = 0;
+        self.free.push(slot);
+        self.open -= 1;
     }
 }
 
-impl Windows {
-    fn new() -> Self {
-        let state = RandomState::new();
-        Windows {
-            secret: [state.hash_one(0u8), state.hash_one(1u8)],
-            buckets: (0..16).map(|_| None).collect(),
-            live: 0,
-            pool: Vec::new(),
-        }
-    }
-
-    /// The bucket holding `key`, or the vacant one its probe ends on
-    /// (the load bound guarantees there is one).
-    fn probe(&self, key: &FlowKey) -> usize {
-        let mask = self.buckets.len() - 1;
-        let mut i = keyed_hash(&self.secret, key) as usize & mask;
-        while matches!(&self.buckets[i], Some((k, _)) if k != key) {
-            i = (i + 1) & mask;
-        }
-        i
-    }
-
-    /// The bucket and record buffer of `key`'s window, opening an
-    /// empty window of capacity `window` if the flow has none.
-    fn open(&mut self, key: FlowKey, window: usize) -> (usize, &mut Vec<PacketRecord>) {
-        if (self.live + 1) * 8 >= self.buckets.len() * 7 {
-            self.grow();
-        }
-        let i = self.probe(&key);
-        let (_, buf) = self.buckets[i].get_or_insert_with(|| {
-            self.live += 1;
-            let pooled = self.pool.pop();
-            (key, pooled.unwrap_or_else(|| Vec::with_capacity(window)))
-        });
-        (i, buf)
-    }
-
-    /// Close the window in bucket `i`: its buffer goes back to the
-    /// pool, and displaced entries are pulled over the hole so probe
-    /// chains stay contiguous without tombstones.
-    fn close(&mut self, i: usize) {
-        let (_, mut buf) = self.buckets[i].take().expect("closing an open window");
-        buf.clear();
-        self.pool.push(buf);
-        self.live -= 1;
-        let mask = self.buckets.len() - 1;
-        let (mut hole, mut j) = (i, i);
-        loop {
-            j = (j + 1) & mask;
-            let Some((k, _)) = &self.buckets[j] else {
-                break;
-            };
-            let home = keyed_hash(&self.secret, k) as usize & mask;
-            // Move the entry back iff its probe from `home` passes
-            // through `hole`: `home` outside the cyclic (hole, j].
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.buckets[hole] = self.buckets[j].take();
-                hole = j;
-            }
-        }
-    }
-
-    fn grow(&mut self) {
-        let doubled = self.buckets.len() * 2;
-        let old = std::mem::replace(&mut self.buckets, (0..doubled).map(|_| None).collect());
-        for entry in old.into_iter().flatten() {
-            let i = self.probe(&entry.0);
-            self.buckets[i] = Some(entry);
-        }
-    }
+/// What [`EarlyClassifier::feed`] did with a packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowStep {
+    /// The flow had no window: one was opened in this slot with the
+    /// packet in it. The caller records the slot against the flow.
+    Opened(u32),
+    /// The packet joined the flow's open window, which waits for more.
+    Pending,
+    /// The packet settled the flow as this class; the window it had,
+    /// if any, is closed and the flow is the caller's.
+    Settled(AppClass),
 }
 
 /// Early flow classifier: buffers the first `window` packets of each
@@ -303,7 +278,10 @@ pub struct EarlyClassifier {
     /// known video CDN / conferencing relay / web origin classify by
     /// endpoint, as production classifiers do via DNS/SNI.
     server_hints: HashMap<Ipv4Addr, AppClass>,
-    windows: Windows,
+    windows: WindowArena,
+    /// Which flow holds which window, for [`observe`](Self::observe).
+    /// A caller driving [`feed`](Self::feed) leaves it empty.
+    index: FlowIndex,
 }
 
 impl EarlyClassifier {
@@ -334,7 +312,8 @@ impl EarlyClassifier {
                 },
             ],
             server_hints: HashMap::new(),
-            windows: Windows::new(),
+            windows: WindowArena::new(window),
+            index: FlowIndex::new(),
         }
     }
 
@@ -373,7 +352,8 @@ impl EarlyClassifier {
             window,
             profiles,
             server_hints: HashMap::new(),
-            windows: Windows::new(),
+            windows: WindowArena::new(window),
+            index: FlowIndex::new(),
         }
     }
 
@@ -397,22 +377,67 @@ impl EarlyClassifier {
     /// At `Some` the flow is the caller's: the classifier keeps no
     /// record of it, so a later packet of the same flow opens a fresh
     /// window. The caller stops feeding a flow it has decided (the
-    /// gateway probes its admitted and rejected tables first) and
-    /// calls [`forget`](Self::forget) for one that ends mid-window.
+    /// gateway's index answers for admitted and rejected flows first)
+    /// and calls [`forget`](Self::forget) for one that ends mid-window.
+    ///
+    /// One probe of the classifier's own index finds the flow's window
+    /// and [`feed`](Self::feed) does the rest.
     pub fn observe(&mut self, pkt: &Packet) -> Option<AppClass> {
+        let key = self.index.key(&pkt.flow);
+        let (spot, place) = self.index.find(&key);
+        let open = match place {
+            Some(Place::Classifying(slot)) => Some(slot),
+            _ => None,
+        };
+        match self.feed(open, pkt) {
+            WindowStep::Opened(slot) => {
+                self.index.put(spot, &key, Place::Classifying(slot));
+                None
+            }
+            WindowStep::Pending => None,
+            WindowStep::Settled(class) => {
+                if open.is_some() {
+                    self.index.remove_at(spot);
+                }
+                Some(class)
+            }
+        }
+    }
+
+    /// Feed one packet of an undecided flow whose window, if it has
+    /// one, is `open` — the step [`observe`](Self::observe) takes once
+    /// it has found the flow, for a caller that keeps the flow → slot
+    /// record itself. A known endpoint settles the flow on any packet
+    /// (closing a window opened before the hint was learnt); otherwise
+    /// the packet joins the window, and the one completing it settles
+    /// the flow.
+    pub fn feed(&mut self, open: Option<u32>, pkt: &Packet) -> WindowStep {
         if let Some(&class) = self.server_hints.get(&pkt.flow.server_ip) {
-            // A window opened before the hint was learnt ends here.
-            self.forget(&pkt.flow);
-            return Some(class);
+            if let Some(slot) = open {
+                self.windows.close(slot);
+            }
+            return WindowStep::Settled(class);
         }
-        let (bucket, buf) = self.windows.open(pkt.flow, self.window);
-        buf.push((pkt.timestamp, pkt.size, pkt.direction));
-        if buf.len() < self.window {
-            return None;
+        let slot = open.unwrap_or_else(|| self.windows.open());
+        if self
+            .windows
+            .push(slot, (pkt.timestamp, pkt.size, pkt.direction))
+        {
+            let feats = FlowFeatures::from_packets(self.windows.records(slot));
+            self.windows.close(slot);
+            return WindowStep::Settled(self.classify_features(&feats));
         }
-        let feats = FlowFeatures::from_packets(buf);
-        self.windows.close(bucket);
-        Some(self.classify_features(&feats))
+        match open {
+            None => WindowStep::Opened(slot),
+            Some(_) => WindowStep::Pending,
+        }
+    }
+
+    /// Close the half-filled window `slot` of a flow that ended before
+    /// completing it (a [`feed`](Self::feed) caller's
+    /// [`forget`](Self::forget)).
+    pub fn close_window(&mut self, slot: u32) {
+        self.windows.close(slot);
     }
 
     /// Classify a feature vector directly (nearest centroid).
@@ -443,9 +468,9 @@ impl EarlyClassifier {
     /// settled another way) before completing it; a no-op for a flow
     /// with no window open.
     pub fn forget(&mut self, key: &FlowKey) {
-        let bucket = self.windows.probe(key);
-        if self.windows.buckets[bucket].is_some() {
-            self.windows.close(bucket);
+        let key = self.index.key(key);
+        if let Some(Place::Classifying(slot)) = self.index.remove(&key) {
+            self.windows.close(slot);
         }
     }
 
@@ -453,7 +478,7 @@ impl EarlyClassifier {
     /// sends fewer than `window` packets and is never
     /// [forgotten](Self::forget) stays counted here.
     pub fn classifying_flows(&self) -> usize {
-        self.windows.live
+        self.windows.open
     }
 
     /// Number of packets buffered before deciding.
@@ -553,7 +578,11 @@ mod tests {
             [None, None, None, Some(AppClass::Streaming), None, None]
         );
         assert_eq!(clf.classifying_flows(), 1);
-        assert_eq!(clf.windows.pool.len(), 0, "the released buffer was reused");
+        assert_eq!(
+            (clf.windows.filled.len(), clf.windows.free.len()),
+            (1, 0),
+            "the released slot was reused"
+        );
     }
 
     #[test]
@@ -611,14 +640,22 @@ mod tests {
             assert_eq!(clf.observe(p), None);
         }
         clf.forget(&key);
-        assert_eq!((clf.classifying_flows(), clf.windows.pool.len()), (0, 1));
+        assert_eq!((clf.classifying_flows(), clf.windows.free.len()), (0, 1));
         clf.forget(&key); // nothing open: a no-op
-        assert_eq!((clf.classifying_flows(), clf.windows.pool.len()), (0, 1));
+        assert_eq!((clf.classifying_flows(), clf.windows.free.len()), (0, 1));
         // The flow starts over — a full window from here, in the
-        // pooled buffer.
+        // freed slot.
         let verdicts: Vec<_> = pkts[2..].iter().map(|p| clf.observe(p)).collect();
         assert_eq!(verdicts, [None, None, None, Some(AppClass::Streaming)]);
-        assert_eq!((clf.classifying_flows(), clf.windows.pool.len()), (0, 1));
+        assert_eq!((clf.classifying_flows(), clf.windows.free.len()), (0, 1));
+        assert!(clf.index.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^22 classification windows")]
+    fn the_window_arena_stops_at_2_22_slots() {
+        assert_eq!(fresh_window((1 << 22) - 1), (1 << 22) - 1);
+        fresh_window(1 << 22);
     }
 
     #[test]
@@ -640,22 +677,22 @@ mod tests {
                 assert_eq!(clf.observe(&pkts[1]), None);
                 assert_eq!(clf.observe(&pkts[2]), Some(AppClass::Streaming), "flow {n}");
             }
-            assert_eq!((clf.classifying_flows(), clf.windows.pool.len()), (0, 500));
+            assert_eq!((clf.classifying_flows(), clf.windows.free.len()), (0, 500));
+            assert!(clf.index.is_empty());
         }
     }
 
+    /// Where keys land is the index's business (its own tests cover
+    /// bucket choice under any secret); what a classifier answers does
+    /// not depend on it.
     #[test]
-    fn the_secret_moves_buckets_but_not_classes() {
+    fn the_secret_changes_no_class() {
         let keys: Vec<FlowKey> = (0..200)
             .map(|n| FlowKey::synthetic(n, n, 1, Protocol::Tcp))
             .collect();
-        let run = |secret: [u64; 2]| {
+        let run = |index: FlowIndex| {
             let mut clf = EarlyClassifier::with_default_profiles(8);
-            clf.windows.secret = secret;
-            let homes: Vec<usize> = keys
-                .iter()
-                .map(|k| keyed_hash(&secret, k) as usize & 0xff)
-                .collect();
+            clf.index = index;
             let mut classes = Vec::new();
             for i in 0..8 {
                 for (n, key) in keys.iter().enumerate() {
@@ -667,17 +704,26 @@ mod tests {
                     classes.extend(clf.observe(&pkts[i]));
                 }
             }
-            (homes, classes)
+            classes
         };
-        let (homes_a, classes_a) = run([1, 2]);
-        let (homes_b, classes_b) = run([0x9e37_79b9_7f4a_7c15, 0xdead_beef]);
-        assert_eq!(classes_a.len(), keys.len());
-        assert_eq!(classes_a, classes_b);
-        let moved = homes_a.iter().zip(&homes_b).filter(|(a, b)| a != b).count();
-        assert!(moved > 150, "only {moved} of 200 keys changed bucket");
-        // And two classifiers built in one process draw different secrets.
-        let fresh = |_| EarlyClassifier::with_default_profiles(8).windows.secret;
-        assert_ne!(fresh(0), fresh(1));
+        let classes = run(FlowIndex::with_secret([1, 2]));
+        assert_eq!(classes.len(), keys.len());
+        assert_eq!(
+            classes,
+            run(FlowIndex::with_secret([0x9e37_79b9_7f4a_7c15, 0xdead_beef]))
+        );
+        assert_eq!(classes, run(FlowIndex::new()));
+        // And two classifiers built in one process hash under different
+        // secrets.
+        let (a, b) = (
+            EarlyClassifier::with_default_profiles(8),
+            EarlyClassifier::with_default_profiles(8),
+        );
+        let differ = keys
+            .iter()
+            .filter(|k| a.index.key(k) != b.index.key(k))
+            .count();
+        assert!(differ > 190, "only {differ} of 200 keys hash apart");
     }
 
     #[test]

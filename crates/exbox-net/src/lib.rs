@@ -19,20 +19,24 @@
 //!   packets of a flow (the paper assumes such a module, citing its
 //!   refs. 41, 58, 69, …; §4.2 "a flow needs to be admitted briefly before
 //!   any admission control decision is made").
+//! * [`index`] — the keyed flow index: where each known flow is
+//!   (classifying, admitted or rejected), one hash and one probe away.
 //! * [`pcap`] — classic-format pcap writer/reader so datapath traffic
 //!   can be dumped and replayed, mirroring the paper's
 //!   `tcpdump`/`tcpreplay` workflow.
 
 pub mod classify;
 pub mod flow;
+pub mod index;
 pub mod packet;
 pub mod pcap;
 pub mod qos;
 pub mod shaper;
 pub mod time;
 
-pub use classify::{AppClass, EarlyClassifier, FlowFeatures};
+pub use classify::{AppClass, EarlyClassifier, FlowFeatures, WindowStep};
 pub use flow::{FlowStats, FlowTable};
+pub use index::{FlowIndex, IndexKey, Place, Spot};
 pub use packet::{hash_flow_key, Direction, FlowKey, Packet, Protocol};
 pub use qos::{QosMeter, QosSample};
 pub use shaper::{NetemLink, TokenBucket};

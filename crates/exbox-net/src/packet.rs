@@ -134,10 +134,9 @@ impl FlowKey {
 /// magnitude cheaper than SipHash on this fixed layout. It is the
 /// gateway's shard-routing function, seedless on purpose: routing must
 /// map a flow to the same shard in every process (the stable-routing
-/// contract). The flow tables behind the shards hash the same
-/// [`FlowKey::words`] with a cheaper function of their own, and the
-/// table that inserts on a flow's *first* packet — the early
-/// classifier's — is keyed ([`crate::classify`]).
+/// contract). The flow index behind each shard hashes the same
+/// [`FlowKey::words`] with a cheaper function keyed by a secret of its
+/// own ([`crate::index`]).
 #[inline]
 pub fn hash_flow_key(key: &FlowKey) -> u64 {
     const K: u64 = 0x517c_c1b7_2722_0a95;
