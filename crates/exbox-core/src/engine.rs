@@ -35,10 +35,14 @@
 //! terminal state, else one keyed hash and one index probe, whose
 //! place answers — admitted forwards, rejected drops, and an undecided
 //! flow's packet joins its window ([`EarlyClassifier::feed`]; the
-//! packet is forwarded meanwhile, §4.2). Only a packet that settles a
-//! flow reaches [`FlowEngine::decide`], the single place an arrival is
-//! admitted or rejected, and it retags the bucket the probe ended on
-//! (kept in the batch's [`Run`]) without probing again. Admission and
+//! packet is forwarded meanwhile, §4.2, and so is one for which no
+//! window is free, counted in `middlebox.windows_refused`). Only a
+//! packet that settles a flow reaches [`FlowEngine::decide`], the
+//! single place an arrival is admitted or rejected, and it retags the
+//! bucket the probe ended on (kept in the batch's [`Run`]; nothing
+//! inserts into or removes from the index in between, and the index
+//! refuses a spot older than its last insert or removal) without
+//! probing again. Admission and
 //! rejection are terminal until a poll revokes or the flow departs,
 //! neither of which can run inside a batch, so the run-length
 //! disposition never serves a stale verdict. A delivery or drop
@@ -154,8 +158,8 @@ pub struct MiddleboxConfig {
     /// Most recent [`DecisionEvent`]s retained in the audit ring.
     pub decision_log_capacity: usize,
     /// Most rejected flows remembered for packet dropping (minimum 1,
-    /// at most 2^21 − 1 — the flow index keeps record stamps modulo
-    /// 2^22; building an engine past that panics).
+    /// at most 2^28 − 1 — the flow index keeps record stamps modulo
+    /// 2^29; building an engine past that panics).
     /// Oldest rejection records are evicted FIFO beyond this, counted
     /// by `middlebox.rejected_evictions`; an evicted flow that keeps
     /// sending re-enters early classification.
@@ -263,9 +267,14 @@ struct EngineMetrics {
     /// window open, sampled at each executed poll. A flow that sends
     /// fewer than `classify_window` packets and never departs (DNS, a
     /// scan) holds its window for good; this gauge is what reports
-    /// them — nothing evicts half-open flows, and the window arena
-    /// panics past 2^22 of them.
+    /// them — nothing evicts half-open flows.
     classifying_flows: Arc<Gauge>,
+    /// `middlebox.windows_refused` — packets of flows with no window
+    /// forwarded unrecorded because all
+    /// [`MAX_OPEN_WINDOWS`](exbox_net::classify::MAX_OPEN_WINDOWS)
+    /// classification windows were open; such a flow is classified
+    /// once a window frees.
+    windows_refused: Arc<Counter>,
     /// `recovery.fallback_decisions` — arrival decisions served by the
     /// occupancy baseline because no model was available.
     fallback_decisions: Arc<Counter>,
@@ -292,6 +301,7 @@ impl EngineMetrics {
             rejected_evictions: reg.counter("middlebox.rejected_evictions"),
             rejected_occupancy: reg.gauge("middlebox.rejected_occupancy"),
             classifying_flows: reg.gauge("middlebox.classifying_flows"),
+            windows_refused: reg.counter("middlebox.windows_refused"),
             fallback_decisions: reg.counter("recovery.fallback_decisions"),
             poll_errors: reg.counter("recovery.poll_errors"),
             poll_latency_ns: reg.histogram("middlebox.poll_latency_ns", &buckets::latency_ns()),
@@ -432,7 +442,7 @@ impl FlowEngine {
         };
         // An undecided flow: its packets fill the classification
         // window and are forwarded meanwhile (brief pre-admission,
-        // §4.2).
+        // §4.2) — so is a packet for which no window is free.
         run.last = None;
         match self.early.feed(window, pkt) {
             WindowStep::Opened(window) => {
@@ -440,6 +450,10 @@ impl FlowEngine {
                 Probe::Done(Action::Forward)
             }
             WindowStep::Pending => Probe::Done(Action::Forward),
+            WindowStep::Full => {
+                self.metrics.windows_refused.inc();
+                Probe::Done(Action::Forward)
+            }
             WindowStep::Settled(class) => Probe::Classified(class),
         }
     }
@@ -1213,15 +1227,15 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "past 2^21 - 1")]
+    #[should_panic(expected = "stamp span (2 · capacity + 1): 536870913 is past 2^29 - 1")]
     fn an_engine_past_the_stamp_bits_is_refused() {
         let reg = MetricsRegistry::new();
         let with_capacity = |rejected_capacity| MiddleboxConfig {
             rejected_capacity,
             ..MiddleboxConfig::default()
         };
-        engine(with_capacity((1 << 21) - 1), FaultPlan::disabled(), &reg);
-        engine(with_capacity(1 << 21), FaultPlan::disabled(), &reg);
+        engine(with_capacity((1 << 28) - 1), FaultPlan::disabled(), &reg);
+        engine(with_capacity(1 << 28), FaultPlan::disabled(), &reg);
     }
 
     mod differential;

@@ -1,9 +1,13 @@
-//! The engine against a reference written to be read: the early
-//! classifier's own `observe` (windows found through its own index), a
-//! `HashMap` of admitted flows beside their admission order, and a
-//! `VecDeque` FIFO of rejected flows. One owner per flow is what the
-//! engine's single index makes structural; here it is simply what the
-//! reference does.
+//! The engine against a reference written to be read: a `HashMap` of
+//! each undecided flow's records (hint first, then the window, then
+//! `FlowFeatures::from_packets` and `classify_features` on a full one),
+//! a `HashMap` of admitted flows beside their admission order, and a
+//! `VecDeque` FIFO of rejected flows. None of it shares the window
+//! arena or the flow index with the engine. One owner per flow is what
+//! the engine's single index makes structural; here it is simply what
+//! the reference does. The early classifier's own `observe` runs
+//! beside the reference's windows, fed the same packets, and must
+//! settle every flow on the same packet as the same class.
 //!
 //! Random schedules interleave window packets of several flows in one
 //! batch, learn a server hint while windows are open, depart flows
@@ -13,8 +17,10 @@
 //! matrix, `classifying_flows` and `rejected_occupancy`.
 
 use std::collections::{HashMap, VecDeque};
+use std::net::Ipv4Addr;
 
-use exbox_net::{Direction, Protocol};
+use exbox_net::classify::PacketRecord;
+use exbox_net::{Direction, FlowFeatures, Protocol};
 use proptest::prelude::*;
 
 use super::*;
@@ -51,7 +57,14 @@ fn packet(id: u32, seq: u64, at_ms: u64) -> Packet {
 }
 
 struct Reference {
-    early: EarlyClassifier,
+    window: usize,
+    hints: HashMap<Ipv4Addr, AppClass>,
+    /// The records of every undecided flow that has sent any.
+    windows: HashMap<FlowKey, Vec<PacketRecord>>,
+    /// Only its default profiles are used, through `classify_features`.
+    profiles: EarlyClassifier,
+    /// `observe`, fed what `windows` is fed.
+    observer: EarlyClassifier,
     admitted: HashMap<FlowKey, FlowKind>,
     /// Admission order, oldest first: what a poll revokes first.
     order: Vec<FlowKey>,
@@ -63,13 +76,44 @@ struct Reference {
 impl Reference {
     fn new(window: usize) -> Self {
         Reference {
-            early: EarlyClassifier::with_default_profiles(window),
+            window,
+            hints: HashMap::new(),
+            windows: HashMap::new(),
+            profiles: EarlyClassifier::with_default_profiles(window),
+            observer: EarlyClassifier::with_default_profiles(window),
             admitted: HashMap::new(),
             order: Vec::new(),
             rejected: VecDeque::new(),
             src: Scripted::online(2),
             log: Vec::new(),
         }
+    }
+
+    fn learn_server_hint(&mut self, server: Ipv4Addr, class: AppClass) {
+        self.hints.insert(server, class);
+        self.observer.learn_server_hint(server, class);
+    }
+
+    /// A packet of an undecided flow: its class when it settles the
+    /// flow — the first one to a hinted server, else the one filling
+    /// the window — and `None` before.
+    fn classify(&mut self, pkt: &Packet) -> Option<AppClass> {
+        let settled = if let Some(&class) = self.hints.get(&pkt.flow.server_ip) {
+            self.windows.remove(&pkt.flow);
+            Some(class)
+        } else {
+            let records = self.windows.entry(pkt.flow).or_default();
+            records.push((pkt.timestamp, pkt.size, pkt.direction));
+            if records.len() == self.window {
+                let features = FlowFeatures::from_packets(records);
+                self.windows.remove(&pkt.flow);
+                Some(self.profiles.classify_features(&features))
+            } else {
+                None
+            }
+        };
+        assert_eq!(self.observer.observe(pkt), settled, "observe on {pkt:?}");
+        settled
     }
 
     fn packet(&mut self, pkt: &Packet, snr: SnrLevel) -> Action {
@@ -79,7 +123,7 @@ impl Reference {
         if self.rejected.contains(&pkt.flow) {
             return Action::Drop;
         }
-        let Some(class) = self.early.observe(pkt) else {
+        let Some(class) = self.classify(pkt) else {
             return Action::Forward;
         };
         let kind = FlowKind::new(class, snr);
@@ -132,7 +176,8 @@ impl Reference {
         if let Some(at) = self.rejected.iter().position(|k| k == key) {
             self.rejected.remove(at);
         } else {
-            self.early.forget(key);
+            self.windows.remove(key);
+            self.observer.forget(key);
         }
         None
     }
@@ -246,9 +291,9 @@ proptest! {
                     prop_assert_eq!(serve(&mut e, &mut src, &batch), want, "step {}", i);
                 }
                 Step::Hint(class) => {
-                    let server = std::net::Ipv4Addr::new(192, 168, 1, HINTED);
+                    let server = Ipv4Addr::new(192, 168, 1, HINTED);
                     e.learn_server_hint(server, *class);
-                    reference.early.learn_server_hint(server, *class);
+                    reference.learn_server_hint(server, *class);
                 }
                 Step::Depart(id) => {
                     let got = e.flow_departed(&flow(*id));
@@ -281,8 +326,15 @@ proptest! {
             prop_assert_eq!(e.admitted_flows(), reference.admitted.len(), "step {}", i);
             prop_assert_eq!(
                 e.early.classifying_flows(),
-                reference.early.classifying_flows(),
+                reference.windows.len(),
                 "classifying flows after step {}: {:?}",
+                i,
+                step
+            );
+            prop_assert_eq!(
+                reference.observer.classifying_flows(),
+                reference.windows.len(),
+                "observe's windows after step {}: {:?}",
                 i,
                 step
             );

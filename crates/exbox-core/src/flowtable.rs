@@ -52,14 +52,11 @@ use std::collections::VecDeque;
 /// routing; defined next to [`FlowKey`]. The flow index does not use
 /// it.
 pub use exbox_net::hash_flow_key;
-use exbox_net::index::VALUE_BITS;
+use exbox_net::index::{place_value, PLACE_VALUES};
 use exbox_net::{FlowIndex, FlowKey, IndexKey, Place, Spot};
 
 /// Absent link marker for the intrusive lists.
 const NIL: u32 = u32::MAX;
-
-/// Ring stamps are kept modulo 2^22, the bits a `Place` value has.
-const STAMP_MASK: u32 = (1 << VALUE_BITS) - 1;
 
 /// Stable handle to an occupied arena slot: an arena index plus a
 /// generation stamp. The index is reused after removal but the
@@ -78,13 +75,6 @@ impl FlowSlot {
     pub fn index(self) -> u32 {
         self.index
     }
-}
-
-/// The arena index of a fresh slot appended to an arena of `len`.
-/// Panics past 2^22 slots, the most a `Place::Admitted` can name.
-fn fresh_slot(len: usize) -> u32 {
-    assert!(len < 1 << VALUE_BITS, "an arena holds at most 2^22 flows");
-    len as u32
 }
 
 const OCCUPIED: &str = "an indexed slot is occupied";
@@ -143,13 +133,16 @@ impl<V> Arena<V> {
 
     /// Store `key`'s state at the iteration tail, in the free list's
     /// head slot, else a fresh one.
+    ///
+    /// # Panics
+    /// Past [`PLACE_VALUES`] slots, the most a `Place::Admitted` names.
     pub(crate) fn push(&mut self, key: FlowKey, value: V) -> FlowSlot {
         let index = if self.free_head != NIL {
             let index = self.free_head;
             self.free_head = self.slots[index as usize].next;
             index
         } else {
-            let index = fresh_slot(self.slots.len());
+            let index = place_value(self.slots.len(), "an arena slot");
             self.slots.push(Slot {
                 gen: 0,
                 prev: NIL,
@@ -303,7 +296,7 @@ impl<'a, V> Iterator for FlowIter<'a, V> {
 /// its own mapping each key to `Place::Admitted(slot)`. Drop-in
 /// replacement for `HashMap<FlowKey, V>` (property-tested against
 /// exactly that reference model in `tests/flowtable_props.rs`) for up
-/// to 2^22 live flows; an insert past that panics.
+/// to 2^29 live flows; an insert past that panics.
 ///
 /// Insertion-order rules: a fresh key appends at the tail; overwriting
 /// an existing key keeps its position and its handle; removing and
@@ -446,14 +439,14 @@ pub struct RingInsert {
 const PRESSURE_WINDOW: u64 = 256;
 
 /// The bounded rejected-flow FIFO over an index it is handed: each
-/// record gets a fresh stamp, kept both in the ring and, modulo 2^22,
-/// in the key's `Place::Rejected`. Forgetting a record only unindexes
-/// the key, leaving a stale ring entry that eviction recognises by
-/// stamp mismatch and skips for free — no linear search, ever. The ring
-/// is swept wholesale once it outgrows twice the live set, so it never
-/// holds more than `2 · cap + 1` entries; stamps within that span are
-/// distinct modulo 2^22 while `2 · cap + 1 < 2^22`, which
-/// [`RejectFifo::new`] asserts.
+/// record gets a fresh stamp, kept modulo [`PLACE_VALUES`] (2^29) both
+/// in the ring and in the key's `Place::Rejected`. Forgetting a record
+/// only unindexes the key, leaving a stale ring entry that eviction
+/// recognises by stamp mismatch and skips for free — no linear search,
+/// ever. The ring is swept wholesale once it outgrows twice the live
+/// set, so it never holds more than `2 · cap + 1` entries; stamps
+/// within that span are distinct while the span is a place value
+/// (`2 · cap + 1 < 2^29`), which [`RejectFifo::new`] asserts.
 #[derive(Debug)]
 pub(crate) struct RejectFifo {
     cap: usize,
@@ -471,13 +464,13 @@ impl RejectFifo {
     /// A FIFO keeping at most `cap` live records (minimum 1).
     ///
     /// # Panics
-    /// If `2 · cap + 1` reaches 2^22: stamps would alias.
+    /// If `2 · cap + 1` reaches 2^29 (`cap` past 2^28 − 1): stamps
+    /// would alias.
     pub(crate) fn new(cap: usize) -> Self {
         let cap = cap.max(1);
-        assert!(
-            2 * cap + 1 < 1 << VALUE_BITS,
-            "rejected capacity {cap} is past 2^21 - 1, the most records \
-             whose stamps stay distinct modulo 2^22 in the flow index"
+        place_value(
+            cap.saturating_mul(2) + 1,
+            "the rejected-flow stamp span (2 · capacity + 1)",
         );
         RejectFifo {
             cap,
@@ -507,7 +500,7 @@ impl RejectFifo {
     /// capacity (one hash and one probe each).
     pub(crate) fn file(&mut self, index: &mut FlowIndex, spot: Spot, key: &IndexKey) -> RingInsert {
         let stamp = self.next_stamp;
-        self.next_stamp = (stamp + 1) & STAMP_MASK;
+        self.next_stamp = (stamp + 1) % PLACE_VALUES;
         index.put(spot, key, Place::Rejected(stamp));
         let (addr, ports) = key.words();
         self.ring.push_back((addr, ports, stamp));
@@ -574,7 +567,7 @@ impl RejectedRing {
     /// A ring remembering at most `cap` rejected flows (minimum 1).
     ///
     /// # Panics
-    /// Past 2^21 − 1 records: record stamps are kept modulo 2^22 in the
+    /// Past 2^28 − 1 records: record stamps are kept modulo 2^29 in the
     /// flow index.
     pub fn new(cap: usize) -> Self {
         RejectedRing {
@@ -889,26 +882,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at most 2^22 flows")]
-    fn the_arena_stops_at_2_22_slots() {
-        assert_eq!(fresh_slot((1 << 22) - 1), (1 << 22) - 1);
-        fresh_slot(1 << 22);
-    }
-
-    #[test]
-    #[should_panic(expected = "past 2^21 - 1")]
+    #[should_panic(expected = "stamp span (2 · capacity + 1): 536870913 is past 2^29 - 1")]
     fn a_ring_past_the_stamp_bits_is_refused() {
-        let widest = RejectedRing::new((1 << 21) - 1);
+        let widest = RejectedRing::new((1 << 28) - 1);
         assert!(widest.is_empty());
-        RejectedRing::new(1 << 21);
+        RejectedRing::new(1 << 28);
     }
 
-    /// Stamps wrap modulo 2^22 with stale entries on both sides of the
+    /// Stamps wrap modulo 2^29 with stale entries on both sides of the
     /// wrap: the ring still evicts exactly the oldest live record.
     #[test]
     fn stamps_wrap_without_confusing_records() {
         let mut r = RejectedRing::new(2);
-        r.fifo.next_stamp = STAMP_MASK - 2;
+        r.fifo.next_stamp = PLACE_VALUES - 3;
         let mut model: VecDeque<u32> = VecDeque::new();
         for step in 0u32..40 {
             let n = step % 5;

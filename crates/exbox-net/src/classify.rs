@@ -20,20 +20,27 @@
 //! keeps state for *in-progress windows only*.
 //!
 //! That state is two parts. The window records live in a fixed-size
-//! arena — `window` records per slot, slots reused from a free list —
-//! and [`EarlyClassifier::feed`] is the step over one slot. Which flow
+//! arena — `window` records per slot, slots reused from a free list,
+//! at most [`MAX_OPEN_WINDOWS`] of them — and
+//! [`EarlyClassifier::feed`] is the step over one slot. Which flow
 //! holds which slot is a [`FlowIndex`] entry
-//! `Place::Classifying(slot)`: `observe` keeps an index of its own, and
-//! a caller that already indexes every flow it knows (the gateway's
-//! flow engine) keeps the slot in its own index and calls `feed`
-//! directly, so a window packet costs it no second lookup. Nothing
+//! `Place::Classifying(slot)`. A caller that already indexes every flow
+//! it knows (the gateway's flow engine) keeps the slot in its own index
+//! and calls `feed` directly, so a window packet costs it no second
+//! lookup; `observe` builds an index of its own on first use. Nothing
 //! iterates either part, so no output depends on where a key landed or
 //! which slot it took.
+//!
+//! When every slot is taken a new flow's packet gets no window
+//! ([`WindowStep::Full`]): it is not recorded, the caller forwards it
+//! as it forwards every packet of an undecided flow, and the flow's
+//! next packet asks again. A flood of flows that never complete a
+//! window therefore costs bounded memory and no panic.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use crate::index::{FlowIndex, Place, VALUE_BITS};
+use crate::index::{FlowIndex, Place, PLACE_VALUES};
 use crate::packet::{Direction, FlowKey, Packet};
 use crate::time::Instant;
 
@@ -178,16 +185,12 @@ struct Profile {
     centroid: [f64; 5],
 }
 
-/// The arena index of a fresh window slot appended to an arena of
-/// `len` slots. Panics past 2^22 slots, the most a
-/// `Place::Classifying` can name.
-fn fresh_window(len: usize) -> u32 {
-    assert!(
-        len < 1 << VALUE_BITS,
-        "at most 2^22 classification windows can be open at once"
-    );
-    len as u32
-}
+/// Most classification windows one classifier keeps open at once. It
+/// is a memory bound: at the default 8-packet window, 512 MiB of
+/// records (16 bytes each) and an index of 2^23 buckets (128 MiB) at
+/// most, well inside what a `Place::Classifying` can name.
+pub const MAX_OPEN_WINDOWS: u32 = 1 << 22;
+const _: () = assert!(MAX_OPEN_WINDOWS <= PLACE_VALUES);
 
 /// The records of the in-progress classification windows: slot `s`
 /// owns `records[s * window..][..window]`, filled to `filled[s]`.
@@ -201,6 +204,8 @@ struct WindowArena {
     filled: Vec<u32>,
     free: Vec<u32>,
     open: usize,
+    /// Slots the arena grows to: [`MAX_OPEN_WINDOWS`], lower in tests.
+    limit: u32,
 }
 
 impl WindowArena {
@@ -211,20 +216,24 @@ impl WindowArena {
             filled: Vec::new(),
             free: Vec::new(),
             open: 0,
+            limit: MAX_OPEN_WINDOWS,
         }
     }
 
-    /// An empty window's slot.
-    fn open(&mut self) -> u32 {
+    /// An empty window's slot; `None` when every slot is open.
+    fn open(&mut self) -> Option<u32> {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None if self.filled.len() < self.limit as usize => {
+                let blank = (Instant::ZERO, 0, Direction::Downlink);
+                self.records.resize(self.records.len() + self.window, blank);
+                self.filled.push(0);
+                self.filled.len() as u32 - 1
+            }
+            None => return None,
+        };
         self.open += 1;
-        if let Some(slot) = self.free.pop() {
-            return slot;
-        }
-        let slot = fresh_window(self.filled.len());
-        self.filled.push(0);
-        let blank = (Instant::ZERO, 0, Direction::Downlink);
-        self.records.resize(self.records.len() + self.window, blank);
-        slot
+        Some(slot)
     }
 
     /// Append `record` to the open window `slot`; true when it filled
@@ -259,6 +268,10 @@ pub enum WindowStep {
     Opened(u32),
     /// The packet joined the flow's open window, which waits for more.
     Pending,
+    /// The flow had no window and all [`MAX_OPEN_WINDOWS`] are open:
+    /// the packet is not recorded and the caller records nothing, so
+    /// the flow's next packet asks again.
+    Full,
     /// The packet settled the flow as this class; the window it had,
     /// if any, is closed and the flow is the caller's.
     Settled(AppClass),
@@ -279,9 +292,10 @@ pub struct EarlyClassifier {
     /// endpoint, as production classifiers do via DNS/SNI.
     server_hints: HashMap<Ipv4Addr, AppClass>,
     windows: WindowArena,
-    /// Which flow holds which window, for [`observe`](Self::observe).
-    /// A caller driving [`feed`](Self::feed) leaves it empty.
-    index: FlowIndex,
+    /// Which flow holds which window, for [`observe`](Self::observe),
+    /// built by its first call: a caller driving [`feed`](Self::feed)
+    /// keeps that record in an index of its own.
+    index: Option<FlowIndex>,
 }
 
 impl EarlyClassifier {
@@ -313,7 +327,7 @@ impl EarlyClassifier {
             ],
             server_hints: HashMap::new(),
             windows: WindowArena::new(window),
-            index: FlowIndex::new(),
+            index: None,
         }
     }
 
@@ -353,7 +367,7 @@ impl EarlyClassifier {
             profiles,
             server_hints: HashMap::new(),
             windows: WindowArena::new(window),
-            index: FlowIndex::new(),
+            index: None,
         }
     }
 
@@ -381,27 +395,32 @@ impl EarlyClassifier {
     /// and calls [`forget`](Self::forget) for one that ends mid-window.
     ///
     /// One probe of the classifier's own index finds the flow's window
-    /// and [`feed`](Self::feed) does the rest.
+    /// and [`feed`](Self::feed) does the rest. A packet that gets no
+    /// window ([`WindowStep::Full`]) answers `None` like any other
+    /// undecided one.
     pub fn observe(&mut self, pkt: &Packet) -> Option<AppClass> {
-        let key = self.index.key(&pkt.flow);
-        let (spot, place) = self.index.find(&key);
+        let mut index = self.index.take().unwrap_or_default();
+        let key = index.key(&pkt.flow);
+        let (spot, place) = index.find(&key);
         let open = match place {
             Some(Place::Classifying(slot)) => Some(slot),
             _ => None,
         };
-        match self.feed(open, pkt) {
+        let class = match self.feed(open, pkt) {
             WindowStep::Opened(slot) => {
-                self.index.put(spot, &key, Place::Classifying(slot));
+                index.put(spot, &key, Place::Classifying(slot));
                 None
             }
-            WindowStep::Pending => None,
+            WindowStep::Pending | WindowStep::Full => None,
             WindowStep::Settled(class) => {
                 if open.is_some() {
-                    self.index.remove_at(spot);
+                    index.remove_at(spot);
                 }
                 Some(class)
             }
-        }
+        };
+        self.index = Some(index);
+        class
     }
 
     /// Feed one packet of an undecided flow whose window, if it has
@@ -410,7 +429,8 @@ impl EarlyClassifier {
     /// record itself. A known endpoint settles the flow on any packet
     /// (closing a window opened before the hint was learnt); otherwise
     /// the packet joins the window, and the one completing it settles
-    /// the flow.
+    /// the flow. A flow with no window when every slot is open gets
+    /// [`WindowStep::Full`].
     pub fn feed(&mut self, open: Option<u32>, pkt: &Packet) -> WindowStep {
         if let Some(&class) = self.server_hints.get(&pkt.flow.server_ip) {
             if let Some(slot) = open {
@@ -418,7 +438,9 @@ impl EarlyClassifier {
             }
             return WindowStep::Settled(class);
         }
-        let slot = open.unwrap_or_else(|| self.windows.open());
+        let Some(slot) = open.or_else(|| self.windows.open()) else {
+            return WindowStep::Full;
+        };
         if self
             .windows
             .push(slot, (pkt.timestamp, pkt.size, pkt.direction))
@@ -468,8 +490,10 @@ impl EarlyClassifier {
     /// settled another way) before completing it; a no-op for a flow
     /// with no window open.
     pub fn forget(&mut self, key: &FlowKey) {
-        let key = self.index.key(key);
-        if let Some(Place::Classifying(slot)) = self.index.remove(&key) {
+        let Some(index) = &mut self.index else {
+            return;
+        };
+        if let Some(Place::Classifying(slot)) = index.remove(&index.key(key)) {
             self.windows.close(slot);
         }
     }
@@ -648,14 +672,40 @@ mod tests {
         let verdicts: Vec<_> = pkts[2..].iter().map(|p| clf.observe(p)).collect();
         assert_eq!(verdicts, [None, None, None, Some(AppClass::Streaming)]);
         assert_eq!((clf.classifying_flows(), clf.windows.free.len()), (0, 1));
-        assert!(clf.index.is_empty());
+        assert!(clf.index.as_ref().is_some_and(FlowIndex::is_empty));
     }
 
     #[test]
-    #[should_panic(expected = "at most 2^22 classification windows")]
-    fn the_window_arena_stops_at_2_22_slots() {
-        assert_eq!(fresh_window((1 << 22) - 1), (1 << 22) - 1);
-        fresh_window(1 << 22);
+    fn a_full_arena_refuses_new_windows_and_keeps_serving() {
+        // The record size `MAX_OPEN_WINDOWS`' memory bound counts on.
+        assert_eq!(std::mem::size_of::<PacketRecord>(), 16);
+        let mut clf = EarlyClassifier::with_default_profiles(3);
+        clf.windows.limit = 2;
+        let pkts = |n: u32| streaming_packets(FlowKey::synthetic(n, n, 1, Protocol::Tcp), 3);
+        for n in [1, 2] {
+            assert_eq!(clf.observe(&pkts(n)[0]), None);
+        }
+        // A third flow gets no window: every packet of it is refused,
+        // and nothing is recorded for it.
+        for p in &pkts(3) {
+            assert_eq!(clf.feed(None, p), WindowStep::Full);
+            assert_eq!(clf.observe(p), None);
+        }
+        assert_eq!(clf.classifying_flows(), 2);
+        assert_eq!(clf.windows.filled.len(), 2, "the arena stopped growing");
+        assert_eq!(clf.index.as_ref().map(FlowIndex::len), Some(2));
+        // A known endpoint still settles on its first packet, and the
+        // open windows still fill and classify.
+        let hinted = FlowKey::synthetic(4, 4, 9, Protocol::Udp);
+        clf.learn_server_hint(hinted.server_ip, AppClass::Conferencing);
+        let first = &streaming_packets(hinted, 1)[0];
+        assert_eq!(clf.observe(first), Some(AppClass::Conferencing));
+        assert_eq!(clf.observe(&pkts(1)[1]), None);
+        assert_eq!(clf.observe(&pkts(1)[2]), Some(AppClass::Streaming));
+        // The freed slot takes the refused flow, which starts over.
+        let verdicts: Vec<_> = pkts(3).iter().map(|p| clf.observe(p)).collect();
+        assert_eq!(verdicts, [None, None, Some(AppClass::Streaming)]);
+        assert_eq!((clf.classifying_flows(), clf.windows.filled.len()), (1, 2));
     }
 
     #[test]
@@ -678,7 +728,7 @@ mod tests {
                 assert_eq!(clf.observe(&pkts[2]), Some(AppClass::Streaming), "flow {n}");
             }
             assert_eq!((clf.classifying_flows(), clf.windows.free.len()), (0, 500));
-            assert!(clf.index.is_empty());
+            assert!(clf.index.as_ref().is_some_and(FlowIndex::is_empty));
         }
     }
 
@@ -692,7 +742,7 @@ mod tests {
             .collect();
         let run = |index: FlowIndex| {
             let mut clf = EarlyClassifier::with_default_profiles(8);
-            clf.index = index;
+            clf.index = Some(index);
             let mut classes = Vec::new();
             for i in 0..8 {
                 for (n, key) in keys.iter().enumerate() {
@@ -714,15 +764,14 @@ mod tests {
         );
         assert_eq!(classes, run(FlowIndex::new()));
         // And two classifiers built in one process hash under different
-        // secrets.
-        let (a, b) = (
-            EarlyClassifier::with_default_profiles(8),
-            EarlyClassifier::with_default_profiles(8),
-        );
-        let differ = keys
-            .iter()
-            .filter(|k| a.index.key(k) != b.index.key(k))
-            .count();
+        // secrets (each draws one on its first `observe`).
+        let indexed = || {
+            let mut clf = EarlyClassifier::with_default_profiles(8);
+            clf.observe(&streaming_packets(keys[0], 1)[0]);
+            clf.index.expect("built by observe")
+        };
+        let (a, b) = (indexed(), indexed());
+        let differ = keys.iter().filter(|k| a.key(k) != b.key(k)).count();
         assert!(differ > 190, "only {differ} of 200 keys hash apart");
     }
 

@@ -5,12 +5,15 @@
 //! packets are being classified, or it was admitted, or it was
 //! rejected — and a [`FlowIndex`] bucket says which, beside the key's
 //! two packed words ([`FlowKey::words`]), in 16 bytes: the address
-//! word, and the port word shifted up 24 bits over a [`Place`] (two
-//! kind bits and a 22-bit value — a window slot, an arena slot or a
-//! ring stamp). So finding a flow, whatever its place, is one hash and
-//! one probe, and a flow that changes place is retagged in its bucket
-//! instead of leaving one table for another. An all-zero bucket is
-//! empty: no port word is zero (the protocol byte is 6 or 17).
+//! word, and a tag holding the port word narrowed to 33 bits (the
+//! protocol byte, 6 or 17, kept as one bit) over a [`Place`] (two kind
+//! bits, never both zero, and a 29-bit value — a window slot, an arena
+//! slot or a ring stamp). So finding a flow, whatever its place, is one
+//! hash and one probe, and a flow that changes place is retagged in its
+//! bucket instead of leaving one table for another. A bucket whose tag
+//! is zero is empty. The index owns the value limit: an owner that
+//! needs a value calls [`place_value`], which refuses one past
+//! [`PLACE_VALUES`] with one message.
 //!
 //! The table is open-addressed: linear probing, backward-shift deletion
 //! (no tombstones), power-of-two capacity, ≤ 7/8 load. It is the one
@@ -30,38 +33,54 @@ use std::collections::hash_map::RandomState;
 use std::fmt;
 use std::hash::BuildHasher;
 
-use crate::packet::FlowKey;
+use crate::packet::{FlowKey, Protocol};
 
-/// Bits of a [`Place`]'s value: arena slots and window slots stay
-/// below 2^22, ring stamps are kept modulo 2^22.
-pub const VALUE_BITS: u32 = 22;
-const VALUE_MASK: u64 = (1 << VALUE_BITS) - 1;
-/// Bits of a bucket's tag below the port word (a port word uses 40):
-/// the place's two kind bits over its value.
+/// Bits of a [`Place`]'s value.
+const VALUE_BITS: u32 = 29;
+/// Values a [`Place`] carries: arena and window slots stay below this,
+/// ring stamps are kept modulo it.
+pub const PLACE_VALUES: u32 = 1 << VALUE_BITS;
+const VALUE_MASK: u64 = PLACE_VALUES as u64 - 1;
+/// Bits of a bucket's tag below the narrowed port word (33 bits): the
+/// place's two kind bits over its value.
 const PLACE_BITS: u32 = VALUE_BITS + 2;
 
-/// Where a flow is. Each value is below 2^[`VALUE_BITS`]; the index
-/// stores what it is given and the owner of each kind keeps within
-/// that.
+/// `n` as the value of a [`Place`], for an owner that cannot go on
+/// without it (an arena slot, a stamp span).
+///
+/// # Panics
+/// When `n` is [`PLACE_VALUES`] or more; the message names `what`.
+pub fn place_value(n: usize, what: &str) -> u32 {
+    assert!(
+        n < PLACE_VALUES as usize,
+        "{what}: {n} is past 2^{VALUE_BITS} - 1, the most a flow index place holds"
+    );
+    n as u32
+}
+
+/// Where a flow is. Each value is below [`PLACE_VALUES`]; the index
+/// stores what it is given, and the owner of each kind gets its values
+/// from [`place_value`] or stays below [`PLACE_VALUES`] itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Place {
     /// Admitted, its state in this arena slot.
     Admitted(u32),
-    /// Rejected, its record stamped with this (modulo 2^22).
+    /// Rejected, its record stamped with this (modulo [`PLACE_VALUES`]).
     Rejected(u32),
     /// Being classified, its first packets in this window slot.
     Classifying(u32),
 }
 
 impl Place {
+    /// Kind codes 1–3 over the value: a packed place is never zero.
     #[inline]
     fn pack(self) -> u64 {
         let (kind, value) = match self {
-            Place::Admitted(v) => (0, v),
-            Place::Rejected(v) => (1, v),
-            Place::Classifying(v) => (2, v),
+            Place::Admitted(v) => (1, v),
+            Place::Rejected(v) => (2, v),
+            Place::Classifying(v) => (3, v),
         };
-        debug_assert!(u64::from(value) <= VALUE_MASK, "{self:?} past 2^22");
+        debug_assert!(value < PLACE_VALUES, "{self:?} past 2^{VALUE_BITS} - 1");
         kind << VALUE_BITS | u64::from(value)
     }
 
@@ -69,11 +88,30 @@ impl Place {
     fn unpack(bits: u64) -> Place {
         let value = (bits & VALUE_MASK) as u32;
         match bits >> VALUE_BITS & 3 {
-            0 => Place::Admitted(value),
-            1 => Place::Rejected(value),
+            1 => Place::Admitted(value),
+            2 => Place::Rejected(value),
             _ => Place::Classifying(value),
         }
     }
+}
+
+/// A port word ([`FlowKey::words`]: 40 bits, protocol byte 6 or 17) in
+/// the 33 bits a bucket keeps: the two ports, and the protocol byte's
+/// low bit, which tells 6 from 17.
+#[inline]
+fn narrow(ports: u64) -> u64 {
+    ports >> 8 << 1 | ports & 1
+}
+
+/// The port word [`narrow`] kept.
+#[inline]
+fn widen(narrowed: u64) -> u64 {
+    let protocol = if narrowed & 1 == 0 {
+        Protocol::Tcp
+    } else {
+        Protocol::Udp
+    };
+    narrowed >> 1 << 8 | u64::from(protocol.ip_proto())
 }
 
 /// A 64×64→128-bit product folded to 64 bits.
@@ -112,16 +150,27 @@ impl fmt::Debug for IndexKey {
 }
 
 /// Where a [`FlowIndex::find`] ended: the key's bucket, or the empty
-/// bucket an insert of the key would fill. Valid until the next
-/// [`put`](FlowIndex::put) or removal on the same index.
+/// bucket an insert of the key would fill. A spot belongs to the key it
+/// was found for, and only until the index next inserts or removes a
+/// key — an insert may fill that bucket or regrow the table, a removal
+/// shifts entries back over the hole — while a retag leaves every spot
+/// as it is. [`put`](FlowIndex::put) and
+/// [`remove_at`](FlowIndex::remove_at) refuse (panic on) a spot from
+/// before the last insert or removal, so a stale spot never writes a
+/// duplicate or unreachable entry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Spot(usize);
+pub struct Spot {
+    at: usize,
+    /// The index's insert-and-removal count when the spot was found.
+    edits: u64,
+}
 
 #[derive(Clone, Copy, Default)]
 struct Bucket {
     /// The key's address word.
     addr: u64,
-    /// The key's port word `<< PLACE_BITS`, or'd with its packed place.
+    /// The key's narrowed port word `<< PLACE_BITS`, or'd with its
+    /// packed place; zero in an empty bucket.
     tag: u64,
 }
 
@@ -131,9 +180,11 @@ impl Bucket {
         self.tag == 0
     }
 
+    /// True when this occupied bucket is `key`'s. (An empty bucket's
+    /// words match the all-zero TCP key; probes test emptiness first.)
     #[inline]
     fn holds(&self, key: &IndexKey) -> bool {
-        self.addr == key.addr && self.tag >> PLACE_BITS == key.ports
+        self.addr == key.addr && self.tag >> PLACE_BITS == narrow(key.ports)
     }
 }
 
@@ -143,6 +194,8 @@ pub struct FlowIndex {
     secret: [u64; 2],
     buckets: Vec<Bucket>,
     len: usize,
+    /// Inserts and removals so far: what dates a [`Spot`].
+    edits: u64,
 }
 
 impl fmt::Debug for FlowIndex {
@@ -175,6 +228,7 @@ impl FlowIndex {
             secret: [secret[0], secret[1] | 1 << 63],
             buckets: vec![Bucket::default(); 16],
             len: 0,
+            edits: 0,
         }
     }
 
@@ -200,9 +254,11 @@ impl FlowIndex {
         self.key_words(addr, ports)
     }
 
-    /// Hash already-packed words.
+    /// Hash already-packed words ([`FlowKey::words`], or an
+    /// [`IndexKey::words`]).
     #[inline]
     pub fn key_words(&self, addr: u64, ports: u64) -> IndexKey {
+        debug_assert_eq!(widen(narrow(ports)), ports, "not a port word");
         IndexKey {
             addr,
             ports,
@@ -228,7 +284,15 @@ impl FlowIndex {
     /// The bucket an entry's probe starts from.
     #[inline]
     fn home(&self, b: &Bucket) -> usize {
-        self.hash(b.addr, b.tag >> PLACE_BITS) as usize & self.mask()
+        self.hash(b.addr, widen(b.tag >> PLACE_BITS)) as usize & self.mask()
+    }
+
+    #[inline]
+    fn spot(&self, at: usize) -> Spot {
+        Spot {
+            at,
+            edits: self.edits,
+        }
     }
 
     /// The probe: `key`'s place and bucket, or the empty bucket it
@@ -239,14 +303,23 @@ impl FlowIndex {
         let mut i = key.hash as usize & mask;
         loop {
             let b = self.buckets[i];
-            if b.holds(key) {
-                return (Spot(i), Some(Place::unpack(b.tag)));
-            }
             if b.is_empty() {
-                return (Spot(i), None);
+                return (self.spot(i), None);
+            }
+            if b.holds(key) {
+                return (self.spot(i), Some(Place::unpack(b.tag)));
             }
             i = (i + 1) & mask;
         }
+    }
+
+    /// Refuse a spot from before the last insert or removal.
+    #[inline]
+    fn check(&self, spot: Spot) {
+        assert!(
+            spot.edits == self.edits,
+            "a spot found before the index's last insert or removal"
+        );
     }
 
     /// `key`'s place, if indexed.
@@ -258,25 +331,30 @@ impl FlowIndex {
     /// Record `key` at `place` in the bucket [`find`](Self::find)
     /// returned for it: a retag when the key is there, an insert when
     /// the bucket is empty (growing the table first if it is full
-    /// enough). Panics on a spot holding another key; that an empty
-    /// spot is still where the key's probe ends is checked in debug
-    /// builds only, since it costs a probe.
+    /// enough).
+    ///
+    /// # Panics
+    /// On a spot from before the last insert or removal, or one holding
+    /// another key. That an empty spot was found for this `key` is
+    /// checked in debug builds only, since it costs a probe.
     #[inline]
     pub fn put(&mut self, spot: Spot, key: &IndexKey, place: Place) {
-        let mut at = spot.0;
+        self.check(spot);
+        let mut at = spot.at;
         if self.buckets[at].is_empty() {
-            debug_assert_eq!(self.find(key), (spot, None), "a stale spot");
+            debug_assert_eq!(self.find(key), (spot, None), "a spot of another key");
             if (self.len + 1) * 8 >= self.buckets.len() * 7 {
                 self.grow();
-                at = self.find(key).0 .0;
+                at = self.find(key).0.at;
             }
             self.len += 1;
+            self.edits += 1;
         } else {
             assert!(self.buckets[at].holds(key), "a spot of another key");
         }
         self.buckets[at] = Bucket {
             addr: key.addr,
-            tag: key.ports << PLACE_BITS | place.pack(),
+            tag: narrow(key.ports) << PLACE_BITS | place.pack(),
         };
     }
 
@@ -291,13 +369,22 @@ impl FlowIndex {
 
     /// Empty the occupied bucket at `spot`, pulling displaced entries
     /// back over the hole so probe chains stay contiguous without
-    /// tombstones. Panics on an empty bucket.
+    /// tombstones.
+    ///
+    /// # Panics
+    /// On a spot from before the last insert or removal, or an empty
+    /// bucket.
     pub fn remove_at(&mut self, spot: Spot) {
-        assert!(!self.buckets[spot.0].is_empty(), "removing an empty bucket");
-        self.buckets[spot.0] = Bucket::default();
+        self.check(spot);
+        assert!(
+            !self.buckets[spot.at].is_empty(),
+            "removing an empty bucket"
+        );
+        self.buckets[spot.at] = Bucket::default();
         self.len -= 1;
+        self.edits += 1;
         let mask = self.mask();
-        let (mut hole, mut j) = (spot.0, spot.0);
+        let (mut hole, mut j) = (spot.at, spot.at);
         loop {
             j = (j + 1) & mask;
             let b = self.buckets[j];
@@ -320,8 +407,8 @@ impl FlowIndex {
         let doubled = self.buckets.len() * 2;
         let old = std::mem::replace(&mut self.buckets, vec![Bucket::default(); doubled]);
         for b in old.into_iter().filter(|b| !b.is_empty()) {
-            let key = self.key_words(b.addr, b.tag >> PLACE_BITS);
-            let (Spot(at), _) = self.find(&key);
+            let key = self.key_words(b.addr, widen(b.tag >> PLACE_BITS));
+            let at = self.find(&key).0.at;
             self.buckets[at] = b;
         }
     }
@@ -554,7 +641,7 @@ mod tests {
     }
 
     #[test]
-    fn a_16_byte_bucket_holds_the_widest_key_at_every_place() {
+    fn a_16_byte_bucket_holds_the_widest_and_narrowest_keys_at_every_place() {
         assert_eq!(std::mem::size_of::<Bucket>(), 16);
         let widest = FlowKey::new(
             Ipv4Addr::BROADCAST,
@@ -563,20 +650,90 @@ mod tests {
             u16::MAX,
             Protocol::Udp,
         );
-        let top = (1 << VALUE_BITS) - 1;
+        // All-zero words but the protocol byte: narrowed, its tag would
+        // be zero without the place's nonzero kind code.
+        let narrowest = FlowKey::new(
+            Ipv4Addr::UNSPECIFIED,
+            0,
+            Ipv4Addr::UNSPECIFIED,
+            0,
+            Protocol::Tcp,
+        );
+        let top = PLACE_VALUES - 1;
         let mut t = FlowIndex::new();
-        let k = t.key(&widest);
-        for place in [
+        let (wide, narrow) = (t.key(&widest), t.key(&narrowest));
+        assert_eq!(t.get(&narrow), None, "an empty bucket holds no key");
+        for (n, place) in [
             Place::Admitted(top),
             Place::Rejected(top),
             Place::Classifying(top),
             Place::Admitted(0),
-        ] {
-            let (spot, _) = t.find(&k);
-            t.put(spot, &k, place);
-            assert_eq!(t.get(&k), Some(place));
-            assert_eq!(t.len(), 1);
+            Place::Classifying(0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for k in [&wide, &narrow] {
+                let (spot, _) = t.find(k);
+                t.put(spot, k, place);
+                assert_eq!(t.get(k), Some(place));
+            }
+            assert_eq!(t.len(), 2, "place {n}: retagged, not inserted");
         }
         assert_eq!(t.get(&t.key(&key(1))), None);
+        assert_eq!(t.remove(&narrow), Some(Place::Classifying(0)));
+        assert_eq!(
+            (t.get(&narrow), t.get(&wide), t.len()),
+            (None, Some(Place::Classifying(0)), 1)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "an arena slot: 536870912 is past 2^29 - 1")]
+    fn a_place_value_past_the_bits_is_refused() {
+        let top = PLACE_VALUES as usize - 1;
+        assert_eq!(place_value(top, "an arena slot"), PLACE_VALUES - 1);
+        place_value(top + 1, "an arena slot");
+    }
+
+    /// Two keys homed on one bucket, the second one bucket on.
+    fn neighbours(t: &FlowIndex) -> (IndexKey, IndexKey) {
+        let mut keys = (0..).map(|n| t.key(&key(n)));
+        let first = keys.next().expect("endless");
+        let home = first.hash as usize & t.mask();
+        let second = keys
+            .find(|k| k.hash as usize & t.mask() == home)
+            .expect("endless");
+        (first, second)
+    }
+
+    #[test]
+    #[should_panic(expected = "a spot found before the index's last insert or removal")]
+    fn a_spot_from_before_a_removal_is_refused() {
+        let mut t = FlowIndex::new();
+        let (first, second) = neighbours(&t);
+        for k in [&first, &second] {
+            insert(&mut t, k, Place::Admitted(1));
+        }
+        let (spot, _) = t.find(&second);
+        // The backward shift moves `second` into `first`'s bucket and
+        // empties the one `spot` names: a put there would index
+        // `second` twice.
+        t.remove(&first);
+        t.put(spot, &second, Place::Rejected(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "a spot found before the index's last insert or removal")]
+    fn a_spot_from_before_an_insert_is_refused() {
+        let mut t = FlowIndex::new();
+        let (first, second) = neighbours(&t);
+        insert(&mut t, &first, Place::Admitted(1));
+        let (spot, _) = t.find(&first);
+        // An insert may fill the bucket a spot names or regrow the
+        // table, so every older spot is refused — even this one, whose
+        // key has not moved.
+        insert(&mut t, &second, Place::Admitted(2));
+        t.remove_at(spot);
     }
 }
