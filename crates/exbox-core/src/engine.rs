@@ -58,7 +58,7 @@ use exbox_net::{
     AppClass, Duration, EarlyClassifier, FlowIndex, FlowKey, IndexKey, Instant, Packet, Place,
     QosMeter, Spot, WindowStep,
 };
-use exbox_obs::{buckets, Counter, EventRing, Gauge, Histogram, MetricsRegistry};
+use exbox_obs::{buckets, CounterCell, EventRing, Gauge, HistogramCell, MetricsRegistry};
 
 use crate::admittance::Phase;
 use crate::flowtable::{Arena, FlowSlot, RejectFifo, TimerWheel};
@@ -229,39 +229,45 @@ pub(crate) trait ModelSource {
 /// with the returned [`Action`]s; `revokes` tallies the
 /// [`PollVerdict::Revoke`]s a poll returns, and `keeps` counts every
 /// flow a poll left admitted (kept flows are counted in bulk, not
-/// returned). A shard binds its own registry, so the increments land
-/// on shard-private cache lines.
+/// returned).
+///
+/// Every counter and the histogram is a one-writer cell of the
+/// engine's own ([`exbox_obs::CounterCell`]), so a tally is a load and
+/// a plain store — no locked instruction, which would first wait for
+/// the event's stores to the flow's state to drain. Engines sharing a
+/// registry still add up: a snapshot sums every cell under a name.
 ///
 /// What the per-event path carries is deliberately this little: packet
 /// and drop tallies batched per call ([`FlowEngine::flush`]), one
-/// relaxed add per decision, and an owned push into the decision ring
-/// — no clock read, no histogram, no process-global counter. The
+/// cell add per decision, and an owned push into the decision ring —
+/// no clock read, no histogram, no process-global counter. The
 /// decision count is `admits + rejects`; a per-decision timer would
 /// cost more than the cheapest decisions it times.
 #[derive(Debug)]
 struct EngineMetrics {
     /// `middlebox.packets` — packets probed.
-    packets: Arc<Counter>,
+    packets: CounterCell,
     /// `middlebox.admits` — arrival decisions that admitted the flow.
-    admits: Arc<Counter>,
+    admits: CounterCell,
     /// `middlebox.rejects` — arrival decisions that rejected the flow.
-    rejects: Arc<Counter>,
+    rejects: CounterCell,
     /// `middlebox.drops_rejected` — packets dropped because their flow
     /// was already rejected.
-    drops_rejected: Arc<Counter>,
+    drops_rejected: CounterCell,
     /// `middlebox.keeps` — poll verdicts keeping a flow.
-    keeps: Arc<Counter>,
+    keeps: CounterCell,
     /// `middlebox.revokes` — poll verdicts revoking a flow.
-    revokes: Arc<Counter>,
+    revokes: CounterCell,
     /// `middlebox.departures` — admitted flows that ended.
-    departures: Arc<Counter>,
+    departures: CounterCell,
     /// `middlebox.polls` — polls that actually ran (interval elapsed).
-    polls: Arc<Counter>,
+    polls: CounterCell,
     /// `middlebox.rejected_evictions` — rejected-flow records evicted
     /// because the bounded rejected set hit its capacity.
-    rejected_evictions: Arc<Counter>,
+    rejected_evictions: CounterCell,
     /// `middlebox.rejected_occupancy` — live records in the bounded
-    /// rejected set (capacity pressure made visible).
+    /// rejected set (capacity pressure made visible). The two gauges
+    /// stay shared: a set is a store already.
     rejected_occupancy: Arc<Gauge>,
     /// `middlebox.classifying_flows` — flows with a classification
     /// window open, sampled at each executed poll. A flow that sends
@@ -274,37 +280,38 @@ struct EngineMetrics {
     /// [`MAX_OPEN_WINDOWS`](exbox_net::classify::MAX_OPEN_WINDOWS)
     /// classification windows were open; such a flow is classified
     /// once a window frees.
-    windows_refused: Arc<Counter>,
+    windows_refused: CounterCell,
     /// `recovery.fallback_decisions` — arrival decisions served by the
     /// occupancy baseline because no model was available.
-    fallback_decisions: Arc<Counter>,
+    fallback_decisions: CounterCell,
     /// `recovery.poll_errors` — polls whose QoE-estimation pass failed
     /// (injected or real); the observation feed is skipped.
-    poll_errors: Arc<Counter>,
+    poll_errors: CounterCell,
     /// `middlebox.poll_latency_ns` — time per executed poll. The only
     /// clock the engine reads: a poll costs microseconds and runs once
     /// per interval, so two clock reads are noise beside it.
-    poll_latency_ns: Arc<Histogram>,
+    poll_latency_ns: HistogramCell,
 }
 
 impl EngineMetrics {
     fn bind(reg: &MetricsRegistry) -> Self {
         EngineMetrics {
-            packets: reg.counter("middlebox.packets"),
-            admits: reg.counter("middlebox.admits"),
-            rejects: reg.counter("middlebox.rejects"),
-            drops_rejected: reg.counter("middlebox.drops_rejected"),
-            keeps: reg.counter("middlebox.keeps"),
-            revokes: reg.counter("middlebox.revokes"),
-            departures: reg.counter("middlebox.departures"),
-            polls: reg.counter("middlebox.polls"),
-            rejected_evictions: reg.counter("middlebox.rejected_evictions"),
+            packets: reg.counter_cell("middlebox.packets"),
+            admits: reg.counter_cell("middlebox.admits"),
+            rejects: reg.counter_cell("middlebox.rejects"),
+            drops_rejected: reg.counter_cell("middlebox.drops_rejected"),
+            keeps: reg.counter_cell("middlebox.keeps"),
+            revokes: reg.counter_cell("middlebox.revokes"),
+            departures: reg.counter_cell("middlebox.departures"),
+            polls: reg.counter_cell("middlebox.polls"),
+            rejected_evictions: reg.counter_cell("middlebox.rejected_evictions"),
             rejected_occupancy: reg.gauge("middlebox.rejected_occupancy"),
             classifying_flows: reg.gauge("middlebox.classifying_flows"),
-            windows_refused: reg.counter("middlebox.windows_refused"),
-            fallback_decisions: reg.counter("recovery.fallback_decisions"),
-            poll_errors: reg.counter("recovery.poll_errors"),
-            poll_latency_ns: reg.histogram("middlebox.poll_latency_ns", &buckets::latency_ns()),
+            windows_refused: reg.counter_cell("middlebox.windows_refused"),
+            fallback_decisions: reg.counter_cell("recovery.fallback_decisions"),
+            poll_errors: reg.counter_cell("recovery.poll_errors"),
+            poll_latency_ns: reg
+                .histogram_cell("middlebox.poll_latency_ns", &buckets::latency_ns()),
         }
     }
 }
@@ -483,18 +490,16 @@ impl FlowEngine {
         } else {
             src.decide(&resulting)
         };
-        let reason = if degraded {
-            self.metrics.fallback_decisions.inc();
-            DecisionReason::DegradedFallback
-        } else {
-            match (phase, label) {
-                (Phase::Bootstrap, _) => DecisionReason::Bootstrap,
-                (Phase::Online, Label::Pos) => DecisionReason::InsideRegion,
-                (Phase::Online, Label::Neg) => DecisionReason::OutsideRegion,
-            }
+        let reason = match (degraded, phase, label) {
+            (true, _, _) => DecisionReason::DegradedFallback,
+            (false, Phase::Bootstrap, _) => DecisionReason::Bootstrap,
+            (false, Phase::Online, Label::Pos) => DecisionReason::InsideRegion,
+            (false, Phase::Online, Label::Neg) => DecisionReason::OutsideRegion,
         };
         let (verdict, action) = match label {
             Label::Pos => {
+                // The matrix update goes before the writes to the flow's
+                // state (the ordering rule on `SharedMatrix`).
                 src.add(kind);
                 let state = FlowState {
                     kind,
@@ -513,6 +518,9 @@ impl FlowEngine {
                 (DecisionKind::Reject, Action::Drop)
             }
         };
+        if degraded {
+            self.metrics.fallback_decisions.inc();
+        }
         self.decisions.push(DecisionEvent {
             at: pkt.timestamp,
             flow: pkt.flow,
@@ -527,7 +535,7 @@ impl FlowEngine {
     }
 
     /// Fold a finished batch's counter deltas into the registry.
-    pub(crate) fn flush(&self, run: Run) {
+    pub(crate) fn flush(&mut self, run: Run) {
         self.metrics.packets.add(run.packets);
         if run.drops > 0 {
             self.metrics.drops_rejected.add(run.drops);
@@ -598,15 +606,24 @@ impl FlowEngine {
 
     /// A flow ended (FIN/idle-eviction): unindex it and release what
     /// its place held — an arena slot, a rejection record or a
-    /// half-filled window — returning its kind, if it was admitted,
-    /// for the caller to take out of the matrix. Any pending due-list
+    /// half-filled window. An admitted flow's kind goes to `release`,
+    /// which takes it out of the matrix, before anything is written
+    /// (see `SharedMatrix`), and is returned. Any pending due-list
     /// entry goes stale and is skipped at its tick (the slot's
     /// generation no longer resolves).
-    pub(crate) fn flow_departed(&mut self, key: &FlowKey) -> Option<FlowKind> {
-        match self.index.remove(&self.index.key(key))? {
+    pub(crate) fn flow_departed(
+        &mut self,
+        key: &FlowKey,
+        release: impl FnOnce(FlowKind),
+    ) -> Option<FlowKind> {
+        let (spot, place) = self.index.find(&self.index.key(key));
+        let departed = match place? {
             Place::Admitted(index) => {
+                let kind = self.flows.at(index).1.kind;
+                release(kind);
+                self.flows.take(index);
                 self.metrics.departures.inc();
-                Some(self.flows.take(index).1.kind)
+                Some(kind)
             }
             Place::Rejected(_) => {
                 self.rejected.forget();
@@ -619,7 +636,9 @@ impl FlowEngine {
                 self.early.close_window(window);
                 None
             }
-        }
+        };
+        self.index.remove_at(spot);
+        departed
     }
 
     /// Whether `poll_interval` has elapsed since the last executed
@@ -743,6 +762,7 @@ impl FlowEngine {
                 else {
                     break;
                 };
+                // The matrix update first, then the slot is freed.
                 src.remove(kind);
                 matrix.remove(kind);
                 let hashed = self.index.key(&key);
@@ -788,6 +808,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::qoe::{paper_directions, train_estimator, QosScale};
     use exbox_net::{Direction, Protocol};
+    use exbox_obs::MetricsSnapshot;
 
     pub(crate) fn estimator() -> QoeEstimator {
         let mk = |a: f64, b: f64, g: f64| -> Vec<(f64, f64)> {
@@ -1022,13 +1043,13 @@ pub(crate) mod tests {
 
         // A departure mid-window releases the window; the next
         // executed poll (not the one inside the interval) reports it.
-        assert_eq!(e.flow_departed(&key(2)), None);
+        assert_eq!(e.flow_departed(&key(2), |kind| src.remove(kind)), None);
         poll(&mut e, &mut src, 6);
         assert_eq!(gauge(), Some(3.0));
         poll(&mut e, &mut src, 8);
         assert_eq!(gauge(), Some(2.0));
         for id in [1, 3] {
-            e.flow_departed(&key(id));
+            e.flow_departed(&key(id), |kind| src.remove(kind));
         }
         assert_eq!(e.early.classifying_flows(), 0);
         // Departed means forgotten: flow 2 starts a whole new window.
@@ -1066,7 +1087,8 @@ pub(crate) mod tests {
             (DecisionReason::DegradedFallback, None)
         );
         (src.phase, src.recovering) = (Phase::Online, false);
-        src.remove(e.flow_departed(&key(1)).expect("flow 1 was admitted"));
+        let departed = e.flow_departed(&key(1), |kind| src.remove(kind));
+        assert!(departed.is_some(), "flow 1 was admitted");
         assert_eq!(send(&mut e, &mut src, 3, 12).last(), Some(&Action::Forward));
         assert_eq!(last(&e).reason, DecisionReason::DegradedFallback);
         assert_eq!(
@@ -1218,12 +1240,61 @@ pub(crate) mod tests {
     #[test]
     fn engines_built_in_one_process_hash_under_different_secrets() {
         let reg = MetricsRegistry::new();
-        let fresh = || engine(MiddleboxConfig::default(), FaultPlan::disabled(), &reg);
-        let (a, b) = (fresh(), fresh());
+        let fresh =
+            |reg: &MetricsRegistry| engine(MiddleboxConfig::default(), FaultPlan::disabled(), reg);
+        let (mut a, mut b) = (fresh(&reg), fresh(&reg));
         let differ = (0..200)
             .filter(|&id| a.index.key(&key(id)) != b.index.key(&key(id)))
             .count();
         assert!(differ > 190, "only {differ} of 200 keys hash apart");
+
+        // `flows` arrivals into room for two, a poll that revokes the
+        // oldest, one that keeps the other, which then departs.
+        fn drive(e: &mut FlowEngine, first: u32, flows: u32) {
+            let mut src = Scripted::online(2);
+            for id in first..first + flows {
+                send(e, &mut src, id, 12);
+            }
+            src.admissible = Box::new(|m| m.total() <= 1);
+            assert_eq!(poll(e, &mut src, 5).len(), 1);
+            assert!(poll(e, &mut src, 8).is_empty());
+            assert!(e
+                .flow_departed(&key(first + 1), |k| src.remove(k))
+                .is_some());
+        }
+        // Both engines write the one registry through cells of their
+        // own: its totals are what each counts into a registry alone.
+        let (alone_a, alone_b) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let (mut solo_a, mut solo_b) = (fresh(&alone_a), fresh(&alone_b));
+        drive(&mut a, 1, 3);
+        drive(&mut solo_a, 1, 3);
+        drive(&mut b, 10, 4);
+        drive(&mut solo_b, 10, 4);
+        let middlebox = |s: &MetricsSnapshot| {
+            let counters = s
+                .counters
+                .iter()
+                .filter(|(n, _)| n.starts_with("middlebox."));
+            let polls = s.histogram("middlebox.poll_latency_ns").unwrap().count;
+            (counters.cloned().collect::<Vec<_>>(), polls)
+        };
+        let (parts, together) = ([alone_a.snapshot(), alone_b.snapshot()], reg.snapshot());
+        assert_eq!(
+            middlebox(&together),
+            middlebox(&MetricsSnapshot::merged(&parts))
+        );
+        let both_count = |name: &str| parts.iter().all(|s| s.counter(name) > Some(0));
+        for name in [
+            "packets",
+            "admits",
+            "rejects",
+            "keeps",
+            "revokes",
+            "departures",
+        ] {
+            assert!(both_count(&format!("middlebox.{name}")), "{name}");
+        }
+        assert_eq!(together.counter("middlebox.rejects"), Some(1 + 2));
     }
 
     #[test]

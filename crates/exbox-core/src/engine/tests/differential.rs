@@ -296,10 +296,7 @@ proptest! {
                     reference.learn_server_hint(server, *class);
                 }
                 Step::Depart(id) => {
-                    let got = e.flow_departed(&flow(*id));
-                    if let Some(kind) = got {
-                        src.remove(kind);
-                    }
+                    let got = e.flow_departed(&flow(*id), |kind| src.remove(kind));
                     prop_assert_eq!(got, reference.depart(&flow(*id)), "step {}", i);
                 }
                 Step::Region(cap) => {

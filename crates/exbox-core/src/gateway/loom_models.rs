@@ -12,7 +12,8 @@
 //! lossless in-order transfer with atomic batch publication, fresh
 //! values out of reused slots across wraparound, and the
 //! close-after-publish protocol that lets a worker exit without
-//! stranding packets.
+//! stranding packets; and the shards' one-writer tally cells, whose
+//! registry total a racing reader sees only grow and end exact.
 //!
 //! Bounds: every model runs under the explorer's default preemption
 //! bound of 2 (documented in `DESIGN.md` §9) unless it passes an
@@ -25,6 +26,7 @@ use std::sync::Arc;
 use exbox_loom::{explore, model, thread, Config};
 
 use exbox_net::AppClass;
+use exbox_obs::MetricsRegistry;
 
 use crate::matrix::{FlowKind, SnrLevel};
 
@@ -393,5 +395,33 @@ fn shared_matrix_concurrent_add_remove() {
             total == 1 || total == 2,
             "occupancy drifted: {total} (lost add or underflow)"
         );
+    });
+}
+
+/// Two shards' one-writer tally cells under one name, each bumped
+/// twice by its own thread with a load and a plain store, against a
+/// reader snapshotting the registry: the totals it reads never go
+/// back, and once the shards joined the total is exact — with one
+/// writer per cell, a store loses no increment.
+#[test]
+fn counter_cells_sum_exactly_under_a_racing_reader() {
+    model(|| {
+        let reg = MetricsRegistry::new();
+        let shards: Vec<_> = (0..2)
+            .map(|_| {
+                let mut cell = reg.counter_cell("middlebox.admits");
+                thread::spawn(move || {
+                    cell.inc();
+                    cell.inc();
+                })
+            })
+            .collect();
+        let total = || reg.snapshot().counter("middlebox.admits").unwrap();
+        let (first, second) = (total(), total());
+        assert!(first <= second, "total went back: {first} then {second}");
+        for shard in shards {
+            shard.join().unwrap();
+        }
+        assert_eq!(total(), 4, "a cell increment was lost");
     });
 }

@@ -21,7 +21,7 @@ use super::channel::BoundedSender;
 
 use exbox_ml::Label;
 use exbox_net::{AppClass, FlowKey, Instant, Packet};
-use exbox_obs::{Counter, EventRing, MetricsRegistry};
+use exbox_obs::{CounterCell, EventRing, MetricsRegistry};
 
 use crate::admittance::Phase;
 use crate::engine::{
@@ -80,10 +80,20 @@ impl BatchInput for [(u64, Packet, SnrLevel)] {
 /// which is what makes verdicts shard-count-invariant when a trace is
 /// replayed deterministically.
 ///
-/// All operations are `SeqCst` (six counters; the cost is noise next
-/// to the model evaluation). Under concurrent serving a snapshot is
+/// All operations are `SeqCst`. Under concurrent serving a snapshot is
 /// each counter's latest value, not an inter-counter consistent cut —
 /// the same tolerance the paper's periodic-poll design already has.
+///
+/// **Ordering rule.** An update is the one locked instruction an
+/// admission, departure or revocation executes — every tally beside it
+/// is a one-writer cell — and a locked instruction waits for every
+/// earlier store to drain. So it runs before the event's writes to the
+/// shard's own state, which under a large flow set miss the cache:
+/// admission adds before the flow's arena slot is pushed, and departure
+/// and revocation read the flow's kind, remove it here, and only then
+/// free the slot. (What produces an admission's verdict — the window's
+/// last record, the memo lookup and its tally — necessarily comes
+/// first.)
 #[derive(Debug, Default)]
 pub struct SharedMatrix {
     counts: [AtomicU32; TrafficMatrix::DIMS],
@@ -193,10 +203,10 @@ impl ShardDecisionCache {
 
 /// A shard's side of the pinned model source: its links to the rest
 /// of the gateway (shared matrix, trainer queue, recovery flag), its
-/// epoch-keyed decision cache and the `gateway.*` counters. Each shard
-/// binds its **own** registry, so the hot-path increments land on
-/// shard-private cache lines and only
-/// [`exbox_obs::MetricsSnapshot::merged`] ever sums them.
+/// epoch-keyed decision cache and the `gateway.*` counters — one-writer
+/// cells in the shard's **own** registry, so an increment is a plain
+/// store to a shard-private line, summed only at export
+/// ([`exbox_obs::MetricsSnapshot::merged`]).
 #[derive(Debug)]
 pub(super) struct ShardLink {
     shared: Arc<SharedMatrix>,
@@ -205,15 +215,15 @@ pub(super) struct ShardLink {
     cache: ShardDecisionCache,
     /// `gateway.obs_dropped` — observations dropped because the
     /// bounded trainer queue was full (backpressure made visible).
-    obs_dropped: Arc<Counter>,
+    obs_dropped: CounterCell,
     /// `gateway.cache_hits` / `gateway.cache_misses` — the shard's
     /// epoch-keyed decision cache.
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
+    cache_hits: CounterCell,
+    cache_misses: CounterCell,
     /// `gateway.poll_buf_grows` — times a poll had to grow the
     /// caller's verdict buffer; stays 0 in steady state when callers
     /// reuse a buffer via [`GatewayShard::poll_into`].
-    poll_buf_grows: Arc<Counter>,
+    poll_buf_grows: CounterCell,
 }
 
 impl ShardLink {
@@ -228,10 +238,10 @@ impl ShardLink {
             obs_tx,
             recovering,
             cache: ShardDecisionCache::new(DECISION_CACHE_CAP),
-            obs_dropped: registry.counter("gateway.obs_dropped"),
-            cache_hits: registry.counter("gateway.cache_hits"),
-            cache_misses: registry.counter("gateway.cache_misses"),
-            poll_buf_grows: registry.counter("gateway.poll_buf_grows"),
+            obs_dropped: registry.counter_cell("gateway.obs_dropped"),
+            cache_hits: registry.counter_cell("gateway.cache_hits"),
+            cache_misses: registry.counter_cell("gateway.cache_misses"),
+            poll_buf_grows: registry.counter_cell("gateway.poll_buf_grows"),
         }
     }
 }
@@ -530,9 +540,8 @@ impl GatewayShard {
 
     /// A flow of this shard's partition ended: release its admission.
     pub fn flow_departed(&mut self, key: &FlowKey) {
-        if let Some(kind) = self.engine.flow_departed(key) {
-            self.link.shared.remove(kind);
-        }
+        let shared = &self.link.shared;
+        self.engine.flow_departed(key, |kind| shared.remove(kind));
     }
 
     /// Periodic poll over this shard's flows: QoE estimation, one

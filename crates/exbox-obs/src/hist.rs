@@ -1,5 +1,7 @@
 //! Fixed-bucket histograms with atomic recording.
 
+use std::sync::Arc;
+
 use crate::sync::{AtomicU64, Ordering};
 
 /// Standard bucket layouts.
@@ -95,25 +97,46 @@ impl Histogram {
 
     /// Record one observation. Non-finite values are ignored.
     pub fn record(&self, v: f64) {
+        self.record_by::<false>(v);
+    }
+
+    /// The one body of [`record`](Self::record) and
+    /// [`HistogramCell::record`]: with `SOLE` — sound only while
+    /// nothing else writes this histogram, which a cell's ownership
+    /// guarantees — every update is a relaxed load and a store instead
+    /// of an atomic add or a CAS loop.
+    fn record_by<const SOLE: bool>(&self, v: f64) {
         if !v.is_finite() {
             return;
         }
         let idx = self.bounds.partition_point(|&b| b < v);
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        Self::fetch_update(&self.sum_bits, |s| s + v);
-        Self::fetch_update(&self.min_bits, |m| m.min(v));
-        Self::fetch_update(&self.max_bits, |m| m.max(v));
+        Self::bump::<SOLE>(&self.counts[idx]);
+        Self::bump::<SOLE>(&self.count);
+        Self::update::<SOLE>(&self.sum_bits, |s| s + v);
+        Self::update::<SOLE>(&self.min_bits, |m| m.min(v));
+        Self::update::<SOLE>(&self.max_bits, |m| m.max(v));
     }
 
-    fn fetch_update(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
+    fn bump<const SOLE: bool>(cell: &AtomicU64) {
+        if SOLE {
+            cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        } else {
+            cell.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn update<const SOLE: bool>(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
         let mut cur = cell.load(Ordering::Relaxed);
         loop {
             let next = f(f64::from_bits(cur)).to_bits();
             // A sample that does not move the value — nearly every one,
-            // for min and max — needs no exchange: the update took
-            // effect, unchanged, at the load that read `cur`.
+            // for min and max — needs no write: the update took effect,
+            // unchanged, at the load that read `cur`.
             if next == cur {
+                return;
+            }
+            if SOLE {
+                cell.store(next, Ordering::Relaxed);
                 return;
             }
             match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
@@ -155,6 +178,23 @@ impl Histogram {
     }
 }
 
+/// A [`Histogram`] with one writer, from
+/// [`MetricsRegistry::histogram_cell`](crate::MetricsRegistry::histogram_cell):
+/// owned, not `Clone`, and recorded into through `&mut self`, so each
+/// bucket, count, sum, min and max update is a relaxed load and a
+/// store. The registry merges it into its name at every snapshot, as
+/// [`MetricsSnapshot::merged`](crate::MetricsSnapshot::merged) merges
+/// shared histograms.
+#[derive(Debug)]
+pub struct HistogramCell(pub(crate) Arc<Histogram>);
+
+impl HistogramCell {
+    /// Record one observation. Non-finite values are ignored.
+    pub fn record(&mut self, v: f64) {
+        self.0.record_by::<true>(v);
+    }
+}
+
 /// Frozen view of a [`Histogram`].
 #[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
@@ -173,6 +213,35 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Add `other`'s observations into this view of histogram `name`:
+    /// counts element-wise, `count` and `sum` added, `min`/`max`
+    /// combined.
+    ///
+    /// # Panics
+    /// When the two have different bucket bounds — merging those would
+    /// corrupt quantiles, and only a programming error does it.
+    pub(crate) fn absorb(&mut self, name: &str, other: &HistogramSnapshot) {
+        assert_eq!(
+            self.bounds, other.bounds,
+            "histogram `{name}` merged across mismatched bucket bounds"
+        );
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        if other.count > 0 {
+            if self.count == other.count {
+                // This view was empty until now.
+                self.min = other.min;
+                self.max = other.max;
+            } else {
+                self.min = self.min.min(other.min);
+                self.max = self.max.max(other.max);
+            }
+        }
+    }
+
     /// Mean observation (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {

@@ -14,15 +14,21 @@
 //! * [`Histogram`] — fixed-bucket distribution with atomic buckets,
 //!   exact min/max and quantile estimates ([`buckets`] has standard
 //!   bucket layouts: exponential latency ladders, linear grids).
+//! * [`CounterCell`] / [`HistogramCell`] — the same two instruments
+//!   with one writer: owned, written through `&mut self`, and so each
+//!   update is a relaxed load and a plain store — no locked
+//!   read-modify-write. A gateway shard's per-event tallies are cells.
 //! * [`EventRing`] — a bounded ring-buffer event log that keeps the
 //!   most recent `N` structured events and counts what it evicted
 //!   (the middlebox's admission-decision audit trail lives in one);
 //!   an owned value, pushed through `&mut`, with no lock.
-//! * [`MetricsRegistry`] — names the above, hands out shared handles,
-//!   and exports point-in-time [`MetricsSnapshot`]s as JSON, CSV, or
-//!   aligned text. A process-wide registry is available via
-//!   [`global()`]; every bench binary dumps it to stderr on exit so
-//!   `results/*.log` carries the full counter state of the run.
+//! * [`MetricsRegistry`] — names the above, hands out shared handles
+//!   and fresh cells, and exports point-in-time [`MetricsSnapshot`]s
+//!   as JSON, CSV, or aligned text, where a name's value is the sum of
+//!   its shared instrument and every cell under it. A process-wide
+//!   registry is available via [`global()`]; every bench binary dumps
+//!   it to stderr on exit so `results/*.log` carries the full counter
+//!   state of the run.
 //!
 //! Metric names are dot-namespaced by component
 //! (`middlebox.admitted`, `admittance.retrain_wall_ns`, …); the
@@ -35,12 +41,20 @@
 //! use exbox_obs::{buckets, MetricsRegistry};
 //!
 //! let reg = MetricsRegistry::new();
+//! // Shared: any number of holders, each add a locked RMW.
 //! let admits = reg.counter("middlebox.admitted");
-//! let lat = reg.histogram("middlebox.poll_latency_ns", &buckets::latency_ns());
+//! // Cells: one writer each, each add a load and a store.
+//! let (mut shard0, mut shard1) = (
+//!     reg.counter_cell("middlebox.admitted"),
+//!     reg.counter_cell("middlebox.admitted"),
+//! );
+//! let mut lat = reg.histogram_cell("middlebox.poll_latency_ns", &buckets::latency_ns());
 //! admits.inc();
+//! shard0.add(2);
+//! shard1.inc();
 //! lat.record(12_500.0);
 //! let snap = reg.snapshot();
-//! assert_eq!(snap.counter("middlebox.admitted"), Some(1));
+//! assert_eq!(snap.counter("middlebox.admitted"), Some(4));
 //! assert!(snap.to_json().contains("poll_latency_ns"));
 //! ```
 
@@ -49,11 +63,12 @@ mod registry;
 mod ring;
 mod sync;
 
-pub use hist::{buckets, Histogram, HistogramSnapshot};
+pub use hist::{buckets, Histogram, HistogramCell, HistogramSnapshot};
 pub use registry::{global, MetricsRegistry, MetricsSnapshot};
 pub use ring::EventRing;
 
 use crate::sync::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant as WallInstant;
 
 /// A monotonically increasing atomic counter.
@@ -79,6 +94,36 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A [`Counter`] with one writer, from
+/// [`MetricsRegistry::counter_cell`]. It is owned and not `Clone`, and
+/// it counts through `&mut self`, so an add is a relaxed load and a
+/// store: no locked instruction, which would wait for every earlier
+/// store to drain. The registry keeps the other handle and only reads
+/// it, summing the cell into its name at every snapshot.
+#[derive(Debug)]
+pub struct CounterCell(Arc<Counter>);
+
+impl CounterCell {
+    /// Increment by one.
+    pub fn inc(&mut self) {
+        self.add(1);
+    }
+
+    /// Increment by `n`.
+    pub fn add(&mut self, n: u64) {
+        let cell = &(self.0).0;
+        cell.store(
+            cell.load(Ordering::Relaxed).wrapping_add(n),
+            Ordering::Relaxed,
+        );
+    }
+
+    /// This cell's count (not its name's total).
+    pub fn get(&self) -> u64 {
+        self.0.get()
     }
 }
 
@@ -125,6 +170,15 @@ mod tests {
     #[test]
     fn counter_semantics() {
         let c = Counter::new();
+        assert_eq!(c.get(), 0);
+        c.inc();
+        c.add(4);
+        assert_eq!(c.get(), 5);
+    }
+
+    #[test]
+    fn counter_cell_semantics() {
+        let mut c = MetricsRegistry::new().counter_cell("c");
         assert_eq!(c.get(), 0);
         c.inc();
         c.add(4);

@@ -4,18 +4,49 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::hist::{Histogram, HistogramSnapshot};
-use crate::{Counter, Gauge};
+use crate::hist::{Histogram, HistogramCell, HistogramSnapshot};
+use crate::{Counter, CounterCell, Gauge};
 
-/// Names counters, gauges and histograms and hands out shared
-/// handles. Asking for an existing name returns the existing
-/// instrument, so independent components (or multiple instances of
-/// one component) naturally aggregate into the same metric.
+/// Every instrument registered under one name: the shared one, made on
+/// the first ask for it, and one per cell handed out. The registry
+/// only reads the cells' side.
+#[derive(Debug)]
+struct Named<T> {
+    shared: Option<Arc<T>>,
+    cells: Vec<Arc<T>>,
+}
+
+impl<T> Default for Named<T> {
+    fn default() -> Self {
+        Named {
+            shared: None,
+            cells: Vec::new(),
+        }
+    }
+}
+
+impl<T> Named<T> {
+    /// The shared instrument and every cell; never empty, since a name
+    /// is entered only with an instrument.
+    fn all(&self) -> impl Iterator<Item = &T> {
+        self.shared.iter().chain(&self.cells).map(|i| &**i)
+    }
+}
+
+/// Names counters, gauges and histograms and hands out handles.
+/// Asking for an existing name's shared instrument returns the existing
+/// one, so independent components (or multiple instances of one
+/// component) naturally aggregate into the same metric. A cell
+/// ([`counter_cell`](Self::counter_cell),
+/// [`histogram_cell`](Self::histogram_cell)) is fresh on every call
+/// and has one writer; a snapshot sums every cell and the shared
+/// instrument of a name into one value, so readers cannot tell the
+/// two apart.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
+    counters: Mutex<BTreeMap<String, Named<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
+    histograms: Mutex<BTreeMap<String, Named<Histogram>>>,
 }
 
 impl MetricsRegistry {
@@ -24,13 +55,22 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Get or create the counter `name`.
+    /// Get or create the shared counter `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut g = self.counters.lock().expect("registry poisoned");
-        Arc::clone(
-            g.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::new())),
-        )
+        let named = g.entry(name.to_string()).or_default();
+        Arc::clone(named.shared.get_or_insert_with(|| Arc::new(Counter::new())))
+    }
+
+    /// A fresh one-writer counter counted under `name`.
+    pub fn counter_cell(&self, name: &str) -> CounterCell {
+        let cell = Arc::new(Counter::new());
+        let mut g = self.counters.lock().expect("registry poisoned");
+        g.entry(name.to_string())
+            .or_default()
+            .cells
+            .push(Arc::clone(&cell));
+        CounterCell(cell)
     }
 
     /// Get or create the gauge `name`.
@@ -42,18 +82,39 @@ impl MetricsRegistry {
         )
     }
 
-    /// Get or create the histogram `name`. The bucket `bounds` apply
-    /// only on first creation; later callers share the existing
-    /// instrument unchanged.
+    /// Get or create the shared histogram `name`. The bucket `bounds`
+    /// apply only on its first creation; later callers share the
+    /// existing instrument unchanged.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
         let mut g = self.histograms.lock().expect("registry poisoned");
+        let named = g.entry(name.to_string()).or_default();
         Arc::clone(
-            g.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new(bounds))),
+            named
+                .shared
+                .get_or_insert_with(|| Arc::new(Histogram::new(bounds))),
         )
     }
 
-    /// Point-in-time snapshot of every registered metric.
+    /// A fresh one-writer histogram over `bounds`, merged into `name`.
+    /// Every instrument of a name must have the same bounds: a
+    /// [`snapshot`](Self::snapshot) panics otherwise, as
+    /// [`MetricsSnapshot::merged`] does.
+    pub fn histogram_cell(&self, name: &str, bounds: &[f64]) -> HistogramCell {
+        let cell = Arc::new(Histogram::new(bounds));
+        let mut g = self.histograms.lock().expect("registry poisoned");
+        g.entry(name.to_string())
+            .or_default()
+            .cells
+            .push(Arc::clone(&cell));
+        HistogramCell(cell)
+    }
+
+    /// Point-in-time snapshot of every registered metric: a name's
+    /// counter is the sum of its instruments, its histogram their
+    /// bucket-wise merge.
+    ///
+    /// # Panics
+    /// When one name's histograms have different bucket bounds.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
@@ -61,7 +122,7 @@ impl MetricsRegistry {
                 .lock()
                 .expect("registry poisoned")
                 .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
+                .map(|(k, v)| (k.clone(), v.all().map(Counter::get).sum()))
                 .collect(),
             gauges: self
                 .gauges
@@ -75,7 +136,12 @@ impl MetricsRegistry {
                 .lock()
                 .expect("registry poisoned")
                 .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
+                .map(|(k, v)| {
+                    let mut parts = v.all().map(Histogram::snapshot);
+                    let mut merged = parts.next().expect("a name has an instrument");
+                    parts.for_each(|h| merged.absorb(k, &h));
+                    (k.clone(), merged)
+                })
                 .collect(),
         }
     }
@@ -131,8 +197,9 @@ fn json_num(v: f64) -> String {
 impl MetricsSnapshot {
     /// Merge several snapshots into one aggregate view — how the
     /// concurrent gateway exports its per-shard sub-registries (each
-    /// shard increments its own instruments contention-free; the sums
-    /// only materialise here, at export time).
+    /// shard writes its own cells; the sums only materialise at export
+    /// time, within a registry by [`MetricsRegistry::snapshot`] and
+    /// across registries here, by the same rules).
     ///
     /// Semantics per metric kind:
     /// * **counters** — summed by name (exact: each shard's verdict
@@ -172,26 +239,7 @@ impl MetricsSnapshot {
                         e.insert(h.clone());
                     }
                     std::collections::btree_map::Entry::Occupied(mut e) => {
-                        let acc = e.get_mut();
-                        assert_eq!(
-                            acc.bounds, h.bounds,
-                            "histogram `{name}` merged across mismatched bucket bounds"
-                        );
-                        for (a, b) in acc.counts.iter_mut().zip(&h.counts) {
-                            *a += b;
-                        }
-                        acc.count += h.count;
-                        acc.sum += h.sum;
-                        if h.count > 0 {
-                            if acc.count == h.count {
-                                // Accumulator was empty until now.
-                                acc.min = h.min;
-                                acc.max = h.max;
-                            } else {
-                                acc.min = acc.min.min(h.min);
-                                acc.max = acc.max.max(h.max);
-                            }
-                        }
+                        e.get_mut().absorb(name, h);
                     }
                 }
             }
@@ -436,6 +484,139 @@ mod tests {
         let b = MetricsRegistry::new();
         a.histogram("lat", &[10.0]);
         b.histogram("lat", &[20.0]);
+        let _ = MetricsSnapshot::merged([&a.snapshot(), &b.snapshot()]);
+    }
+
+    #[test]
+    fn cells_and_a_shared_counter_sum_under_one_name() {
+        let a = MetricsRegistry::new();
+        let (mut c0, mut c1) = (a.counter_cell("mb.admits"), a.counter_cell("mb.admits"));
+        c0.add(3);
+        c1.inc();
+        a.counter("mb.admits").add(10);
+        c1.add(5);
+        assert_eq!(
+            (c0.get(), c1.get()),
+            (3, 6),
+            "each cell keeps its own count"
+        );
+        assert_eq!(a.snapshot().counter("mb.admits"), Some(19));
+        // A name bound only as a cell is reported like any other.
+        let _ = a.counter_cell("mb.idle");
+        assert_eq!(a.snapshot().counter("mb.idle"), Some(0));
+
+        let b = MetricsRegistry::new();
+        b.counter_cell("mb.admits").add(100);
+        let m = MetricsSnapshot::merged([&a.snapshot(), &b.snapshot()]);
+        assert_eq!(m.counter("mb.admits"), Some(119));
+        assert_eq!(m.counter("mb.idle"), Some(0));
+    }
+
+    /// A reader snapshots while three writers count: every name's total
+    /// (one name is two cells, one a single cell) only ever grows, and
+    /// ends exact. Run under ThreadSanitizer by CI's concurrency job.
+    #[test]
+    fn reader_sees_every_cell_monotone() {
+        const PER_WRITER: u64 = 20_000;
+        let reg = MetricsRegistry::new();
+        let cells = [
+            reg.counter_cell("pair"),
+            reg.counter_cell("pair"),
+            reg.counter_cell("solo"),
+        ];
+        let mut lat = reg.histogram_cell("lat", &[10.0, 100.0]);
+        let done = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for mut cell in cells {
+                let done = &done;
+                scope.spawn(move || {
+                    for _ in 0..PER_WRITER {
+                        cell.inc();
+                    }
+                    done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                });
+            }
+            let (reg, done) = (&reg, &done);
+            scope.spawn(move || {
+                let mut last = (0, 0, 0);
+                loop {
+                    let finished = done.load(std::sync::atomic::Ordering::SeqCst) == 3;
+                    let s = reg.snapshot();
+                    let now = (
+                        s.counter("pair").unwrap(),
+                        s.counter("solo").unwrap(),
+                        s.histogram("lat").unwrap().count,
+                    );
+                    assert!(
+                        now.0 >= last.0 && now.1 >= last.1 && now.2 >= last.2,
+                        "{now:?} after {last:?}"
+                    );
+                    last = now;
+                    if finished {
+                        break;
+                    }
+                }
+            });
+            for i in 0..PER_WRITER {
+                lat.record((i % 200) as f64);
+            }
+        });
+        let s = reg.snapshot();
+        assert_eq!(s.counter("pair"), Some(2 * PER_WRITER));
+        assert_eq!(s.counter("solo"), Some(PER_WRITER));
+        assert_eq!(s.histogram("lat").unwrap().count, PER_WRITER);
+    }
+
+    #[test]
+    fn histogram_cells_merge_like_shared_ones() {
+        let bounds = [10.0, 100.0];
+        let samples = [5.0, 50.0, 500.0, 7.0, 70.0];
+        let shared = MetricsRegistry::new();
+        for v in samples {
+            shared.histogram("lat", &bounds).record(v);
+        }
+        let celled = MetricsRegistry::new();
+        let (mut c0, mut c1) = (
+            celled.histogram_cell("lat", &bounds),
+            celled.histogram_cell("lat", &bounds),
+        );
+        let _never_recorded = celled.histogram_cell("lat", &bounds);
+        c0.record(5.0);
+        c0.record(50.0);
+        c1.record(500.0);
+        celled.histogram("lat", &bounds).record(7.0);
+        c1.record(70.0);
+        c1.record(f64::NAN); // ignored, as by a shared histogram
+
+        let key = |h: &HistogramSnapshot| (h.counts.clone(), h.count, h.sum, h.min, h.max);
+        let want = key(shared.snapshot().histogram("lat").unwrap());
+        assert_eq!(key(celled.snapshot().histogram("lat").unwrap()), want);
+        assert_eq!(want, (vec![2, 2, 1], 5, 632.0, 5.0, 500.0));
+        // Across registries, cells merge as shared histograms do.
+        let other = MetricsRegistry::new();
+        other.histogram_cell("lat", &bounds).record(1.0);
+        let m = MetricsSnapshot::merged([&celled.snapshot(), &other.snapshot()]);
+        assert_eq!(
+            key(m.histogram("lat").unwrap()),
+            (vec![3, 2, 1], 6, 633.0, 1.0, 500.0)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatched bucket bounds")]
+    fn cells_with_mismatched_bounds_panic_in_snapshot() {
+        let reg = MetricsRegistry::new();
+        let _a = reg.histogram_cell("lat", &[10.0]);
+        let _b = reg.histogram_cell("lat", &[20.0]);
+        let _ = reg.snapshot();
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatched bucket bounds")]
+    fn cells_with_mismatched_bounds_panic_in_merged() {
+        let (a, b) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let _a = a.histogram_cell("lat", &[10.0]);
+        let _b = b.histogram_cell("lat", &[20.0]);
         let _ = MetricsSnapshot::merged([&a.snapshot(), &b.snapshot()]);
     }
 
