@@ -6,14 +6,15 @@
 //! (or `scripts/loom_check.sh`). Every test here checks a *property*,
 //! not just "no crash": a snapshot reader's view only moves forward in
 //! publish order and a finished publish is visible to the next pin, a
-//! visible publish count never runs ahead of its value, channel
-//! no-loss/no-duplication, exact `try_send` backpressure accounting, a
-//! lossless trainer shutdown drain, and the pipeline's SPSC ring:
-//! lossless in-order transfer with atomic batch publication, fresh
-//! values out of reused slots across wraparound, and the
-//! close-after-publish protocol that lets a worker exit without
-//! stranding packets; and the shards' one-writer tally cells, whose
-//! registry total a racing reader sees only grow and end exact.
+//! visible publish count never runs ahead of its value, the
+//! pipeline's SPSC ring (lossless in-order transfer with atomic batch
+//! publication, fresh values out of reused slots across wraparound,
+//! and the close-after-publish protocol that lets a worker exit
+//! without stranding packets), the occupancy matrix's saturating
+//! remove, and the shards' one-writer tally cells, whose registry
+//! total a racing reader sees only grow and end exact. The trainer
+//! queue is std's `sync_channel`; its shutdown drain is a stress test
+//! in `gateway::trainer`.
 //!
 //! Bounds: every model runs under the explorer's default preemption
 //! bound of 2 (documented in `DESIGN.md` §9) unless it passes an
@@ -30,7 +31,6 @@ use exbox_obs::MetricsRegistry;
 
 use crate::matrix::{FlowKind, SnrLevel};
 
-use super::channel;
 use super::shard::SharedMatrix;
 use super::snapshot::SnapshotCell;
 use super::spsc;
@@ -119,122 +119,6 @@ fn snapshot_count_never_runs_ahead_of_value() {
             assert!(value >= count, "count {count} visible before its value");
         }
         writer.join().unwrap();
-    });
-}
-
-/// Two senders racing one receiver on the bounded observation channel:
-/// every sent message arrives exactly once (no loss, no duplication)
-/// and sender-side FIFO holds.
-#[test]
-fn channel_no_loss_no_duplication() {
-    model(|| {
-        let (tx, rx) = channel::bounded::<u32>(2);
-        let tx2 = tx.clone();
-        let s1 = thread::spawn(move || {
-            tx.send(1).unwrap();
-            tx.send(2).unwrap();
-        });
-        let s2 = thread::spawn(move || tx2.send(10).unwrap());
-        let mut got = Vec::new();
-        for _ in 0..3 {
-            got.push(rx.recv().unwrap());
-        }
-        assert!(rx.try_recv().is_err(), "phantom message");
-        s1.join().unwrap();
-        s2.join().unwrap();
-        let mut sorted = got.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![1, 2, 10], "loss or duplication: {got:?}");
-        // Sender-side FIFO: 1 precedes 2 in arrival order.
-        let p1 = got.iter().position(|&v| v == 1).unwrap();
-        let p2 = got.iter().position(|&v| v == 2).unwrap();
-        assert!(p1 < p2, "per-sender FIFO violated: {got:?}");
-    });
-}
-
-/// `try_send` backpressure accounting is exact: over every
-/// interleaving of two non-blocking senders and a draining receiver,
-/// `delivered + Full-rejections == attempts` — the invariant behind
-/// the `gateway.obs_dropped` counter.
-#[test]
-fn channel_try_send_accounting_exact() {
-    model(|| {
-        let (tx, rx) = channel::bounded::<u32>(1);
-        let tx2 = tx.clone();
-        let count = |r: Result<(), std::sync::mpsc::TrySendError<u32>>| match r {
-            Ok(()) => (1u32, 0u32),
-            Err(std::sync::mpsc::TrySendError::Full(_)) => (0, 1),
-            Err(std::sync::mpsc::TrySendError::Disconnected(_)) => {
-                panic!("receiver alive, got Disconnected")
-            }
-        };
-        let s1 = thread::spawn(move || count(tx.try_send(1)));
-        let s2 = thread::spawn(move || count(tx2.try_send(2)));
-        let (ok1, full1) = s1.join().unwrap();
-        let (ok2, full2) = s2.join().unwrap();
-        let mut delivered = 0;
-        while rx.try_recv().is_ok() {
-            delivered += 1;
-        }
-        assert_eq!(
-            delivered + (full1 + full2),
-            2,
-            "dropped-observation accounting drifted"
-        );
-        assert_eq!(delivered, ok1 + ok2, "delivery count != successful sends");
-    });
-}
-
-/// The trainer shutdown drain, as a harness over the real channel: a
-/// shard keeps submitting while the gateway sends `Shutdown`
-/// concurrently. Every observation is either *processed* before the
-/// trainer stops or *counted* by the drain — never silently lost
-/// (the `trainer.dropped_results` protocol from `run_trainer`).
-#[test]
-fn trainer_shutdown_drain_never_loses() {
-    const SHUTDOWN: u32 = u32::MAX;
-    model(|| {
-        let (tx, rx) = channel::bounded::<u32>(4);
-        let shard = {
-            let tx = tx.clone();
-            thread::spawn(move || {
-                let mut sent = 0u32;
-                for v in 0..2 {
-                    if tx.try_send(v).is_ok() {
-                        sent += 1;
-                    }
-                }
-                sent
-            })
-        };
-        let gateway = thread::spawn(move || tx.send(SHUTDOWN).unwrap());
-        // The trainer loop + drain, mirroring `run_trainer`.
-        let consumer = thread::spawn(move || {
-            let mut processed = 0u32;
-            while let Ok(msg) = rx.recv() {
-                if msg == SHUTDOWN {
-                    break;
-                }
-                processed += 1;
-            }
-            let mut dropped = 0u32;
-            loop {
-                match rx.try_recv() {
-                    Ok(SHUTDOWN) => {}
-                    Ok(_) => dropped += 1,
-                    Err(_) => break,
-                }
-            }
-            (processed, dropped)
-        });
-        let sent = shard.join().unwrap();
-        gateway.join().unwrap();
-        let (processed, dropped) = consumer.join().unwrap();
-        assert_eq!(
-            processed + dropped,
-            sent,
-            "observation lost across shutdown"
-        );
     });
 }
 

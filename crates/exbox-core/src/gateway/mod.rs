@@ -30,8 +30,8 @@
 //!   between publishes is one atomic load; the writer swaps the current
 //!   `Arc` under a short lock, and an old generation is freed by
 //!   whichever holder lets go last (see [`snapshot`]).
-//! - **Off-path training.** Observations travel a *bounded* MPSC
-//!   channel to one background trainer thread that owns the full
+//! - **Off-path training.** Observations travel a *bounded* std
+//!   `sync_channel` to one background trainer thread that owns the full
 //!   [`AdmittanceClassifier`]; retrains, checkpoints and recovery
 //!   never run on the packet path. Backpressure drops observations
 //!   (counted as `gateway.obs_dropped`) rather than stalling packets.
@@ -47,7 +47,6 @@
 //! that need a poll's observation to be learnt before the next step
 //! call [`ConcurrentGateway::flush_trainer`] in between.
 
-pub(crate) mod channel;
 pub mod pipeline;
 pub mod shard;
 pub mod snapshot;
@@ -165,7 +164,7 @@ pub struct ConcurrentGateway {
     shared: Arc<SharedMatrix>,
     cell: Arc<SnapshotCell<ModelSnapshot>>,
     recovering: Arc<AtomicBool>,
-    obs_tx: channel::BoundedSender<TrainerMsg>,
+    obs_tx: mpsc::SyncSender<TrainerMsg>,
     trainer: Option<TrainerHandle>,
     /// Per-batch shard-index scratch for the sequential batched driver
     /// (one `route` per packet, reused across calls).
@@ -277,7 +276,9 @@ impl ConcurrentGateway {
         let cell = SnapshotCell::new(initial);
         let shared = Arc::new(SharedMatrix::new());
         let recovering = Arc::new(AtomicBool::new(recovering_now));
-        let (obs_tx, obs_rx) = channel::bounded(cfg.obs_queue.max(1));
+        // At least one slot: std's zero-bound queue is a rendezvous, on
+        // which a shard's `try_send` would fail whenever the trainer is busy.
+        let (obs_tx, obs_rx) = mpsc::sync_channel(cfg.obs_queue.max(1));
 
         let trainer_registry = MetricsRegistry::new();
         let trainer = classifier.map(|mut classifier| {
@@ -290,12 +291,7 @@ impl ConcurrentGateway {
                 estimator.clone(),
                 Arc::clone(&cell),
                 Arc::clone(&recovering),
-                TrainerMetrics {
-                    checkpoint_writes: trainer_registry.counter("recovery.checkpoint_writes"),
-                    staleness: trainer_registry.gauge("gateway.snapshot_staleness"),
-                    dropped_results: trainer_registry.counter("trainer.dropped_results"),
-                    stamp_mismatch: trainer_registry.counter("gateway.stamp_mismatch"),
-                },
+                TrainerMetrics::bind(&trainer_registry),
                 obs_rx,
                 obs_tx.clone(),
             )

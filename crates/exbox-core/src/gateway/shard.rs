@@ -12,12 +12,10 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::mpsc::TrySendError;
+use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::Arc;
 
 use crate::sync::{AtomicBool, AtomicU32, Ordering};
-
-use super::channel::BoundedSender;
 
 use exbox_ml::Label;
 use exbox_net::{AppClass, FlowKey, Instant, Packet};
@@ -210,7 +208,7 @@ impl ShardDecisionCache {
 #[derive(Debug)]
 pub(super) struct ShardLink {
     shared: Arc<SharedMatrix>,
-    obs_tx: BoundedSender<TrainerMsg>,
+    obs_tx: SyncSender<TrainerMsg>,
     recovering: Arc<AtomicBool>,
     cache: ShardDecisionCache,
     /// `gateway.obs_dropped` — observations dropped because the
@@ -229,7 +227,7 @@ pub(super) struct ShardLink {
 impl ShardLink {
     pub(super) fn new(
         shared: Arc<SharedMatrix>,
-        obs_tx: BoundedSender<TrainerMsg>,
+        obs_tx: SyncSender<TrainerMsg>,
         recovering: Arc<AtomicBool>,
         registry: &MetricsRegistry,
     ) -> Self {
@@ -595,7 +593,6 @@ mod tests {
 
     use proptest::prelude::*;
 
-    use super::super::channel;
     use super::*;
     use crate::admittance::{AdmittanceClassifier, AdmittanceConfig};
 
@@ -666,7 +663,7 @@ mod tests {
         ) {
             let snaps = snapshots();
             let reg = MetricsRegistry::new();
-            let (obs_tx, _obs_rx) = channel::bounded(1);
+            let (obs_tx, _obs_rx) = std::sync::mpsc::sync_channel(1);
             let mut link = ShardLink::new(
                 Arc::new(SharedMatrix::new()),
                 obs_tx,

@@ -1,10 +1,10 @@
 //! cfg-selected synchronisation layer.
 //!
 //! Every concurrency primitive on the gateway's modelled paths — the
-//! [`SnapshotCell`](crate::gateway::SnapshotCell), the bounded
-//! trainer channel, the [`SharedMatrix`](crate::gateway::SharedMatrix)
-//! occupancy cell — imports its atomics, locks and threads from here
-//! instead of `std::sync` directly:
+//! [`SnapshotCell`](crate::gateway::SnapshotCell), the
+//! [`SharedMatrix`](crate::gateway::SharedMatrix) occupancy cell, the
+//! pipeline's SPSC ring — imports its atomics, locks and threads from
+//! here instead of `std::sync` directly:
 //!
 //! * **default builds** re-export `std::sync` / `std::thread`
 //!   unchanged — zero cost, identical codegen;
@@ -22,12 +22,12 @@
 #[cfg(not(exbox_loom))]
 pub(crate) use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 #[cfg(not(exbox_loom))]
-pub(crate) use std::sync::{Condvar, Mutex};
+pub(crate) use std::sync::Mutex;
 #[cfg(not(exbox_loom))]
 pub(crate) use std::thread;
 
 #[cfg(exbox_loom)]
-pub(crate) use exbox_loom::sync::{AtomicBool, AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
+pub(crate) use exbox_loom::sync::{AtomicBool, AtomicU32, AtomicU64, Mutex, Ordering};
 #[cfg(exbox_loom)]
 pub(crate) use exbox_loom::thread;
 

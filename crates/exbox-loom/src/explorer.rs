@@ -115,7 +115,6 @@ pub(crate) fn mix(acc: u64, v: u64) -> u64 {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum BlockOn {
     Mutex(u64),
-    Condvar(u64),
     Join(usize),
     /// The thread is unwinding a panic outside the scheduler's control
     /// (its shim ops degrade to passthrough); it will make progress on
@@ -141,8 +140,6 @@ struct ThreadState {
     alloc_seq: u64,
     /// Next per-thread child spawn sequence number.
     spawn_seq: u64,
-    /// FIFO arrival ticket for deterministic `notify_one`.
-    wait_ticket: u64,
 }
 
 impl ThreadState {
@@ -153,7 +150,6 @@ impl ThreadState {
             canon,
             alloc_seq: 0,
             spawn_seq: 0,
-            wait_ticket: 0,
         }
     }
 }
@@ -206,7 +202,6 @@ struct Sched {
     objects: HashMap<u64, u64>,
     /// Mutex object id → owning tid.
     mutex_owner: HashMap<u64, usize>,
-    next_ticket: u64,
     preemptions: usize,
     /// Stop recording new branches for the rest of this execution
     /// (fingerprint already visited, or branch cap hit).
@@ -265,7 +260,6 @@ impl Explorer {
                 replay: None,
                 objects: HashMap::new(),
                 mutex_owner: HashMap::new(),
-                next_ticket: 0,
                 preemptions: 0,
                 stop_branching: false,
                 aborting: false,
@@ -299,7 +293,6 @@ impl Explorer {
                     Status::Runnable => 1,
                     Status::Finished => 2,
                     Status::Blocked(BlockOn::Mutex(id)) => mix(3, id),
-                    Status::Blocked(BlockOn::Condvar(id)) => mix(4, id),
                     Status::Blocked(BlockOn::Join(t)) => mix(5, s.threads[t].canon),
                     Status::Blocked(BlockOn::Unwind) => 6,
                 };
@@ -478,11 +471,11 @@ impl Explorer {
         // Advance this thread's rolling hash by one tick *before* the
         // scheduler fingerprints the state: the rolling hash doubles as
         // a program-counter proxy, and ops that observe nothing (join
-        // of a finished thread, yield, notify with no waiter) would
-        // otherwise leave a thread's position invisible — making a
-        // state fingerprint-equal to its own successor and letting the
-        // pruner cut unexplored suffixes (real unsoundness, caught by
-        // the snapshot reader-drop model).
+        // of a finished thread, a bare yield) would otherwise leave a
+        // thread's position invisible — making a state
+        // fingerprint-equal to its own successor and letting the pruner
+        // cut unexplored suffixes (real unsoundness, caught by the
+        // snapshot reader-drop model).
         let t = &mut s.threads[tid];
         t.rolling = mix(t.rolling, 0x0051_17c4);
         self.reschedule(&mut s, tid);
@@ -535,10 +528,7 @@ impl Explorer {
             drop(s);
             panic_abort();
         }
-        s.next_ticket += 1;
-        let ticket = s.next_ticket;
         s.threads[tid].status = Status::Blocked(on);
-        s.threads[tid].wait_ticket = ticket;
         self.reschedule(&mut s, tid);
         loop {
             if s.aborting {
@@ -620,87 +610,6 @@ impl Explorer {
             }
             if s.aborting || unwinding {
                 self.cv.notify_all();
-                return;
-            }
-        }
-        let _ = self.switch_point(tid);
-    }
-
-    /// Condvar wait: atomically (under the scheduler lock) register as
-    /// a waiter and release the model mutex, then park; on wake,
-    /// re-acquire via `mutex_lock`.
-    pub(crate) fn condvar_wait(self: &Arc<Self>, tid: usize, cid: u64, mid: u64) {
-        if std::thread::panicking() {
-            // Behaves as an immediate spurious wakeup; the caller will
-            // re-acquire the real mutex, so hand the token off first.
-            self.release_token_for_unwind(tid);
-            return;
-        }
-        {
-            let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            if s.aborting {
-                drop(s);
-                panic_abort();
-            }
-            s.next_ticket += 1;
-            let ticket = s.next_ticket;
-            s.mutex_owner.remove(&mid);
-            for t in s.threads.iter_mut() {
-                if t.status == Status::Blocked(BlockOn::Mutex(mid)) {
-                    t.status = Status::Runnable;
-                }
-            }
-            s.threads[tid].status = Status::Blocked(BlockOn::Condvar(cid));
-            s.threads[tid].wait_ticket = ticket;
-            self.reschedule(&mut s, tid);
-            loop {
-                if s.aborting {
-                    drop(s);
-                    panic_abort();
-                }
-                if s.active == tid && s.threads[tid].status == Status::Runnable {
-                    break;
-                }
-                s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        self.mutex_lock(tid, mid);
-    }
-
-    /// Wake one condvar waiter (FIFO by arrival ticket — deterministic;
-    /// the model has no spurious wakeups).
-    pub(crate) fn condvar_notify(self: &Arc<Self>, tid: usize, cid: u64, all: bool) {
-        let unwinding = std::thread::panicking();
-        {
-            let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            if s.aborting {
-                return;
-            }
-            if all {
-                for t in s.threads.iter_mut() {
-                    if t.status == Status::Blocked(BlockOn::Condvar(cid)) {
-                        t.status = Status::Runnable;
-                    }
-                }
-            } else {
-                let mut best: Option<usize> = None;
-                for (i, t) in s.threads.iter().enumerate() {
-                    if t.status == Status::Blocked(BlockOn::Condvar(cid))
-                        && best
-                            .map(|b: usize| t.wait_ticket < s.threads[b].wait_ticket)
-                            .unwrap_or(true)
-                    {
-                        best = Some(i);
-                    }
-                }
-                if let Some(i) = best {
-                    s.threads[i].status = Status::Runnable;
-                }
-            }
-            let t = &mut s.threads[tid];
-            t.rolling = mix(t.rolling, mix(cid, 0x0207_01f1));
-            self.cv.notify_all();
-            if unwinding {
                 return;
             }
         }
@@ -835,7 +744,6 @@ impl Explorer {
             s.replay = replay;
             s.objects.clear();
             s.mutex_owner.clear();
-            s.next_ticket = 0;
             s.preemptions = 0;
             s.stop_branching = false;
             s.aborting = false;

@@ -20,10 +20,8 @@
 //!   after a panic in a critical section. Callers written against
 //!   std's API (`.lock().expect(..)`) compile and behave identically
 //!   on the non-poisoned path.
-//! - **`Condvar` has no spurious wakeups and no timeouts** inside a
-//!   model; `notify_one` wakes the longest-waiting thread (FIFO).
-//! - `RwLock` is not provided (the workspace does not use one on a
-//!   modelled path).
+//! - No condition variable and no `RwLock` are provided (the
+//!   workspace uses neither on a modelled path).
 
 use std::sync::OnceLock;
 
@@ -324,7 +322,7 @@ impl std::fmt::Debug for AtomicBool {
 }
 
 // ---------------------------------------------------------------------------
-// Mutex / Condvar
+// Mutex
 // ---------------------------------------------------------------------------
 
 /// Result alias matching std's shape; the shim never returns `Err`.
@@ -364,7 +362,6 @@ impl<T: ?Sized> Mutex<T> {
         // this is the real blocking acquire.
         let g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         Ok(MutexGuard {
-            lock: self,
             inner: Some(g),
             sched,
         })
@@ -376,12 +373,10 @@ impl<T: ?Sized> Mutex<T> {
         match ctx() {
             None => match self.inner.try_lock() {
                 Ok(g) => Ok(MutexGuard {
-                    lock: self,
                     inner: Some(g),
                     sched: None,
                 }),
                 Err(std::sync::TryLockError::Poisoned(e)) => Ok(MutexGuard {
-                    lock: self,
                     inner: Some(e.into_inner()),
                     sched: None,
                 }),
@@ -416,9 +411,7 @@ impl<T: std::fmt::Debug + ?Sized> std::fmt::Debug for Mutex<T> {
 }
 
 /// Guard pairing the real `std` guard with the model unlock protocol.
-/// Keeps a reference to its `Mutex` so `Condvar::wait` can re-acquire.
 pub struct MutexGuard<'a, T: ?Sized> {
-    lock: &'a Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
     sched: Option<(StdArc<Explorer>, usize, u64)>,
 }
@@ -444,105 +437,6 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
         if let Some((ex, tid, id)) = self.sched.take() {
             ex.mutex_unlock(tid, id);
         }
-    }
-}
-
-/// Model-aware drop-in for `std::sync::Condvar` (no timeouts, no
-/// spurious wakeups inside a model).
-pub struct Condvar {
-    id: ObjId,
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    pub const fn new() -> Self {
-        Condvar {
-            id: ObjId::new(),
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
-        match ctx() {
-            None => {
-                let std_guard = guard.inner.take().expect("guard taken");
-                // guard.sched is None outside a model; dropping the
-                // emptied shell is a no-op.
-                let g = self
-                    .inner
-                    .wait(std_guard)
-                    .unwrap_or_else(|e| e.into_inner());
-                guard.inner = Some(g);
-                Ok(guard)
-            }
-            Some((ex, tid)) => {
-                let lock = guard.lock;
-                let (gex, gtid, mid) = guard.sched.take().expect("condvar wait on foreign guard");
-                debug_assert_eq!(gtid, tid);
-                let cid = self.id.get(&ex, tid);
-                // Drop the real guard, then run the model wait protocol
-                // (registers as waiter + releases the model mutex under
-                // one scheduler-lock acquisition — no lost wakeups).
-                // `condvar_wait` re-acquires the model mutex before it
-                // returns, so the inner re-lock below is uncontended.
-                drop(guard.inner.take());
-                drop(guard);
-                gex.condvar_wait(tid, cid, mid);
-                let g = lock.inner.lock().unwrap_or_else(|e| e.into_inner());
-                Ok(MutexGuard {
-                    lock,
-                    inner: Some(g),
-                    sched: Some((gex, tid, mid)),
-                })
-            }
-        }
-    }
-
-    /// `wait_while`, matching std's convenience signature.
-    pub fn wait_while<'a, T, F>(
-        &self,
-        mut guard: MutexGuard<'a, T>,
-        mut condition: F,
-    ) -> LockResult<MutexGuard<'a, T>>
-    where
-        F: FnMut(&mut T) -> bool,
-    {
-        while condition(&mut guard) {
-            guard = self.wait(guard)?;
-        }
-        Ok(guard)
-    }
-
-    pub fn notify_one(&self) {
-        match ctx() {
-            None => self.inner.notify_one(),
-            Some((ex, tid)) => {
-                let cid = self.id.get(&ex, tid);
-                ex.condvar_notify(tid, cid, false);
-            }
-        }
-    }
-
-    pub fn notify_all(&self) {
-        match ctx() {
-            None => self.inner.notify_all(),
-            Some((ex, tid)) => {
-                let cid = self.id.get(&ex, tid);
-                ex.condvar_notify(tid, cid, true);
-            }
-        }
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Condvar").finish_non_exhaustive()
     }
 }
 

@@ -189,31 +189,6 @@ fn pruning_preserves_the_verdict() {
 }
 
 #[test]
-fn condvar_handoff_is_explored_without_lost_wakeups() {
-    use exbox_loom::sync::Condvar;
-    let report = explore(Config::default(), || {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let t = exbox_loom::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut ready = m.lock().unwrap();
-            *ready = true;
-            cv.notify_one();
-            drop(ready);
-        });
-        let (m, cv) = &*pair;
-        let mut ready = m.lock().unwrap();
-        while !*ready {
-            ready = cv.wait(ready).unwrap();
-        }
-        drop(ready);
-        t.join().unwrap();
-    })
-    .expect("flag handoff must complete in every schedule");
-    assert!(report.executions >= 1);
-}
-
-#[test]
 fn three_thread_counter_exhausts_within_bound() {
     // ≥2 writers + main: checks the explorer handles >2 threads and
     // that the report's exhausted flag is meaningful.

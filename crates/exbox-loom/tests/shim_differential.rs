@@ -10,9 +10,7 @@
 
 use std::sync::mpsc;
 
-use exbox_loom::sync::{
-    Arc, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering,
-};
+use exbox_loom::sync::{Arc, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Mutex, Ordering};
 use exbox_loom::Config;
 
 /// A deterministic single-thread op sequence over one u64 atomic;
@@ -111,34 +109,24 @@ fn atomic_misc_passthrough_matches_std() {
 }
 
 #[test]
-fn mutex_condvar_passthrough_matches_std() {
-    // Producer/consumer over a shim Mutex+Condvar, passthrough mode,
-    // on real threads: same protocol as the std equivalent.
-    let run_shim = || {
-        let q: Arc<(Mutex<Vec<u32>>, Condvar)> = Arc::new((Mutex::new(Vec::new()), Condvar::new()));
-        let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || {
-            for i in 0..10 {
-                let (m, cv) = &*q2;
-                m.lock().unwrap().push(i);
-                cv.notify_one();
-            }
-        });
-        let (m, cv) = &*q;
-        let mut got = Vec::new();
-        let mut g = m.lock().unwrap();
-        while got.len() < 10 {
-            while g.is_empty() {
-                g = cv.wait(g).unwrap();
-            }
-            got.extend(g.drain(..));
+fn mutex_passthrough_matches_std() {
+    // Two real threads pushing through one shim Mutex, passthrough
+    // mode: every push lands, and each thread's pushes keep their order.
+    let q = Arc::new(Mutex::new(Vec::new()));
+    let q2 = Arc::clone(&q);
+    let t = std::thread::spawn(move || {
+        for i in 0..10u32 {
+            q2.lock().unwrap().push(i);
         }
-        drop(g);
-        t.join().unwrap();
-        got
-    };
-    let got = run_shim();
-    assert_eq!(got, (0..10).collect::<Vec<_>>());
+    });
+    for i in 10..20u32 {
+        q.lock().unwrap().push(i);
+    }
+    t.join().unwrap();
+    let got = Arc::try_unwrap(q).unwrap().into_inner().unwrap();
+    let (low, high): (Vec<u32>, Vec<u32>) = got.iter().partition(|&&v| v < 10);
+    assert_eq!(low, (0..10).collect::<Vec<_>>());
+    assert_eq!(high, (10..20).collect::<Vec<_>>());
 }
 
 #[test]

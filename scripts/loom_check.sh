@@ -26,7 +26,7 @@ export RUSTFLAGS="${RUSTFLAGS:-} --cfg exbox_loom"
 echo "== exbox-loom self-tests (explorer properties, shim differential)"
 cargo test -q -p exbox-loom
 
-echo "== gateway models (snapshot publish order + count/value, channel, trainer drain, shard merge, SPSC ring)"
+echo "== gateway models (snapshot publish order + count/value, shard merge, tally cells, SPSC ring)"
 cargo test -q -p exbox-core --lib
 
 echo "== exbox-obs under the loom cfg (atomics shim compiles + behaves)"
